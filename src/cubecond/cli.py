@@ -3,8 +3,9 @@
 Subcommands: condition, pv, isolate, sample, experiment.  All output is
 machine-readable JSON on stdout (``--pretty`` re-indents it); infinities are
 encoded as the string "inf".  Exit codes: 0 success, 1 usage or input error,
-2 flagged or failed experiment.  The environment variable CUBECOND_SEED
-overrides the built-in default seed.
+2 flagged or failed run (an experiment, or a root oracle that did not
+converge).  The environment variable CUBECOND_SEED overrides the built-in
+default seed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .poly import load_polynomial, norm1, polynomial_to_dict
 from .pv import pv_subdivide
 from .univariate import (
     HypothesisViolatedError,
+    OracleFailedError,
     descartes_isolate,
     eps_separation_lower_bound,
     js_condition_bound,
@@ -243,6 +245,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except OracleFailedError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

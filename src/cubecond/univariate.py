@@ -6,14 +6,18 @@ each interval [a, b] is mapped onto [0, inf) by the Moebius substitution
 variation count v of the result bounds the number of roots in the open
 interval.  v = 0 discards the interval, v = 1 certifies exactly one simple
 root, v >= 2 bisects.  The root oracle finds all complex roots by
-simultaneous Aberth-Ehrlich iteration on the dense coefficient vector.
+simultaneous Aberth-Ehrlich iteration on the dense coefficient vector,
+started on the circles of the coefficients' Newton polygon; converged roots
+are frozen, and the result is cached per polynomial object.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -89,11 +93,13 @@ class IsolationResult:
 @dataclass(frozen=True)
 class SeparationEstimate:
     """Pairwise root distances: delta over real roots in [-1, 1], delta_eps
-    over all complex roots within distance eps of the interval."""
+    over all complex roots within distance eps of the interval.  ``sweeps``
+    counts the Aberth sweeps of the root solve behind them."""
 
     delta: float
     delta_eps: float
     eps: float
+    sweeps: int = 0
 
 
 def sign_variations(coeffs) -> int:
@@ -291,20 +297,42 @@ def descartes_isolate(f: SparsePolynomial, max_depth: int = 40) -> IsolationResu
 # all-roots oracle (Aberth-Ehrlich simultaneous iteration)
 # ---------------------------------------------------------------------------
 
-def aberth_roots(
-    dense,
-    max_sweeps: int = 1000,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """All complex roots of an ascending dense coefficient vector.
+def _newton_polygon_starts(c, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Starting points on the circles of the Newton polygon (Bini 1996).
 
-    Starts on a circle of radius 1 + max|c_k| / |c_D| with deterministic
-    angular jitter (fixed seed) and iterates the Aberth-Ehrlich correction
-    until every residual satisfies |p(z)| <= tol * sum|c| * max(1, |z|)^D;
-    the max(1, |z|)^D factor keeps the target achievable in double precision
-    for roots outside the unit disk.  Raises OracleFailedError after
-    ``max_sweeps`` sweeps without convergence.
+    The upper convex hull of the points (k, log|c_k|), zero coefficients
+    skipped, has an edge from k_a to k_b for each group of k_b - k_a root
+    moduli; the group starts on the circle of radius
+    (|c_{k_a}| / |c_{k_b}|)^(1 / (k_b - k_a)) with fixed-seed angular jitter,
+    each circle turned by 2 pi k_a / D.  Returns the points and their radii.
     """
+    degree = len(c) - 1
+    ks = np.flatnonzero(c)
+    logs = np.log(np.abs(c[ks]))
+    hull = [0]
+    for i in range(1, len(ks)):
+        # pop the last vertex while it lies on or below the chord to point i
+        while len(hull) >= 2 and (
+            (logs[hull[-1]] - logs[hull[-2]]) * (ks[i] - ks[hull[-2]])
+            <= (logs[i] - logs[hull[-2]]) * (ks[hull[-1]] - ks[hull[-2]])
+        ):
+            hull.pop()
+        hull.append(i)
+    jitter = rng.uniform(0.25, 0.75, degree)
+    radii = np.empty(degree)
+    angles = np.empty(degree)
+    for a, b in zip(hull, hull[1:]):
+        lo, hi = ks[a], ks[b]
+        radii[lo:hi] = math.exp((logs[a] - logs[b]) / (hi - lo))
+        angles[lo:hi] = 2.0 * np.pi * (
+            (np.arange(hi - lo) + jitter[lo:hi]) / (hi - lo) + lo / degree
+        )
+    return radii * np.exp(1j * angles), radii
+
+
+def _aberth(dense, max_sweeps: int = 1000, tol: float = 1e-12) -> tuple[np.ndarray, int]:
+    """Aberth-Ehrlich iteration behind ``aberth_roots``; also returns the
+    number of correction sweeps it took (0 when no iteration was needed)."""
     c = np.asarray(dense, dtype=np.float64)
     scale_norm = float(np.abs(c).sum())
     if scale_norm == 0.0:
@@ -318,36 +346,59 @@ def aberth_roots(
     degree = len(c) - 1
     origin = np.zeros(zeros_at_origin, dtype=np.complex128)
     if degree == 0:
-        return origin
+        return origin, 0
     if degree == 1:
-        return np.concatenate([origin, np.array([-c[0] / c[1]], dtype=np.complex128)])
+        return np.concatenate([origin, np.array([-c[0] / c[1]], dtype=np.complex128)]), 0
 
-    radius = 1.0 + float(np.max(np.abs(c[:-1]))) / abs(c[-1])
     rng = np.random.default_rng(123456789)
-    angles = 2.0 * np.pi * (np.arange(degree) + rng.uniform(0.25, 0.75, degree)) / degree
-    z = radius * np.exp(1j * angles)
-
+    z, radii = _newton_polygon_starts(c, rng)
     deriv = npp.polyder(c)
-    for _ in range(max_sweeps):
-        pz = npp.polyval(z, c)
-        target = tol * scale_norm * np.maximum(1.0, np.abs(z)) ** degree
-        if np.all(np.abs(pz) <= target):
-            return np.concatenate([origin, z])
-        pdz = npp.polyval(z, deriv)
+    active = np.arange(degree)
+    for sweep in range(max_sweeps):
+        # a root whose residual meets the target is frozen; it still repels
+        za = z[active]
+        pz = npp.polyval(za, c)
+        target = tol * scale_norm * np.maximum(1.0, np.abs(za)) ** degree
+        moving = ~(np.abs(pz) <= target)
+        if not moving.any():
+            return np.concatenate([origin, z]), sweep
+        active, za, pz = active[moving], za[moving], pz[moving]
+        pdz = npp.polyval(za, deriv)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = pz / pdz
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
+            diff = za[:, None] - z[None, :]
+            diff[np.arange(len(active)), active] = np.inf
             repulsion = (1.0 / diff).sum(axis=1)
             w = newton / (1.0 - newton * repulsion)
         bad = ~np.isfinite(w)
         if bad.any():
-            w = np.where(bad, 0.01 * radius * np.exp(1j * rng.uniform(0, 2 * np.pi, degree)), w)
-        oversize = np.abs(w) > 1.0 + np.abs(z)
+            kick = 0.01 * radii[active] * np.exp(1j * rng.uniform(0, 2 * np.pi, len(active)))
+            w = np.where(bad, kick, w)
+        oversize = np.abs(w) > 1.0 + np.abs(za)
         if oversize.any():
-            w = np.where(oversize, w * (1.0 + np.abs(z)) / np.abs(w), w)
-        z = z - w
+            w = np.where(oversize, w * (1.0 + np.abs(za)) / np.abs(w), w)
+        z[active] = za - w
     raise OracleFailedError("oracle failed: root iteration did not converge")
+
+
+def aberth_roots(
+    dense,
+    max_sweeps: int = 1000,
+    tol: float = 1e-12,
+) -> np.ndarray:
+    """All complex roots of an ascending dense coefficient vector.
+
+    Roots at the origin (zero low-order coefficients) are split off exactly.
+    The rest start on the circles of the Newton polygon of the coefficients
+    (Bini 1996, as in MPSolve), with deterministic angular jitter (fixed
+    seed), and the Aberth-Ehrlich correction runs until every residual
+    satisfies |p(z)| <= tol * sum|c| * max(1, |z|)^D; the max(1, |z|)^D
+    factor keeps the target achievable in double precision for roots outside
+    the unit disk.  A root that meets its target is frozen: later sweeps correct only
+    the others, which are still repelled by every root.  Raises
+    OracleFailedError after ``max_sweeps`` sweeps without convergence.
+    """
+    return _aberth(dense, max_sweeps, tol)[0]
 
 
 def _classify_real(dense, roots):
@@ -390,22 +441,43 @@ def _distance_to_interval(z: complex) -> float:
     return math.hypot(max(0.0, abs(z.real) - 1.0), z.imag)
 
 
+class _OracleRoots(NamedTuple):
+    reals: np.ndarray
+    complexes: np.ndarray
+    sweeps: int
+
+
+# SparsePolynomial is frozen with read-only arrays, so an entry never goes
+# stale; it lives as long as its polynomial object.
+_ROOT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def oracle_roots(f: SparsePolynomial) -> tuple[np.ndarray, np.ndarray]:
     """All roots of f as (real roots, strictly complex roots).
 
     Real roots are identified by a relative imaginary-part threshold and
-    polished by a few Newton steps.
+    polished by a few Newton steps.  The result is computed once per
+    polynomial object and cached while the object lives, so both arrays are
+    read-only; a failed solve is not cached.
     """
-    if f.n != 1:
-        raise ValueError("the root oracle requires a univariate polynomial")
-    if norm1(f) == 0.0:
-        raise ValueError("the zero polynomial has no root set")
-    dense = to_dense(f)
-    if len(dense) - 1 > MAX_DENSE_DEGREE:
-        raise ValueError(f"degree {len(dense) - 1} exceeds the dense cap {MAX_DENSE_DEGREE}")
-    if len(dense) == 1:
-        return np.zeros(0), np.zeros(0, dtype=np.complex128)
-    return _classify_real(dense, aberth_roots(dense))
+    cached = _ROOT_CACHE.get(f)
+    if cached is None:
+        if f.n != 1:
+            raise ValueError("the root oracle requires a univariate polynomial")
+        if norm1(f) == 0.0:
+            raise ValueError("the zero polynomial has no root set")
+        dense = to_dense(f)
+        if len(dense) - 1 > MAX_DENSE_DEGREE:
+            raise ValueError(f"degree {len(dense) - 1} exceeds the dense cap {MAX_DENSE_DEGREE}")
+        if len(dense) == 1:
+            reals, complexes, sweeps = np.zeros(0), np.zeros(0, dtype=np.complex128), 0
+        else:
+            roots, sweeps = _aberth(dense)
+            reals, complexes = _classify_real(dense, roots)
+        reals.setflags(write=False)
+        complexes.setflags(write=False)
+        cached = _ROOT_CACHE[f] = _OracleRoots(reals, complexes, sweeps)
+    return cached.reals, cached.complexes
 
 
 def separation_oracle(f: SparsePolynomial, eps: float) -> SeparationEstimate:
@@ -419,12 +491,13 @@ def separation_oracle(f: SparsePolynomial, eps: float) -> SeparationEstimate:
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
     reals, complexes = oracle_roots(f)
+    sweeps = _ROOT_CACHE[f].sweeps  # the entry oracle_roots just read or made
     reals_in_cube = reals[np.abs(reals) <= 1.0] if len(reals) else reals
     delta = _min_pairwise(list(reals_in_cube))
     near = [complex(r, 0.0) for r in reals if _distance_to_interval(complex(r, 0.0)) <= eps]
     near.extend(z for z in complexes if _distance_to_interval(z) <= eps)
     delta_eps = _min_pairwise(near)
-    return SeparationEstimate(delta=delta, delta_eps=delta_eps, eps=eps)
+    return SeparationEstimate(delta=delta, delta_eps=delta_eps, eps=eps, sweeps=sweeps)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from cubecond import univariate
 from cubecond.cli import main
+from cubecond.univariate import OracleFailedError
 
 QUAD = {"n": 1, "terms": [{"alpha": [0], "c": -1.0}, {"alpha": [2], "c": 2.0}]}
 LINE2 = {"n": 2, "terms": [{"alpha": [1, 0], "c": 1.0}, {"alpha": [0, 1], "c": 1.0}]}
@@ -76,6 +78,17 @@ def test_isolate_with_oracle(tmp_path, capsys):
     assert out["oracle"]["delta"] == pytest.approx(math.sqrt(2.0), rel=1e-9)
     assert out["bounds"]["separation_lower"] <= out["oracle"]["delta"]
     assert out["complete"] is True
+
+
+def test_isolate_oracle_failure_exit_code(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise OracleFailedError("oracle failed: root iteration did not converge")
+
+    monkeypatch.setattr(univariate, "_aberth", fail)
+    code, out = run(capsys, ["isolate", write(tmp_path, "q.json", QUAD), "--oracle"])
+    assert code == 2
+    assert out is None
+    assert run.err.splitlines() == ["error: oracle failed: root iteration did not converge"]
 
 
 def test_sample_deterministic_and_env_seed(tmp_path, capsys, monkeypatch):

@@ -1,18 +1,24 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
+from cubecond import random as models
+from cubecond import univariate
 from cubecond.condition import global_condition
 from cubecond.poly import new_sparse, to_dense
 from cubecond.univariate import (
     HypothesisViolatedError,
+    OracleFailedError,
     aberth_roots,
     descartes_isolate,
     eps_separation_lower_bound,
     js_condition_bound,
     js_runtime_bound,
+    oracle_roots,
     separation_lower_bound,
     separation_oracle,
     sign_variations,
@@ -23,6 +29,24 @@ from helpers import random_poly
 
 X = new_sparse(1, [((1,), 1.0)])
 QUAD = new_sparse(1, [((2,), 2.0), ((0,), -1.0)])
+SUITE_SUPPORT = ((0,), (1,), (5,), (13,), (27,), (41,), (54,), (64,))
+
+
+def suite_draws(count):
+    """The criteria 06/07 fixture's first draws, alternating the two models."""
+    suite_models = [
+        models.RandomModel(n=1, support=SUITE_SUPPORT, dist=dist)
+        for dist in (models.Gaussian(), models.Uniform())
+    ]
+    return [models.sample(suite_models[i % 2], (2024, i // 2)) for i in range(count)]
+
+
+def assert_residuals_meet_target(dense, roots, tol=1e-12):
+    dense = np.asarray(dense, dtype=np.float64)
+    degree = int(np.flatnonzero(dense)[-1])
+    assert len(roots) == degree
+    target = tol * np.abs(dense).sum() * np.maximum(1.0, np.abs(roots)) ** degree
+    assert np.all(np.abs(npp.polyval(roots, dense)) <= target)
 
 
 def test_sign_variations_examples():
@@ -240,6 +264,137 @@ def test_aberth_agrees_with_companion_roots():
         scale = 1e-6 * (1 + np.max(np.abs(ref)))
         assert np.max(np.min(np.abs(mine[:, None] - ref[None, :]), axis=1)) <= scale
         assert np.max(np.min(np.abs(ref[:, None] - mine[None, :]), axis=1)) <= scale
+
+
+def test_oracle_real_count_agrees_with_companion_on_suite_support():
+    # sparse degree 64 spreads the root moduli, where the start points matter;
+    # companion-matrix eigenvalues are an independent reference
+    sweeps = []
+    for f in suite_draws(100):
+        sweeps.append(separation_oracle(f, 1e-3).sweeps)
+        reals, _ = oracle_roots(f)
+        mine = np.sort(reals[np.abs(reals) <= 1.0])
+        roots = np.roots(to_dense(f)[::-1])
+        real = roots[np.abs(roots.imag) <= 1e-8 * np.maximum(1.0, np.abs(roots))].real
+        ref = np.sort(real[np.abs(real) <= 1.0])
+        assert len(mine) == len(ref)
+        assert np.max(np.abs(mine - ref), initial=0.0) <= 1e-6
+    # one start circle of radius 1 + max|c_k|/|c_D| took a median of 42 sweeps
+    assert np.median(sweeps) <= 15 and max(sweeps) <= 30
+
+
+@pytest.mark.parametrize(
+    "dense",
+    [
+        [-1.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 2.0],  # interior zeros
+        [0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 0.0],  # double root at 0, zero leading terms
+        [3.0, -2.0],  # degree 1
+        [1.0, 0.0, 1.0],  # degree 2, roots +-i
+        [-2.0, 0.0, 1.0],  # degree 2, roots +-sqrt(2)
+    ],
+)
+def test_aberth_edge_cases_meet_residual_target(dense):
+    roots = aberth_roots(dense)
+    assert_residuals_meet_target(dense, roots)
+    ref = np.roots(np.trim_zeros(np.asarray(dense[::-1]), "f"))
+    assert np.max(np.min(np.abs(roots[:, None] - ref[None, :]), axis=1)) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "dense, moduli",
+    [
+        # roots near -1e-250 and -1e20: one start circle each
+        ([1e-250, 1.0, 1e-20], [1e-250, 1e20]),
+        # 10 roots on the unit circle, 54 of modulus 1e210^(1/54) ~ 7.7e3
+        ([-1.0] + [0.0] * 9 + [1.0] + [0.0] * 53 + [1e-210],
+         [1.0] * 10 + [10.0 ** (210 / 54)] * 54),
+    ],
+)
+def test_aberth_coefficients_spanning_200_orders(dense, moduli):
+    # np.roots is no reference here: the companion matrix holds 1e210-sized entries
+    roots = aberth_roots(dense)
+    assert_residuals_meet_target(dense, roots)
+    assert np.sort(np.abs(roots)) == pytest.approx(moduli, rel=1e-9)
+
+
+def test_aberth_origin_roots_are_exact():
+    roots = aberth_roots([0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 0.0])
+    assert np.count_nonzero(roots == 0.0) == 2
+    assert np.sort(roots[roots != 0.0].real) == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+
+def test_aberth_sweep_guard_still_raises():
+    dense = to_dense(suite_draws(1)[0])
+    assert_residuals_meet_target(dense, aberth_roots(dense))
+    with pytest.raises(OracleFailedError):
+        aberth_roots(dense, max_sweeps=1)
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = univariate._aberth
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(univariate, "_aberth", counted)
+    return calls
+
+
+def test_root_cache_solves_once_per_polynomial(monkeypatch):
+    calls = count_solves(monkeypatch)
+    f = suite_draws(1)[0]
+    est = separation_oracle(f, 1e-3)
+    reals, complexes = oracle_roots(f)
+    assert len(calls) == 1
+    assert est.sweeps > 0
+    assert reals.size + complexes.size == 64
+    # an equal but distinct object is solved on its own, to the same sweep count
+    assert separation_oracle(new_sparse(1, f.terms()), 1e-3).sweeps == est.sweeps
+    assert len(calls) == 2
+
+
+def test_root_cache_returns_read_only_arrays():
+    f = suite_draws(1)[0]
+    for values in oracle_roots(f):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[:1] = 0.0
+
+
+def test_root_cache_entry_dies_with_polynomial():
+    f = new_sparse(1, [((3,), 1.0), ((1,), -0.25)])
+    oracle_roots(f)
+    ref = weakref.ref(f)
+    assert f in univariate._ROOT_CACHE
+    size = len(univariate._ROOT_CACHE)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert len(univariate._ROOT_CACHE) == size - 1
+
+
+def test_root_cache_skips_failed_solves(monkeypatch):
+    f = new_sparse(1, [((3,), 1.0), ((1,), -0.25)])
+
+    def fail(*args, **kwargs):
+        raise OracleFailedError("oracle failed: root iteration did not converge")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(univariate, "_aberth", fail)
+        with pytest.raises(OracleFailedError):
+            oracle_roots(f)
+    assert f not in univariate._ROOT_CACHE
+    calls = count_solves(monkeypatch)
+    reals, _ = oracle_roots(f)
+    assert len(calls) == 1
+    assert np.sort(reals) == pytest.approx([-0.5, 0.0, 0.5], abs=1e-12)
+
+
+def test_separation_oracle_sweeps_counter():
+    assert separation_oracle(X, 0.01).sweeps == 0
+    assert separation_oracle(QUAD, 0.01).sweeps > 0
 
 
 def test_js_runtime_bound():
