@@ -19,7 +19,7 @@ import sys
 from . import experiments as exps
 from . import random as models
 from .condition import global_condition, local_condition
-from .poly import load_polynomial, norm1, polynomial_to_dict
+from .poly import _read_json_object, load_polynomial, norm1, polynomial_to_dict
 from .pv import pv_subdivide
 from .univariate import (
     HypothesisViolatedError,
@@ -160,11 +160,7 @@ def _cmd_isolate(args) -> int:
         "kappa_upper": kappa_upper,
         "separation_lower": separation_lower_bound(f, kappa_upper),
         "tree_size": tree_size_bound(f, kappa_upper),
-        "js_condition": (
-            js_condition_bound(f.support_size, f.degree, norm1(f), kappa_upper)
-            if norm1(f) > 0
-            else "inf"
-        ),
+        "js_condition": js_condition_bound(f.support_size, f.degree, norm1(f), kappa_upper),
     }
     try:
         bounds["eps_separation_lower"] = eps_separation_lower_bound(f, kappa_upper, args.eps)
@@ -202,10 +198,11 @@ def _cmd_sample(args) -> int:
 
 def _cmd_experiment(args) -> int:
     # seed precedence: --seed flag, then the config file, then CUBECOND_SEED/default
+    obj = _read_json_object(args.config, "experiment config")
     seed_override = args.seed
-    if seed_override is None and "seed" not in _config_fields(args.config):
+    if seed_override is None and "seed" not in obj:
         seed_override = _default_seed()
-    cfg = exps.load_config(args.config, seed_override=seed_override, workers_override=args.workers)
+    cfg = exps.load_config(obj, seed_override=seed_override, workers_override=args.workers)
     report = exps.run_experiment(cfg)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{cfg.kind}.csv")
@@ -223,12 +220,6 @@ def _cmd_experiment(args) -> int:
         args.pretty,
     )
     return 0 if report.passed and not report.flagged else 2
-
-
-def _config_fields(path) -> set:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return set(obj) if isinstance(obj, dict) else set()
 
 
 def main(argv=None) -> int:

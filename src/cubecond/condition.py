@@ -44,6 +44,11 @@ __all__ = [
     "local_size_bound",
 ]
 
+# Cap on grid points x support size x n for global_condition: the multivariate
+# kappa evaluation holds an (N, m, n) array of powers, and 2^24 doubles are
+# 128 MB.
+GRID_WORK_CAP = 2 ** 24
+
 
 class EstimateInapplicableError(ValueError):
     """The hypothesis of the derivative estimate does not hold at this point."""
@@ -76,13 +81,7 @@ def _check_nonzero(f: SparsePolynomial) -> float:
 
 def local_condition(f: SparsePolynomial, x) -> float:
     """kappa(f, x); math.inf iff x is a singular zero of f."""
-    nf = _check_nonzero(f)
-    fx = abs(evaluate(f, x))
-    gx = float(np.abs(gradient(f, x)).sum())
-    denom = max(fx, gx / f.degree)
-    if denom == 0.0:
-        return math.inf
-    return nf / denom
+    return float(kappa_batch(f, x)[0])
 
 
 def kappa_batch(f: SparsePolynomial, points) -> np.ndarray:
@@ -91,13 +90,22 @@ def kappa_batch(f: SparsePolynomial, points) -> np.ndarray:
     values = np.abs(evaluate_batch(f, points))
     grad_norms = np.abs(gradient_batch(f, points)).sum(axis=1)
     denom = np.maximum(values, grad_norms / f.degree)
-    with np.errstate(divide="ignore"):
-        return np.where(denom > 0.0, nf / denom, np.inf)
+    return np.divide(nf, denom, out=np.full_like(denom, np.inf), where=denom > 0.0)
 
 
-def _grid_axes(grid_eps: float) -> np.ndarray:
+def _grid_axes(f: SparsePolynomial, grid_eps: float) -> np.ndarray:
     # ceil(1/eps)+1 evenly spaced points give covering radius <= eps on [-1, 1]
     points_per_axis = math.ceil(1.0 / grid_eps) + 1
+    points = points_per_axis ** f.n
+    if points * f.support_size * f.n > GRID_WORK_CAP:
+        # grids under the cap have at most `most` points per axis; eps = 1/(most - 2)
+        # gives at most that many, with one to spare for the rounding of 1/eps
+        most = math.floor((GRID_WORK_CAP / (f.support_size * f.n)) ** (1.0 / f.n))
+        raise ValueError(
+            f"grid_eps={grid_eps} needs {points} grid points; {points} x {f.support_size} "
+            f"terms x n={f.n} exceeds the cap of {GRID_WORK_CAP}, "
+            + (f"grid_eps >= 1/{most - 2} fits" if most > 3 else "no grid_eps fits")
+        )
     return np.linspace(-1.0, 1.0, points_per_axis)
 
 
@@ -114,7 +122,7 @@ def global_condition(f: SparsePolynomial, grid_eps: float) -> GlobalConditionEnc
         raise ValueError(f"grid_eps must lie in (0, 1), got {grid_eps}")
     if f.n > 3:
         raise ValueError("certified global enclosure supports n <= 3")
-    axes = _grid_axes(grid_eps)
+    axes = _grid_axes(f, grid_eps)
     if f.n == 1:
         dense = to_dense(f)
         values = np.polynomial.polynomial.polyval(axes, dense)

@@ -11,7 +11,6 @@ are emitted in trial order.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import random as models
 from .condition import global_condition, local_condition
+from .poly import _is_int, _is_number, _read_json_object
 from .pv import SubdivisionReport, pv_subdivide
 from .univariate import (
     OracleFailedError,
@@ -403,15 +403,7 @@ _CONFIG_FIELDS = {
 
 def load_config(source, seed_override=None, workers_override=None) -> ExperimentConfig:
     """Read an ExperimentConfig from a JSON file path, file object or dict."""
-    if isinstance(source, dict):
-        obj = source
-    elif hasattr(source, "read"):
-        obj = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("experiment config: top-level value must be an object")
+    obj = _read_json_object(source, "experiment config")
     extras = set(obj) - _CONFIG_FIELDS
     if extras:
         raise ValueError(f"experiment config: unknown field '{sorted(extras)[0]}'")
@@ -427,26 +419,29 @@ def load_config(source, seed_override=None, workers_override=None) -> Experiment
     kwargs = {}
     for key in ("trials", "max_depth", "seed", "workers"):
         if key in obj:
-            if not isinstance(obj[key], int):
+            if not _is_int(obj[key]):
                 raise ValueError(f"experiment config: field '{key}' must be an integer")
             kwargs[key] = obj[key]
     for key in ("grid_eps", "eps"):
         if key in obj:
-            if not isinstance(obj[key], (int, float)):
+            if not _is_number(obj[key]):
                 raise ValueError(f"experiment config: field '{key}' must be a number")
             kwargs[key] = float(obj[key])
-    if "t_grid" in obj:
-        if not isinstance(obj["t_grid"], list) or not obj["t_grid"]:
-            raise ValueError("experiment config: field 't_grid' must be a nonempty list")
-        kwargs["t_grid"] = tuple(float(t) for t in obj["t_grid"])
-    if "k_list" in obj:
-        if not isinstance(obj["k_list"], list) or not obj["k_list"]:
-            raise ValueError("experiment config: field 'k_list' must be a nonempty list")
-        kwargs["k_list"] = tuple(int(k) for k in obj["k_list"])
+    for key, is_entry, convert, entries in (
+        ("t_grid", _is_number, float, "numbers"),
+        ("k_list", _is_int, int, "integers"),
+    ):
+        if key in obj:
+            if not isinstance(obj[key], list) or not obj[key] or not all(map(is_entry, obj[key])):
+                raise ValueError(
+                    f"experiment config: field '{key}' must be a nonempty list of {entries}"
+                )
+            kwargs[key] = tuple(convert(v) for v in obj[key])
     if "x0" in obj and obj["x0"] is not None:
-        if not isinstance(obj["x0"], list) or len(obj["x0"]) != model.n:
-            raise ValueError("experiment config: field 'x0' must be a list of length n")
-        kwargs["x0"] = tuple(float(v) for v in obj["x0"])
+        x0 = obj["x0"]
+        if not isinstance(x0, list) or len(x0) != model.n or not all(map(_is_number, x0)):
+            raise ValueError("experiment config: field 'x0' must be a list of n numbers")
+        kwargs["x0"] = tuple(float(v) for v in x0)
     if seed_override is not None:
         kwargs["seed"] = seed_override
     if workers_override is not None:

@@ -44,13 +44,6 @@ class Interval:
         if not self.lo <= self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= value <= self.hi + slack
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class BoxN:
@@ -71,10 +64,6 @@ class BoxN:
     def volume(self) -> float:
         return self.width ** self.n
 
-    def contains(self, x, slack: float = 0.0) -> bool:
-        half = self.width / 2 + slack
-        return all(abs(float(xi) - mi) <= half for xi, mi in zip(x, self.midpoint))
-
     def sample(self, rng, count: int) -> np.ndarray:
         """Uniform sample of ``count`` points inside the box, shape (count, n)."""
         m = np.asarray(self.midpoint)
@@ -86,10 +75,17 @@ def unit_box(n: int) -> BoxN:
     return BoxN(midpoint=(0.0,) * n, width=2.0)
 
 
+def _exclusion_radii(f: SparsePolynomial, half_w):
+    """Lipschitz radii d*norm1(f)*w/2 of f and sqrt(2n)*d^2*norm1(f)*w/2 of
+    the gradient 1-norm over boxes of half-width ``half_w`` (float or array)."""
+    nf = norm1(f)
+    return f.degree * nf * half_w, math.sqrt(2 * f.n) * f.degree ** 2 * nf * half_w
+
+
 def interval_f(f: SparsePolynomial, box: BoxN) -> Interval:
     """Range enclosure f(m) + d*norm1(f)*(w/2)*[-1, 1] for f on the box."""
     center = evaluate(f, box.midpoint)
-    radius = f.degree * norm1(f) * box.width / 2
+    radius = _exclusion_radii(f, box.width / 2)[0]
     return Interval(center - radius, center + radius)
 
 
@@ -101,7 +97,7 @@ def interval_grad_norm(f: SparsePolynomial, box: BoxN) -> Interval:
     norm is nonnegative.
     """
     center = float(np.abs(gradient(f, box.midpoint)).sum())
-    radius = math.sqrt(2 * f.n) * f.degree ** 2 * norm1(f) * box.width / 2
+    radius = _exclusion_radii(f, box.width / 2)[1]
     return Interval(max(0.0, center - radius), center + radius)
 
 
@@ -113,14 +109,7 @@ def predicate_clause(f: SparsePolynomial, box: BoxN):
     gradient field cannot turn on the box), and None when neither strict
     inequality holds.
     """
-    nf = norm1(f)
-    half_w = box.width / 2
-    if abs(evaluate(f, box.midpoint)) > f.degree * nf * half_w:
-        return "value"
-    grad_norm = float(np.abs(gradient(f, box.midpoint)).sum())
-    if grad_norm > math.sqrt(2 * f.n) * f.degree ** 2 * nf * half_w:
-        return "gradient"
-    return None
+    return predicate_clause_batch(f, [box])[0]
 
 
 def predicate_Cf_box(f: SparsePolynomial, box: BoxN) -> bool:
@@ -131,11 +120,9 @@ def predicate_Cf_box(f: SparsePolynomial, box: BoxN) -> bool:
 def predicate_clause_batch(f: SparsePolynomial, boxes) -> list:
     """predicate_clause over a list of boxes with one vectorised evaluation."""
     mids = np.array([b.midpoint for b in boxes])
-    half_w = np.array([b.width for b in boxes]) / 2
-    nf = norm1(f)
-    values_pass = np.abs(evaluate_batch(f, mids)) > f.degree * nf * half_w
-    grad_norms = np.abs(gradient_batch(f, mids)).sum(axis=1)
-    grads_pass = grad_norms > math.sqrt(2 * f.n) * f.degree ** 2 * nf * half_w
+    value_radii, grad_radii = _exclusion_radii(f, np.array([b.width for b in boxes]) / 2)
+    values_pass = np.abs(evaluate_batch(f, mids)) > value_radii
+    grads_pass = np.abs(gradient_batch(f, mids)).sum(axis=1) > grad_radii
     out = []
     for v_ok, g_ok in zip(values_pass, grads_pass):
         out.append("value" if v_ok else ("gradient" if g_ok else None))

@@ -119,16 +119,22 @@ def norm1(f: SparsePolynomial) -> float:
     return float(np.abs(f.coefficients).sum())
 
 
+def _as_points(f: SparsePolynomial, points) -> np.ndarray:
+    """``points`` as a float array of shape (N, n); a single point becomes one row."""
+    X = np.asarray(points, dtype=np.float64)
+    if X.ndim < 2:
+        X = X.reshape(1, -1)
+    if X.shape[1] != f.n:
+        raise ValueError(f"points have dimension {X.shape[1]}, expected {f.n}")
+    return X
+
+
 def evaluate_batch(f: SparsePolynomial, points) -> np.ndarray:
     """Evaluate f at each row of ``points`` (shape (N, n)); returns shape (N,).
 
     Overflow propagates as +-inf rather than raising.
     """
-    X = np.asarray(points, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(1, -1)
-    if X.shape[1] != f.n:
-        raise ValueError(f"points have dimension {X.shape[1]}, expected {f.n}")
+    X = _as_points(f, points)
     if f.support_size == 0:
         return np.zeros(X.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -138,7 +144,7 @@ def evaluate_batch(f: SparsePolynomial, points) -> np.ndarray:
 
 def evaluate(f: SparsePolynomial, x) -> float:
     """Evaluate f at a single point of R^n."""
-    return float(evaluate_batch(f, np.atleast_1d(np.asarray(x, dtype=np.float64)))[0])
+    return float(evaluate_batch(f, x)[0])
 
 
 def gradient_batch(f: SparsePolynomial, points) -> np.ndarray:
@@ -147,11 +153,7 @@ def gradient_batch(f: SparsePolynomial, points) -> np.ndarray:
     The term alpha contributes alpha_i * c * x^(alpha - e_i) to entry i and
     nothing when alpha_i = 0 (no 0 * x^-1 artefacts at x_i = 0).
     """
-    X = np.asarray(points, dtype=np.float64)
-    if X.ndim == 1:
-        X = X.reshape(1, -1)
-    if X.shape[1] != f.n:
-        raise ValueError(f"points have dimension {X.shape[1]}, expected {f.n}")
+    X = _as_points(f, points)
     out = np.zeros((X.shape[0], f.n))
     if f.support_size == 0:
         return out
@@ -169,7 +171,7 @@ def gradient_batch(f: SparsePolynomial, points) -> np.ndarray:
 
 def gradient(f: SparsePolynomial, x) -> np.ndarray:
     """Gradient covector (d_x f) at a single point, as a shape-(n,) array."""
-    return gradient_batch(f, np.atleast_1d(np.asarray(x, dtype=np.float64)))[0]
+    return gradient_batch(f, x)[0]
 
 
 def partial_derivative(f: SparsePolynomial, var: int) -> SparsePolynomial:
@@ -230,21 +232,38 @@ def to_dense(f: SparsePolynomial) -> np.ndarray:
 # JSON file format: {"n": 2, "terms": [{"alpha": [0, 0], "c": 1.0}, ...]}
 # ---------------------------------------------------------------------------
 
-def load_polynomial(source) -> SparsePolynomial:
-    """Read a polynomial from a JSON file path, file object or parsed dict."""
+def _read_json_object(source, what: str) -> dict:
+    """The JSON object in a file path, file object or parsed dict; ``what`` prefixes errors."""
     if isinstance(source, dict):
-        obj = source
-    elif hasattr(source, "read"):
+        return source
+    if isinstance(source, int):  # open() would read it as a file descriptor
+        raise ValueError(f"{what}: expected an object or a path, got {source!r}")
+    if hasattr(source, "read"):
         obj = json.load(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     if not isinstance(obj, dict):
-        raise ValueError("polynomial file: top-level value must be an object")
+        raise ValueError(f"{what}: top-level value must be an object")
+    return obj
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not integers here
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def load_polynomial(source) -> SparsePolynomial:
+    """Read a polynomial from a JSON file path, file object or parsed dict."""
+    obj = _read_json_object(source, "polynomial file")
     if "n" not in obj:
         raise ValueError("polynomial file: missing field 'n'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"polynomial file: field 'n' must be a positive integer, got {n!r}")
     if "terms" not in obj:
         raise ValueError("polynomial file: missing field 'terms'")
@@ -258,10 +277,11 @@ def load_polynomial(source) -> SparsePolynomial:
         alpha = t["alpha"]
         if not isinstance(alpha, list) or len(alpha) != n:
             raise ValueError(f"polynomial file: {where}.alpha must be a list of length n={n}")
-        if any((not isinstance(a, int)) or a < 0 for a in alpha):
+        if any(not _is_int(a) or a < 0 for a in alpha):
             raise ValueError(f"polynomial file: {where}.alpha entries must be nonnegative integers")
         try:
-            c = float(t["c"])
+            # float() would take JSON true/false, which are not numbers here
+            c = float(None if isinstance(t["c"], bool) else t["c"])
         except (TypeError, ValueError):
             raise ValueError(f"polynomial file: {where}.c must be a number") from None
         terms.append((tuple(alpha), c))

@@ -18,14 +18,13 @@ numerically as sup_t t / ln(2 / P(|x| > t))^(1/p) over a wide log grid of t
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr
 
-from .poly import SparsePolynomial, new_sparse, norm1
+from .poly import SparsePolynomial, _is_int, _is_number, _read_json_object, new_sparse, norm1
 
 __all__ = [
     "Gaussian",
@@ -466,20 +465,12 @@ def descartes_moment_bound(model: RandomModel, k: int) -> float:
 
 def load_model(source) -> RandomModel:
     """Read a model from a JSON file path, file object or parsed dict."""
-    if isinstance(source, dict):
-        obj = source
-    elif hasattr(source, "read"):
-        obj = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("model file: top-level value must be an object")
+    obj = _read_json_object(source, "model file")
     for fieldname in ("n", "support", "dist"):
         if fieldname not in obj:
             raise ValueError(f"model file: missing field '{fieldname}'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"model file: field 'n' must be a positive integer, got {n!r}")
     if not isinstance(obj["support"], list) or not obj["support"]:
         raise ValueError("model file: field 'support' must be a nonempty list")
@@ -488,7 +479,7 @@ def load_model(source) -> RandomModel:
         if (
             not isinstance(alpha, list)
             or len(alpha) != n
-            or any((not isinstance(a, int)) or a < 0 for a in alpha)
+            or any(not _is_int(a) or a < 0 for a in alpha)
         ):
             raise ValueError(
                 f"model file: support[{idx}] must be a list of {n} nonnegative integers"
@@ -506,7 +497,7 @@ def load_model(source) -> RandomModel:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model file: bad dist parameters: {exc}") from None
     p = obj.get("p", 2)
-    if not isinstance(p, (int, float)) or p < 1:
+    if not _is_number(p) or p < 1:
         raise ValueError(f"model file: field 'p' must be a number >= 1, got {p!r}")
     extras = set(obj) - {"n", "support", "dist", "p"}
     if extras:

@@ -31,7 +31,6 @@ __all__ = [
     "HypothesisViolatedError",
     "OracleFailedError",
     "sign_variations",
-    "taylor_shift",
     "descartes_isolate",
     "separation_oracle",
     "oracle_roots",
@@ -119,35 +118,6 @@ def sign_variations(coeffs) -> int:
 # ---------------------------------------------------------------------------
 # dense coefficient transforms (ascending order throughout)
 # ---------------------------------------------------------------------------
-
-_PASCAL_CACHE: dict[int, np.ndarray] = {}
-
-
-def _pascal(size: int) -> np.ndarray:
-    """Matrix P[k, j] = C(k, j) for 0 <= j, k < size."""
-    if size not in _PASCAL_CACHE:
-        P = np.zeros((size, size))
-        P[:, 0] = 1.0
-        for k in range(1, size):
-            P[k, 1:] = P[k - 1, 1:] + P[k - 1, :-1]
-        _PASCAL_CACHE[size] = P
-    return _PASCAL_CACHE[size]
-
-
-def taylor_shift(c, a: float) -> np.ndarray:
-    """Coefficients of p(x + a) from ascending coefficients of p."""
-    c = np.asarray(c, dtype=np.float64)
-    size = len(c)
-    if size == 1:
-        return c.copy()
-    P = _pascal(size)
-    # b_j = sum_{k >= j} c_k C(k, j) a^(k - j)
-    pow_vec = a ** np.arange(size)
-    powers = np.zeros((size, size))
-    for j in range(size):
-        powers[j:, j] = pow_vec[: size - j]
-    return c @ (P * powers)
-
 
 # The bisection solver transforms coefficients in exact integer arithmetic.
 # Binary floating-point coefficients are dyadic rationals, so a common

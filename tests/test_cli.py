@@ -146,6 +146,32 @@ def test_malformed_json_names_field(tmp_path, capsys):
     assert "alpha" in run.err
 
 
+@pytest.mark.parametrize(
+    "command, name, obj, field",
+    [
+        ("experiment", "cfg.json", {"experiment": "tail", "model": MODEL, "t_grid": [None]},
+         "t_grid"),
+        ("condition", "bad.json", {**QUAD, "n": True}, "'n'"),
+    ],
+)
+def test_malformed_field_type_is_one_error_line(tmp_path, capsys, command, name, obj, field):
+    extra = ["--out", str(tmp_path / "o")] if command == "experiment" else ["--point", "0"]
+    code, out = run(capsys, [command, write(tmp_path, name, obj)] + extra)
+    assert code == 1 and out is None
+    assert len(run.err.splitlines()) == 1
+    assert run.err.startswith("error: ") and field in run.err
+
+
+def test_global_condition_over_grid_cap_is_error(tmp_path, capsys):
+    # 3 terms in n = 2: 1673^2 grid points x 3 x 2 is just over the 2^24 cap
+    circle = {"n": 2, "terms": [{"alpha": [0, 0], "c": -0.5}, {"alpha": [2, 0], "c": 1.0},
+                                {"alpha": [0, 2], "c": 1.0}]}
+    path = write(tmp_path, "circle.json", circle)
+    code, out = run(capsys, ["condition", path, "--global", "--eps", str(1 / 1671.5)])
+    assert code == 1 and out is None
+    assert "cap" in run.err and len(run.err.splitlines()) == 1
+
+
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["condition", write(tmp_path, "q.json", QUAD), "--point", "0", "--bogus"])

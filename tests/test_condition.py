@@ -1,10 +1,12 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cubecond.condition import (
+    GRID_WORK_CAP,
     EstimateInapplicableError,
     dist1_to_sigma_x,
     gamma_bound,
@@ -16,7 +18,6 @@ from cubecond.condition import (
 )
 from cubecond.interval import BoxN, predicate_Cf_box
 from cubecond.poly import evaluate, gradient, new_sparse, norm1, to_dense
-from cubecond.univariate import taylor_shift
 from helpers import lin_comb, random_poly
 
 X = new_sparse(1, [((1,), 1.0)])
@@ -129,6 +130,23 @@ def test_global_condition_validates_input():
         global_condition(f4, 1e-2)
 
 
+@pytest.mark.parametrize(
+    "n, degree, eps", [(2, 7, 1 / 361.5), (1, 999, 1 / 16776.5)], ids=["n2", "n1"]
+)
+def test_global_condition_grid_cap(n, degree, eps):
+    # just over the cap: 363^2 points x 64 terms x 2 and 16778 points x 1000
+    # terms x 1, so a missing check would allocate a few hundred MB at most
+    f = new_sparse(n, [(alpha, 1.0) for alpha in itertools.product(range(degree + 1), repeat=n)])
+    points = (math.ceil(1.0 / eps) + 1) ** n
+    assert GRID_WORK_CAP < points * f.support_size * n < 1.01 * GRID_WORK_CAP
+    with pytest.raises(ValueError, match=f"needs {points} grid points") as exc:
+        global_condition(f, eps)
+    # the suggested grid_eps = 1/k fits under the cap
+    k = int(re.search(r"grid_eps >= 1/(\d+) fits", str(exc.value)).group(1))
+    assert (math.ceil(1.0 / (1.0 / k)) + 1) ** n * f.support_size * n <= GRID_WORK_CAP
+    assert (k + 3) ** n * f.support_size * n > GRID_WORK_CAP  # and is not far off
+
+
 def test_global_condition_scan_inside_enclosure():
     rng = np.random.default_rng(24)
     for _ in range(10):
@@ -168,7 +186,9 @@ def test_gamma_exact_matches_taylor_shift_oracle():
             1, [((k,), float(rng.normal())) for k in range(dense_degree + 1)]
         )
         x = float(rng.uniform(-1, 1))
-        shifted = taylor_shift(to_dense(f), x)  # b_k = f^(k)(x) / k!
+        # coefficients of f(x + t) in t by composition: b_k = f^(k)(x) / k!
+        x_plus_t = np.polynomial.Polynomial([x, 1.0])
+        shifted = np.polynomial.Polynomial(to_dense(f))(x_plus_t).coef
         if abs(shifted[1]) < 1e-8:
             continue
         oracle = max(

@@ -41,6 +41,31 @@ def test_config_loader_roundtrip_and_validation():
         )
 
 
+TAIL_CONFIG = {
+    "experiment": "tail",
+    "model": {"n": 1, "support": [[0], [1], [5]], "dist": {"kind": "gaussian"}},
+}
+
+
+@pytest.mark.parametrize(
+    "fields, needle",
+    [
+        ({"t_grid": [None]}, "'t_grid'"),
+        ({"t_grid": [True]}, "'t_grid'"),
+        ({"k_list": [None]}, "'k_list'"),
+        ({"k_list": [1.5]}, "'k_list'"),
+        ({"x0": [[1]]}, "'x0'"),
+        ({"x0": [1, 2]}, "'x0'"),
+        ({"trials": True}, "'trials'"),
+        ({"eps": False}, "'eps'"),
+        ({"model": 0}, "model file"),
+    ],
+)
+def test_config_loader_names_offending_field(fields, needle):
+    with pytest.raises(ValueError, match=needle):
+        exps.load_config({**TAIL_CONFIG, **fields})
+
+
 def test_tail_experiment_passes_and_rejects_small_t():
     cfg = exps.ExperimentConfig(kind="tail", model=gaussian_model(), trials=400, seed=5)
     rep = exps.run_tail_experiment(cfg)

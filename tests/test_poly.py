@@ -232,6 +232,12 @@ def test_json_round_trip(tmp_path):
         ({"n": 2, "terms": [{"alpha": [0], "c": 1.0}]}, "alpha"),
         ({"n": 1, "terms": [{"alpha": [-1], "c": 1.0}]}, "alpha"),
         ({"n": 1, "terms": [{"alpha": [0], "c": "x"}]}, ".c"),
+        # JSON true/false are not integers or numbers
+        ({"n": True, "terms": []}, "'n'"),
+        ({"n": 1, "terms": [{"alpha": [True], "c": 1.0}]}, "alpha"),
+        ({"n": 1, "terms": [{"alpha": [0], "c": False}]}, ".c"),
+        # open() would take an integer as a file descriptor; 0 reads stdin
+        (0, "polynomial file"),
     ],
 )
 def test_loader_names_offending_field(payload, needle):

@@ -253,6 +253,9 @@ def test_model_json_round_trip():
         ({"n": 1, "support": [[0], [1]], "dist": {"kind": "cauchy"}}, "kind"),
         ({"n": 1, "support": [[0], [1]], "dist": {"kind": "gaussian"}, "extra": 1}, "extra"),
         ({"n": 1, "support": [[0], [-1]], "dist": {"kind": "gaussian"}}, "support"),
+        ({"n": True, "support": [[0], [1]], "dist": {"kind": "gaussian"}}, "'n'"),
+        ({"n": 1, "support": [[0], [True]], "dist": {"kind": "gaussian"}}, "support"),
+        ({"n": 1, "support": [[0], [1]], "dist": {"kind": "gaussian"}, "p": True}, "'p'"),
     ],
 )
 def test_model_loader_names_offending_field(payload, needle):

@@ -22,7 +22,6 @@ from cubecond.univariate import (
     separation_lower_bound,
     separation_oracle,
     sign_variations,
-    taylor_shift,
     tree_size_bound,
 )
 from helpers import random_poly
@@ -53,19 +52,6 @@ def test_sign_variations_examples():
     assert sign_variations([1, -3, 2]) == 2
     assert sign_variations([0, 0, 5]) == 0
     assert sign_variations([1, 0, -1, 1]) == 2
-
-
-def test_taylor_shift():
-    rng = np.random.default_rng(50)
-    for _ in range(20):
-        deg = int(rng.integers(1, 12))
-        c = rng.normal(0, 1, deg + 1)
-        a = float(rng.uniform(-1.5, 1.5))
-        shifted = taylor_shift(c, a)
-        for x in rng.uniform(-1, 1, 5):
-            assert npp.polyval(x, shifted) == pytest.approx(
-                npp.polyval(x + a, c), rel=1e-9, abs=1e-9
-            )
 
 
 def test_isolate_linear():
