@@ -31,8 +31,6 @@ from .interval import (
     interval_f,
     interval_grad_norm,
     predicate_Cf_box,
-    standard_subdivision,
-    unit_box,
 )
 from .poly import (
     SparsePolynomial,

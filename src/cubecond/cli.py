@@ -18,7 +18,7 @@ import sys
 
 from . import experiments as exps
 from . import random as models
-from .condition import global_condition, local_condition
+from .condition import _finest_grid_eps, global_condition, local_condition
 from .poly import _read_json_object, load_polynomial, norm1, polynomial_to_dict
 from .pv import pv_subdivide
 from .univariate import (
@@ -85,7 +85,8 @@ def _build_parser() -> _Parser:
     group.add_argument("--point", type=float, nargs="+", help="evaluation point")
     group.add_argument("--global", dest="global_", action="store_true",
                        help="certified global enclosure")
-    p_cond.add_argument("--eps", type=float, default=1e-4, help="grid covering radius")
+    p_cond.add_argument("--eps", type=float, help="grid covering radius (default 1e-4, "
+                        "or the finest that fits the grid work cap if coarser)")
 
     p_pv = sub.add_parser("pv", help="subdivision of the unit cube")
     p_pv.add_argument("poly", help="polynomial JSON file")
@@ -116,7 +117,8 @@ def _build_parser() -> _Parser:
 def _cmd_condition(args) -> int:
     f = load_polynomial(args.poly)
     if args.global_:
-        enclosure = global_condition(f, args.eps)
+        eps = args.eps if args.eps is not None else max(1e-4, _finest_grid_eps(f) or 0.0)
+        enclosure = global_condition(f, eps)
         _emit(
             {"lower": enclosure.lower, "upper": enclosure.upper,
              "grid_eps": enclosure.grid_eps},
@@ -137,9 +139,7 @@ def _cmd_pv(args) -> int:
     _emit(
         {
             "final_count": report.final_count,
-            "final_boxes": [
-                {"m": list(b.midpoint), "w": b.width} for b in report.final_boxes
-            ],
+            "final_boxes": [{"m": b.midpoint, "w": b.width} for b in report.final_boxes],
             "clauses": report.final_clauses,
             "processed": report.processed_count,
             "max_depth_reached": report.max_depth_reached,

@@ -353,7 +353,7 @@ def emit_svg(report: SubdivisionReport, path, size: int = 640) -> None:
     Boxes accepted by the value clause are blue, by the gradient clause
     orange.  Only n = 2 reports can be drawn.
     """
-    if any(box.n != 2 for box in report.final_boxes):
+    if report.final_midpoints.shape[1] != 2:
         raise ValueError("svg rendering requires a planar (n = 2) subdivision")
     margin = 10.0
     span = size - 2.0 * margin

@@ -1,7 +1,9 @@
 """Axis-aligned boxes and the two center-Lipschitz interval approximations.
 
 A box is stored as (midpoint, width) with the same width in every coordinate,
-so B = m + (w/2) * [-1, 1]^n.  Subdividing the unit cube only ever halves
+so B = m + (w/2) * [-1, 1]^n.  The subdivision core works on arrays: a set of
+boxes is one (N, n) midpoint array plus their widths, and ``BoxN`` is the
+one-box view of the public API.  Subdividing the unit cube only ever halves
 widths and shifts midpoints by powers of two, so box data stays exactly
 representable in binary floating point down to depth ~50.
 """
@@ -26,12 +28,11 @@ from .poly import (
 __all__ = [
     "Interval",
     "BoxN",
-    "unit_box",
+    "sample_boxes",
     "interval_f",
     "interval_grad_norm",
     "predicate_clause",
     "predicate_Cf_box",
-    "standard_subdivision",
 ]
 
 
@@ -56,23 +57,16 @@ class BoxN:
         if self.width <= 0:
             raise ValueError(f"box width must be positive, got {self.width}")
 
-    @property
-    def n(self) -> int:
-        return len(self.midpoint)
-
-    @property
-    def volume(self) -> float:
-        return self.width ** self.n
-
     def sample(self, rng, count: int) -> np.ndarray:
         """Uniform sample of ``count`` points inside the box, shape (count, n)."""
-        m = np.asarray(self.midpoint)
-        return m + (self.width / 2) * rng.uniform(-1.0, 1.0, size=(count, self.n))
+        return sample_boxes(np.array([self.midpoint]), np.array([self.width]), rng, count)[0]
 
 
-def unit_box(n: int) -> BoxN:
-    """The cube [-1, 1]^n as a box (midpoint 0, width 2)."""
-    return BoxN(midpoint=(0.0,) * n, width=2.0)
+def sample_boxes(midpoints: np.ndarray, widths: np.ndarray, rng, count: int) -> np.ndarray:
+    """``count`` uniform points in each box, shape (N, count, n), from one draw that
+    consumes ``rng`` exactly as N consecutive draws of ``count`` points each."""
+    u = rng.uniform(-1.0, 1.0, size=(len(widths), count, midpoints.shape[1]))
+    return midpoints[:, None, :] + (widths / 2)[:, None, None] * u
 
 
 def _exclusion_radii(f: SparsePolynomial, half_w):
@@ -109,7 +103,7 @@ def predicate_clause(f: SparsePolynomial, box: BoxN):
     gradient field cannot turn on the box), and None when neither strict
     inequality holds.
     """
-    return predicate_clause_batch(f, [box])[0]
+    return predicate_clause_batch(f, np.array([box.midpoint]), box.width)[0]
 
 
 def predicate_Cf_box(f: SparsePolynomial, box: BoxN) -> bool:
@@ -117,28 +111,21 @@ def predicate_Cf_box(f: SparsePolynomial, box: BoxN) -> bool:
     return predicate_clause(f, box) is not None
 
 
-def predicate_clause_batch(f: SparsePolynomial, boxes) -> list:
-    """predicate_clause over a list of boxes with one vectorised evaluation."""
-    mids = np.array([b.midpoint for b in boxes])
-    value_radii, grad_radii = _exclusion_radii(f, np.array([b.width for b in boxes]) / 2)
-    values_pass = np.abs(evaluate_batch(f, mids)) > value_radii
-    grads_pass = np.abs(gradient_batch(f, mids)).sum(axis=1) > grad_radii
-    out = []
-    for v_ok, g_ok in zip(values_pass, grads_pass):
-        out.append("value" if v_ok else ("gradient" if g_ok else None))
-    return out
+def predicate_clause_batch(f: SparsePolynomial, midpoints, widths) -> list:
+    """predicate_clause for each row of ``midpoints`` (N, n), one entry per box;
+    ``widths`` is an (N,) array or one width shared by all boxes."""
+    value_radii, grad_radii = _exclusion_radii(f, np.asarray(widths) / 2)
+    values_pass = np.abs(evaluate_batch(f, midpoints)) > value_radii
+    grads_pass = np.abs(gradient_batch(f, midpoints)).sum(axis=1) > grad_radii
+    return np.where(values_pass, "value", np.where(grads_pass, "gradient", None)).tolist()
 
 
-def standard_subdivision(box: BoxN) -> list[BoxN]:
-    """Split a box into its 2^n half-width children, in lexicographic order.
+def split_boxes(midpoints: np.ndarray, width: float) -> tuple[np.ndarray, float]:
+    """The 2^n half-width children of boxes of one width, and the child width.
 
-    Children midpoints are m +- w/4 per coordinate; offsets are enumerated
-    with -1 before +1, first coordinate most significant.
+    Children midpoints are m +- w/4 per coordinate; each box's children are
+    consecutive, with -1 before +1 and the first coordinate most significant.
     """
-    quarter = box.width / 4
-    half = box.width / 2
-    children = []
-    for signs in itertools.product((-1.0, 1.0), repeat=box.n):
-        midpoint = tuple(m + s * quarter for m, s in zip(box.midpoint, signs))
-        children.append(BoxN(midpoint=midpoint, width=half))
-    return children
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=midpoints.shape[1])))
+    children = midpoints[:, None, :] + signs * (width / 4)
+    return children.reshape(-1, midpoints.shape[1]), width / 2

@@ -3,19 +3,20 @@
 The worklist starts from [-1, 1]^n; a box passing the predicate moves to the
 output, otherwise its 2^n children are enqueued.  The worklist is FIFO and
 children are enqueued in lexicographic coordinate order, so reports are
-bit-for-bit reproducible.  Singular inputs never terminate, which the
-max-depth guard converts into a flagged partial report.
+bit-for-bit reproducible.  It is held one depth at a time, as an (N, n)
+midpoint array and the width all those boxes share.  Singular inputs never
+terminate, which the max-depth guard converts into a flagged partial report.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .condition import kappa_batch
-from .interval import predicate_clause_batch, standard_subdivision, unit_box
+from .interval import BoxN, predicate_clause_batch, sample_boxes, split_boxes
 from .poly import SparsePolynomial, evaluate_batch, gradient_batch, norm1
 
 __all__ = [
@@ -25,30 +26,37 @@ __all__ = [
     "amortization_bound",
 ]
 
+_VERIFY_CHUNK_POINTS = 2 ** 13  # sample points per evaluation in verify_output_boxes
+
 
 @dataclass
 class SubdivisionReport:
     """Final subdivision plus worklist statistics.
 
-    ``final_clauses[i]`` records which predicate clause ("value" or
-    "gradient") accepted ``final_boxes[i]``.  ``per_depth_counts[k]`` counts
-    the boxes processed at depth k.  ``terminated`` is False when the
-    max-depth guard fired; the report then holds the partial state.
+    Final box i has midpoint ``final_midpoints[i]`` and width
+    ``final_widths[i]``; ``final_clauses[i]`` records which predicate clause
+    ("value" or "gradient") accepted it.  ``per_depth_counts[k]`` counts the
+    boxes processed at depth k.  ``terminated`` is False when the max-depth
+    guard fired; the report then holds the partial state.
     """
 
-    final_boxes: list = field(default_factory=list)
-    final_clauses: list = field(default_factory=list)
-    processed_count: int = 0
-    max_depth_reached: int = 0
-    per_depth_counts: list = field(default_factory=list)
-    terminated: bool = True
+    final_midpoints: np.ndarray
+    final_widths: np.ndarray
+    final_clauses: list
+    processed_count: int
+    max_depth_reached: int
+    per_depth_counts: list
+    terminated: bool
 
     @property
     def final_count(self) -> int:
-        return len(self.final_boxes)
+        return len(self.final_widths)
 
-    def total_volume(self) -> float:
-        return float(sum(b.volume for b in self.final_boxes))
+    @property
+    def final_boxes(self) -> list:
+        """The final boxes as ``BoxN`` views, in report order."""
+        pairs = zip(self.final_midpoints.tolist(), self.final_widths.tolist())
+        return [BoxN(midpoint=tuple(m), width=w) for m, w in pairs]
 
 
 def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
@@ -61,30 +69,24 @@ def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
         raise ValueError("cannot subdivide for the zero polynomial")
     if not 1 <= max_depth <= 50:
         raise ValueError(f"max_depth must lie in [1, 50], got {max_depth}")
-    report = SubdivisionReport()
-    # the FIFO worklist is processed level by level, which lets each level's
-    # predicate evaluations run as a single vectorised batch
-    level = [unit_box(f.n)]
-    depth = 0
-    while level:
-        report.processed_count += len(level)
-        report.max_depth_reached = depth
-        report.per_depth_counts.append(len(level))
-        failing = []
-        for box, clause in zip(level, predicate_clause_batch(f, level)):
-            if clause is not None:
-                report.final_boxes.append(box)
-                report.final_clauses.append(clause)
-            else:
-                failing.append(box)
-        if not failing:
+    # each level's predicate evaluations run as a single vectorised batch
+    midpoints, width = np.zeros((1, f.n)), 2.0
+    final_midpoints, final_widths, final_clauses, counts = [], [], [], []
+    while True:
+        counts.append(len(midpoints))
+        clauses = predicate_clause_batch(f, midpoints, width)
+        passed = np.array([clause is not None for clause in clauses])
+        final_clauses += [clause for clause in clauses if clause is not None]
+        final_midpoints.append(midpoints[passed])
+        final_widths.append(np.full(np.count_nonzero(passed), width))
+        if passed.all() or len(counts) > max_depth:
             break
-        if depth == max_depth:
-            report.terminated = False
-            break
-        level = [child for box in failing for child in standard_subdivision(box)]
-        depth += 1
-    return report
+        midpoints, width = split_boxes(midpoints[~passed], width)
+    return SubdivisionReport(
+        np.concatenate(final_midpoints), np.concatenate(final_widths), final_clauses,
+        processed_count=sum(counts), max_depth_reached=len(counts) - 1,
+        per_depth_counts=counts, terminated=bool(passed.all()),
+    )
 
 
 def verify_output_boxes(
@@ -101,15 +103,18 @@ def verify_output_boxes(
     is a soundness violation.
     """
     rng = np.random.default_rng(seed)
-    for box in report.final_boxes:
-        points = box.sample(rng, samples_per_box)
-        values = evaluate_batch(f, points)
-        if np.all(values > 0.0) or np.all(values < 0.0):
-            continue
-        grads = gradient_batch(f, points)
-        if np.min(grads @ grads.T) > 0.0:
-            continue
-        return False
+    chunk = max(1, _VERIFY_CHUNK_POINTS // samples_per_box)
+    for start in range(0, report.final_count, chunk):
+        boxes = slice(start, start + chunk)
+        points = sample_boxes(
+            report.final_midpoints[boxes], report.final_widths[boxes], rng, samples_per_box
+        )
+        values = evaluate_batch(f, points.reshape(-1, f.n)).reshape(points.shape[:2])
+        one_sign = np.all(values > 0.0, axis=1) | np.all(values < 0.0, axis=1)
+        for box_points in points[~one_sign]:
+            grads = gradient_batch(f, box_points)
+            if not np.min(grads @ grads.T) > 0.0:
+                return False
     return True
 
 

@@ -492,6 +492,9 @@ def load_model(source) -> RandomModel:
     if kind not in _DIST_KINDS:
         raise ValueError(f"model file: dist.kind must be one of {sorted(_DIST_KINDS)}")
     params = {k: v for k, v in dist_obj.items() if k != "kind"}
+    for key, value in params.items():
+        if not _is_number(value):
+            raise ValueError(f"model file: field 'dist.{key}' must be a number, got {value!r}")
     try:
         dist = _DIST_KINDS[kind](**params)
     except (TypeError, ValueError) as exc:

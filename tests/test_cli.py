@@ -1,10 +1,12 @@
 import json
 import math
+import pathlib
 
 import pytest
 
 from cubecond import univariate
 from cubecond.cli import main
+from cubecond.poly import load_polynomial
 from cubecond.univariate import OracleFailedError
 
 QUAD = {"n": 1, "terms": [{"alpha": [0], "c": -1.0}, {"alpha": [2], "c": 2.0}]}
@@ -15,6 +17,13 @@ MODEL = {
     "dist": {"kind": "gaussian", "mean": 0.0, "sd": 1.0},
     "p": 2,
 }
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMO_POLYNOMIALS = [
+    str(path) for path in sorted((ROOT / "demos" / "data").glob("*.json"))
+    if "terms" in json.loads(path.read_text(encoding="utf-8"))
+]
 
 
 def write(tmp_path, name, obj):
@@ -57,6 +66,27 @@ def test_pv_line2d(tmp_path, capsys):
     assert code == 0
     assert out["final_count"] == 16
     assert out["terminated"] is True
+
+
+@pytest.mark.parametrize("name", ["circle", "line2d"])
+def test_pv_stdout_matches_golden(capsys, name):
+    assert main(["pv", str(ROOT / "demos" / "data" / f"{name}.json")]) == 0
+    golden = ROOT / "tests" / "golden" / f"{name}_pv.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("path", DEMO_POLYNOMIALS, ids=lambda path: pathlib.Path(path).name)
+def test_default_flags_on_demo_polynomials(capsys, path):
+    n = load_polynomial(path).n
+    commands = [["condition", path, "--global"], ["pv", path]]
+    if n == 1:
+        commands.append(["isolate", path])
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+        if argv[0] == "condition":
+            # 1e-4 fits in n = 1; in n = 2 the grid is coarsened to fit the cap
+            grid_eps = json.loads(capsys.readouterr().out)["grid_eps"]
+            assert grid_eps == 1e-4 if n == 1 else 1e-4 < grid_eps < 1e-3
 
 
 def test_pv_svg_written(tmp_path, capsys):
@@ -152,10 +182,15 @@ def test_malformed_json_names_field(tmp_path, capsys):
         ("experiment", "cfg.json", {"experiment": "tail", "model": MODEL, "t_grid": [None]},
          "t_grid"),
         ("condition", "bad.json", {**QUAD, "n": True}, "'n'"),
+        ("sample", "model.json", {**MODEL, "dist": {"kind": "gaussian", "sd": True}},
+         "'dist.sd'"),
+        ("sample", "model.json", {**MODEL, "dist": {"kind": "gaussian", "mean": "a"}},
+         "'dist.mean'"),
     ],
 )
 def test_malformed_field_type_is_one_error_line(tmp_path, capsys, command, name, obj, field):
-    extra = ["--out", str(tmp_path / "o")] if command == "experiment" else ["--point", "0"]
+    extra = {"experiment": ["--out", str(tmp_path / "o")], "condition": ["--point", "0"]}
+    extra = extra.get(command, [])
     code, out = run(capsys, [command, write(tmp_path, name, obj)] + extra)
     assert code == 1 and out is None
     assert len(run.err.splitlines()) == 1

@@ -288,4 +288,4 @@ def test_local_size_bound_is_a_local_size_bound():
             if predicate_Cf_box(f, box):
                 continue
             for x in box.sample(rng, 8):
-                assert box.volume >= local_size_bound(f, x) * (1 - 1e-9)
+                assert box.width ** f.n >= local_size_bound(f, x) * (1 - 1e-9)

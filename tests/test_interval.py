@@ -9,8 +9,8 @@ from cubecond.interval import (
     interval_grad_norm,
     predicate_Cf_box,
     predicate_clause,
-    standard_subdivision,
-    unit_box,
+    sample_boxes,
+    split_boxes,
 )
 from cubecond.poly import evaluate_batch, gradient_batch, new_sparse
 from helpers import lin_comb, random_poly
@@ -18,6 +18,8 @@ from helpers import lin_comb, random_poly
 X = new_sparse(1, [((1,), 1.0)])
 QUAD = new_sparse(1, [((2,), 2.0), ((0,), -1.0)])
 LINE2 = new_sparse(2, [((1, 0), 1.0), ((0, 1), 1.0)])
+CUBE1 = BoxN((0.0,), 2.0)
+CUBE2 = BoxN((0.0, 0.0), 2.0)
 
 
 def random_box(rng, n):
@@ -27,8 +29,7 @@ def random_box(rng, n):
 
 
 def test_interval_f_examples():
-    box = unit_box(1)
-    iv = interval_f(X, box)
+    iv = interval_f(X, CUBE1)
     assert (iv.lo, iv.hi) == (-1.0, 1.0)
     iv2 = interval_f(QUAD, BoxN((0.0,), 1.0))
     assert (iv2.lo, iv2.hi) == (-4.0, 2.0)
@@ -47,10 +48,10 @@ def test_interval_f_soundness_sampled():
 
 
 def test_interval_grad_norm_examples():
-    iv = interval_grad_norm(X, unit_box(1))
+    iv = interval_grad_norm(X, CUBE1)
     assert iv.lo == 0.0
     assert iv.hi == pytest.approx(1.0 + math.sqrt(2.0))
-    iv2 = interval_grad_norm(LINE2, unit_box(2))
+    iv2 = interval_grad_norm(LINE2, CUBE2)
     assert (iv2.lo, iv2.hi) == (0.0, 6.0)
 
 
@@ -78,12 +79,12 @@ def test_child_interval_radius_halves_exactly():
         f = random_poly(rng, n, 6, 6)
         box = random_box(rng, n)
         parent_radius = f.degree * norm1(f) * box.width / 2
-        for child in standard_subdivision(box):
-            assert f.degree * norm1(f) * child.width / 2 == parent_radius / 2
+        _, child_width = split_boxes(np.array([box.midpoint]), box.width)
+        assert f.degree * norm1(f) * child_width / 2 == parent_radius / 2
 
 
 def test_predicate_examples():
-    assert predicate_Cf_box(LINE2, unit_box(2)) is False
+    assert predicate_Cf_box(LINE2, CUBE2) is False
     assert predicate_Cf_box(LINE2, BoxN((0.5, 0.5), 0.5)) is True
 
 
@@ -118,32 +119,61 @@ def test_predicate_scale_invariance():
             assert predicate_clause(scaled, box) == predicate_clause(f, box)
 
 
-def test_standard_subdivision_1d():
-    children = standard_subdivision(unit_box(1))
-    assert [(b.midpoint, b.width) for b in children] == [((-0.5,), 1.0), ((0.5,), 1.0)]
+def test_split_boxes_1d():
+    children, width = split_boxes(np.zeros((1, 1)), 2.0)
+    assert children.tolist() == [[-0.5], [0.5]] and width == 1.0
 
 
-def test_standard_subdivision_2d():
-    children = standard_subdivision(unit_box(2))
-    assert len(children) == 4
-    assert all(b.width == 1.0 for b in children)
-    # lexicographic order: -1 before +1, first coordinate most significant
-    assert [b.midpoint for b in children] == [
-        (-0.5, -0.5),
-        (-0.5, 0.5),
-        (0.5, -0.5),
-        (0.5, 0.5),
+def test_split_boxes_2d_order():
+    children, width = split_boxes(np.array([[0.0, 0.0], [0.5, 0.5]]), 1.0)
+    assert width == 0.5
+    # each box's children in turn; -1 before +1, first coordinate most significant
+    assert children.tolist() == [
+        [-0.25, -0.25],
+        [-0.25, 0.25],
+        [0.25, -0.25],
+        [0.25, 0.25],
+        [0.25, 0.25],
+        [0.25, 0.75],
+        [0.75, 0.25],
+        [0.75, 0.75],
     ]
 
 
 def test_children_volumes_partition_exactly():
-    box = BoxN((0.25, -0.125), 0.25)
-    children = standard_subdivision(box)
-    assert sum(c.volume for c in children) == box.volume
+    parent = np.array([[0.25, -0.125]])
+    children, width = split_boxes(parent, 0.25)
+    assert len(children) * width ** 2 == 0.25 ** 2
+    # the children tile the parent: their corners are the parent's corners and centre
+    corners = {(x + sx * width / 2, y + sy * width / 2)
+               for x, y in children.tolist() for sx in (-1, 1) for sy in (-1, 1)}
+    assert corners == {(0.25 + a * 0.125, -0.125 + b * 0.125)
+                       for a in (-1, 0, 1) for b in (-1, 0, 1)}
 
 
 def test_widths_stay_exact_dyadic_to_depth_50():
-    box = unit_box(1)
+    midpoints, width = np.zeros((1, 1)), 2.0
     for depth in range(1, 51):
-        box = standard_subdivision(box)[0]
-        assert box.width == 2.0 * 2.0 ** -depth
+        children, width = split_boxes(midpoints, width)
+        midpoints = children[:1]
+        assert width == 2.0 * 2.0 ** -depth
+        assert midpoints[0, 0] == -1.0 + width / 2
+
+
+def test_sample_boxes_matches_consecutive_box_draws():
+    rng = np.random.default_rng(15)
+    for n in (1, 2, 3):
+        boxes = [random_box(rng, n) for _ in range(7)]
+        seed = int(rng.integers(2**31))
+        batch = sample_boxes(np.array([b.midpoint for b in boxes]),
+                             np.array([b.width for b in boxes]),
+                             np.random.default_rng(seed), 33)
+        one_rng = np.random.default_rng(seed)
+        per_box = np.stack([b.sample(one_rng, 33) for b in boxes])
+        assert batch.shape == (7, 33, n)
+        assert batch.tobytes() == per_box.tobytes()
+        # the formula BoxN.sample used on its own before the batch kernel
+        one_rng = np.random.default_rng(seed)
+        formula = np.stack([np.asarray(b.midpoint) + (b.width / 2)
+                            * one_rng.uniform(-1.0, 1.0, size=(33, n)) for b in boxes])
+        assert batch.tobytes() == formula.tobytes()

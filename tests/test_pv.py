@@ -1,11 +1,15 @@
+import dataclasses
+import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from cubecond.interval import unit_box
+from cubecond.interval import BoxN, predicate_clause
 from cubecond.poly import new_sparse
 from cubecond.pv import (
+    _VERIFY_CHUNK_POINTS,
     SubdivisionReport,
     amortization_bound,
     pv_subdivide,
@@ -17,6 +21,29 @@ X = new_sparse(1, [((1,), 1.0)])
 LINE2 = new_sparse(2, [((1, 0), 1.0), ((0, 1), 1.0)])
 DOUBLE_ROOT = new_sparse(1, [((0,), 0.25), ((1,), -1.0), ((2,), 1.0)])
 CIRCLE = new_sparse(2, [((2, 0), 1.0), ((0, 2), 1.0), ((0, 0), -0.25)])
+# CIRCLE squared: singular along the whole circle
+DOUBLED_CIRCLE = new_sparse(2, [((4, 0), 1.0), ((2, 2), 2.0), ((0, 4), 1.0),
+                                ((2, 0), -0.5), ((0, 2), -0.5), ((0, 0), 0.0625)])
+
+
+def reference_subdivide(f, max_depth):
+    """The per-box FIFO worklist of BoxN objects that pv_subdivide batches by level."""
+    queue = deque([(BoxN((0.0,) * f.n, 2.0), 0)])
+    final, clauses, counts, terminated = [], [], [0] * (max_depth + 1), True
+    while queue:
+        box, depth = queue.popleft()
+        counts[depth] += 1
+        clause = predicate_clause(f, box)
+        if clause is not None:
+            final.append(box)
+            clauses.append(clause)
+        elif depth == max_depth:
+            terminated = False
+        else:
+            for signs in itertools.product((-1.0, 1.0), repeat=f.n):
+                mid = tuple(m + s * (box.width / 4) for m, s in zip(box.midpoint, signs))
+                queue.append((BoxN(mid, box.width / 2), depth + 1))
+    return final, clauses, [c for c in counts if c], terminated
 
 
 def test_pv_linear_univariate():
@@ -56,13 +83,13 @@ def test_pv_partition_of_unity_volume():
     for f in (X, LINE2, CIRCLE):
         report = pv_subdivide(f, 20)
         assert report.terminated
-        assert report.total_volume() == pytest.approx(2.0 ** f.n, rel=1e-9)
+        assert np.sum(report.final_widths ** f.n) == pytest.approx(2.0 ** f.n, rel=1e-9)
 
 
 def test_pv_determinism():
     a = pv_subdivide(CIRCLE, 20)
     b = pv_subdivide(CIRCLE, 20)
-    assert [box.midpoint for box in a.final_boxes] == [box.midpoint for box in b.final_boxes]
+    assert a.final_midpoints.tobytes() == b.final_midpoints.tobytes()
     assert a.final_clauses == b.final_clauses
     assert a.per_depth_counts == b.per_depth_counts
 
@@ -73,10 +100,35 @@ def test_verify_output_boxes_accepts_sound_reports():
         assert verify_output_boxes(f, report, 64) is True
 
 
+def test_pv_matches_per_box_reference():
+    rng = np.random.default_rng(42)
+    cases = [(DOUBLE_ROOT, 12), (DOUBLED_CIRCLE, 5)]
+    for _ in range(15):
+        n = int(rng.integers(1, 4))
+        f = random_poly(rng, n, 4 if n < 3 else 2, 3 + n, include_simplex=True)
+        cases.append((f, (10, 6, 3)[n - 1]))
+    flagged = 0
+    for f, max_depth in cases:
+        report = pv_subdivide(f, max_depth)
+        boxes, clauses, counts, terminated = reference_subdivide(f, max_depth)
+        assert report.final_midpoints.tobytes() == np.array(
+            [b.midpoint for b in boxes]).reshape(-1, f.n).tobytes()
+        assert report.final_widths.tolist() == [b.width for b in boxes]
+        assert report.final_boxes == boxes
+        assert report.final_clauses == clauses
+        assert report.per_depth_counts == counts
+        assert report.processed_count == sum(counts)
+        assert report.max_depth_reached == len(counts) - 1
+        assert report.terminated == terminated
+        flagged += not terminated
+    assert flagged >= 2
+
+
 def test_verify_output_boxes_rejects_corrupted_report():
     # the whole cube spans the circle's sign change and has opposing gradients
     corrupted = SubdivisionReport(
-        final_boxes=[unit_box(2)],
+        final_midpoints=np.zeros((1, 2)),
+        final_widths=np.array([2.0]),
         final_clauses=["value"],
         processed_count=1,
         max_depth_reached=0,
@@ -84,6 +136,21 @@ def test_verify_output_boxes_rejects_corrupted_report():
         terminated=True,
     )
     assert verify_output_boxes(CIRCLE, corrupted, 128) is False
+
+
+def test_verify_rejects_a_corrupted_box_at_chunk_edges():
+    samples = 128
+    chunk = _VERIFY_CHUNK_POINTS // samples
+    report = pv_subdivide(CIRCLE, 20)
+    count = report.final_count
+    assert count > 2 * chunk and count % chunk != 0
+    assert verify_output_boxes(CIRCLE, report, samples, seed=3) is True
+    for index in (0, chunk - 1, chunk, count - 1):
+        midpoints = report.final_midpoints.copy()
+        widths = report.final_widths.copy()
+        midpoints[index], widths[index] = 0.0, 2.0
+        corrupted = dataclasses.replace(report, final_midpoints=midpoints, final_widths=widths)
+        assert verify_output_boxes(CIRCLE, corrupted, samples, seed=3) is False, index
 
 
 def test_verify_on_random_well_conditioned_draws():

@@ -256,6 +256,9 @@ def test_model_json_round_trip():
         ({"n": True, "support": [[0], [1]], "dist": {"kind": "gaussian"}}, "'n'"),
         ({"n": 1, "support": [[0], [True]], "dist": {"kind": "gaussian"}}, "support"),
         ({"n": 1, "support": [[0], [1]], "dist": {"kind": "gaussian"}, "p": True}, "'p'"),
+        ({"n": 1, "support": [[0], [1]], "dist": {"kind": "gaussian", "sd": True}}, "'dist.sd'"),
+        ({"n": 1, "support": [[0], [1]], "dist": {"kind": "gaussian", "mean": "a"}},
+         "'dist.mean'"),
     ],
 )
 def test_model_loader_names_offending_field(payload, needle):
