@@ -30,7 +30,6 @@ from .interval import (
     Interval,
     interval_f,
     interval_grad_norm,
-    predicate_Cf_box,
 )
 from .poly import (
     SparsePolynomial,
@@ -42,7 +41,6 @@ from .poly import (
     new_sparse,
     norm1,
     partial_derivative,
-    save_polynomial,
 )
 from .pv import SubdivisionReport, amortization_bound, pv_subdivide, verify_output_boxes
 from .univariate import (

@@ -21,14 +21,14 @@ import numpy as np
 
 from .poly import (
     SparsePolynomial,
+    _monomial_matrix,
     evaluate,
-    evaluate_batch,
     gradient,
-    gradient_batch,
     new_sparse,
     norm1,
     partial_derivative,
     to_dense,
+    value_and_gradient_batch,
 )
 
 __all__ = [
@@ -44,9 +44,8 @@ __all__ = [
     "local_size_bound",
 ]
 
-# Cap on grid points x support size x n for global_condition: the multivariate
-# kappa evaluation holds an (N, m, n) array of powers, and 2^24 doubles are
-# 128 MB.
+# Cap on grid points x support size x n for global_condition.  It bounds the
+# work of one enclosure, not its memory: the grid is evaluated one slab at a time.
 GRID_WORK_CAP = 2 ** 24
 
 
@@ -87,9 +86,8 @@ def local_condition(f: SparsePolynomial, x) -> float:
 def kappa_batch(f: SparsePolynomial, points) -> np.ndarray:
     """Vectorised kappa(f, x) over rows of ``points``."""
     nf = _check_nonzero(f)
-    values = np.abs(evaluate_batch(f, points))
-    grad_norms = np.abs(gradient_batch(f, points)).sum(axis=1)
-    denom = np.maximum(values, grad_norms / f.degree)
+    values, grads = value_and_gradient_batch(f, points)
+    denom = np.maximum(np.abs(values), np.abs(grads).sum(axis=1) / f.degree)
     return np.divide(nf, denom, out=np.full_like(denom, np.inf), where=denom > 0.0)
 
 
@@ -138,11 +136,15 @@ def global_condition(f: SparsePolynomial, grid_eps: float) -> GlobalConditionEnc
         denom = np.maximum(np.abs(values), np.abs(deriv) / f.degree)
         with np.errstate(divide="ignore"):
             kappas = np.where(denom > 0.0, norm1(f) / denom, np.inf)
+        lower = float(np.max(kappas))
     else:
-        mesh = np.meshgrid(*([axes] * f.n), indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=1)
-        kappas = kappa_batch(f, points)
-    lower = float(np.max(kappas))
+        # one slab of the grid per value of the first coordinate, with a running maximum
+        mesh = np.meshgrid(*([axes] * (f.n - 1)), indexing="ij")
+        slab = np.stack([np.zeros(mesh[0].size)] + [m.ravel() for m in mesh], axis=1)
+        lower = 0.0
+        for x0 in axes:
+            slab[:, 0] = x0
+            lower = max(lower, float(np.max(kappa_batch(f, slab))))
     if math.isinf(lower):
         return GlobalConditionEnclosure(math.inf, math.inf, grid_eps)
     slack = 1.0 / lower - f.degree * grid_eps
@@ -195,16 +197,7 @@ def gamma_exact_univariate(f: SparsePolynomial, x: float) -> float:
 
 def _constraint_matrix(f: SparsePolynomial, x) -> tuple[np.ndarray, np.ndarray]:
     """Rows: evaluation and the n partial derivatives, one column per support exponent."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    m = f.support_size
-    A = np.zeros((f.n + 1, m))
-    for j, alpha in enumerate(f.exponents):
-        A[0, j] = float(np.prod(x ** alpha))
-        for i in range(f.n):
-            if alpha[i] > 0:
-                beta = alpha.copy()
-                beta[i] -= 1
-                A[1 + i, j] = alpha[i] * float(np.prod(x ** beta))
+    A = _monomial_matrix(f, x)
     b = np.empty(f.n + 1)
     b[0] = evaluate(f, x)
     b[1:] = gradient(f, x)

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import (
-    SparsePolynomial,
-    evaluate,
-    evaluate_batch,
-    gradient,
-    gradient_batch,
-    norm1,
-)
+from .poly import SparsePolynomial, evaluate, gradient, norm1, value_and_gradient_batch
 
 __all__ = [
     "Interval",
@@ -32,7 +25,6 @@ __all__ = [
     "interval_f",
     "interval_grad_norm",
     "predicate_clause",
-    "predicate_Cf_box",
 ]
 
 
@@ -106,17 +98,13 @@ def predicate_clause(f: SparsePolynomial, box: BoxN):
     return predicate_clause_batch(f, np.array([box.midpoint]), box.width)[0]
 
 
-def predicate_Cf_box(f: SparsePolynomial, box: BoxN) -> bool:
-    """Effective box-exclusion predicate (strict inequalities; ties subdivide)."""
-    return predicate_clause(f, box) is not None
-
-
 def predicate_clause_batch(f: SparsePolynomial, midpoints, widths) -> list:
     """predicate_clause for each row of ``midpoints`` (N, n), one entry per box;
     ``widths`` is an (N,) array or one width shared by all boxes."""
     value_radii, grad_radii = _exclusion_radii(f, np.asarray(widths) / 2)
-    values_pass = np.abs(evaluate_batch(f, midpoints)) > value_radii
-    grads_pass = np.abs(gradient_batch(f, midpoints)).sum(axis=1) > grad_radii
+    values, grads = value_and_gradient_batch(f, midpoints)
+    values_pass = np.abs(values) > value_radii
+    grads_pass = np.abs(grads).sum(axis=1) > grad_radii
     return np.where(values_pass, "value", np.where(grads_pass, "gradient", None)).tolist()
 
 

@@ -11,9 +11,11 @@ All evaluation-side bounds in this module are relative to the coefficient
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,13 +27,13 @@ __all__ = [
     "evaluate_batch",
     "gradient",
     "gradient_batch",
+    "value_and_gradient_batch",
     "partial_derivative",
     "derivative_norm_bound",
     "lipschitz_constants",
     "to_dense",
     "load_polynomial",
     "polynomial_to_dict",
-    "save_polynomial",
 ]
 
 
@@ -62,6 +64,11 @@ class SparsePolynomial:
     def support_size(self) -> int:
         return self.coefficients.shape[0]
 
+    @functools.cached_property
+    def _kernel_terms(self) -> "_KernelTerms":
+        """The terms of f and of each partial derivative, as the evaluation kernel reads them."""
+        return _build_kernel_terms(self)
+
     def terms(self):
         """Return the support as a list of (exponent tuple, coefficient)."""
         return [
@@ -74,6 +81,41 @@ class SparsePolynomial:
             f"SparsePolynomial(n={self.n}, terms={self.support_size}, "
             f"degree={self.degree})"
         )
+
+
+class _KernelTerms(NamedTuple):
+    """The terms of f (block 0) and of each d f / d x_i (block 1 + i), in support order.
+
+    Row r is coefficients[r] times the monomial prod_i T[rows[r, i]], where the
+    power table T of ``table_size`` powers holds x_i^k in row k * n + i.  Block b
+    spans rows ends[b] to ends[b + 1].  Block 1 + i has a row alpha_i * c *
+    x^(alpha - e_i) for each support term with alpha_i > 0, so no 0 * x^-1 term.
+    """
+
+    rows: np.ndarray
+    coefficients: np.ndarray
+    ends: tuple
+    table_size: int
+
+
+def _build_kernel_terms(f: SparsePolynomial) -> _KernelTerms:
+    # plain Python: polynomials are often built, evaluated once and dropped
+    m, n = f.exponents.shape
+    exponents, coefficients = f.exponents.tolist(), f.coefficients.tolist()
+    rows = [k * n + i for alpha in exponents for i, k in enumerate(alpha)]
+    scaled, ends = list(coefficients), [0, m]
+    for i in range(n):
+        for alpha, c in zip(exponents, coefficients):
+            if alpha[i] > 0:
+                rows += [(k - (j == i)) * n + j for j, k in enumerate(alpha)]
+                scaled.append(c * alpha[i])
+        ends.append(len(scaled))
+    return _KernelTerms(
+        rows=np.array(rows, dtype=np.int64).reshape(-1, n),
+        coefficients=np.array(scaled, dtype=np.float64),
+        ends=tuple(ends),
+        table_size=max(map(max, exponents), default=0) + 1,
+    )
 
 
 def _degree_of(exponents, coefficients) -> int:
@@ -129,17 +171,89 @@ def _as_points(f: SparsePolynomial, points) -> np.ndarray:
     return X
 
 
+# Points per kernel chunk: a chunk's power table holds at most this many float64
+# entries (points x (max exponent + 1) x n), which bounds the memory of a batch.
+_CHUNK_TABLE_ENTRIES = 2 ** 15
+# Below this many entries per row, one ufunc.accumulate call beats a call per row.
+_ACCUMULATE_ROW_ENTRIES = 128
+
+
+def _accumulate(ufunc, rows: np.ndarray) -> None:
+    """In place, row k becomes ufunc(row k - 1, row k) for k = 1, 2, ... in order.
+
+    This is ufunc.accumulate along axis 0; both branches give the same bits.
+    """
+    if rows[0].size < _ACCUMULATE_ROW_ENTRIES:
+        ufunc.accumulate(rows, axis=0, out=rows)
+    else:
+        for k in range(1, len(rows)):
+            ufunc(rows[k - 1], rows[k], out=rows[k])
+
+
+def _monomials(f: SparsePolynomial, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The monomials of ``rows`` at the points X, shape (len(rows), N).
+
+    The power table holds x_i^k = x_i^(k-1) * x_i for k below the table size;
+    each monomial multiplies its factors from the table left to right.
+    """
+    table = np.empty((f._kernel_terms.table_size, f.n, X.shape[0]))
+    table[0] = 1.0
+    table[1:] = X.T
+    _accumulate(np.multiply, table)
+    table = table.reshape(-1, X.shape[0])
+    products = table[rows[:, 0]]
+    for i in range(1, f.n):
+        products *= table[rows[:, i]]
+    return products
+
+
+def _kernel(f: SparsePolynomial, points, first: int, last: int) -> np.ndarray:
+    """Sums of the term blocks ``first`` to ``last - 1`` of ``f._kernel_terms`` at each
+    row of ``points``, shape (N, last - first).
+
+    Each block is summed in support order, so a row's result is the same bits
+    whatever N, the chunk or the other rows are.
+    """
+    X = _as_points(f, points)
+    terms = f._kernel_terms
+    start, stop = terms.ends[first], terms.ends[last]
+    rows, coefficients = terms.rows[start:stop], terms.coefficients[start:stop, None]
+    out = np.zeros((X.shape[0], last - first))
+    if start == stop:  # no terms: every block sums to 0
+        return out
+    step = max(1, _CHUNK_TABLE_ENTRIES // (terms.table_size * f.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, X.shape[0], step):
+            products = _monomials(f, X[lo:lo + step], rows)
+            products *= coefficients
+            for block in range(first, last):
+                a, b = terms.ends[block] - start, terms.ends[block + 1] - start
+                if a < b:
+                    _accumulate(np.add, products[a:b])
+                    out[lo:lo + step, block - first] = products[b - 1]
+    return out
+
+
+def _monomial_matrix(f: SparsePolynomial, x) -> np.ndarray:
+    """The monomials x^alpha (row 0) and their partial derivatives d/dx_i (row 1 + i)
+    at one point x, one column per support term; shape (n + 1, m)."""
+    m = f.support_size
+    out = np.zeros((f.n + 1, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        monomials = _monomials(f, _as_points(f, x)[:1], f._kernel_terms.rows)[:, 0]
+    out[0] = monomials[:m]
+    # the derivative rows in kernel order: by variable, then in support order
+    variables, terms = np.nonzero(f.exponents.T)
+    out[1 + variables, terms] = f.exponents[terms, variables] * monomials[m:]
+    return out
+
+
 def evaluate_batch(f: SparsePolynomial, points) -> np.ndarray:
     """Evaluate f at each row of ``points`` (shape (N, n)); returns shape (N,).
 
     Overflow propagates as +-inf rather than raising.
     """
-    X = _as_points(f, points)
-    if f.support_size == 0:
-        return np.zeros(X.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        monomials = np.prod(X[:, None, :] ** f.exponents[None, :, :], axis=2)
-        return monomials @ f.coefficients
+    return _kernel(f, points, 0, 1)[:, 0]
 
 
 def evaluate(f: SparsePolynomial, x) -> float:
@@ -153,20 +267,13 @@ def gradient_batch(f: SparsePolynomial, points) -> np.ndarray:
     The term alpha contributes alpha_i * c * x^(alpha - e_i) to entry i and
     nothing when alpha_i = 0 (no 0 * x^-1 artefacts at x_i = 0).
     """
-    X = _as_points(f, points)
-    out = np.zeros((X.shape[0], f.n))
-    if f.support_size == 0:
-        return out
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(f.n):
-            mask = f.exponents[:, i] > 0
-            if not mask.any():
-                continue
-            expo = f.exponents[mask].copy()
-            coef = f.coefficients[mask] * expo[:, i]
-            expo[:, i] -= 1
-            out[:, i] = np.prod(X[:, None, :] ** expo[None, :, :], axis=2) @ coef
-    return out
+    return _kernel(f, points, 1, f.n + 1)
+
+
+def value_and_gradient_batch(f: SparsePolynomial, points) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate_batch`` and ``gradient_batch`` at the same points from one power table."""
+    out = _kernel(f, points, 0, f.n + 1)
+    return out[:, 0], out[:, 1:]
 
 
 def gradient(f: SparsePolynomial, x) -> np.ndarray:
@@ -293,9 +400,3 @@ def polynomial_to_dict(f: SparsePolynomial) -> dict:
         "n": f.n,
         "terms": [{"alpha": list(alpha), "c": c} for alpha, c in f.terms()],
     }
-
-
-def save_polynomial(f: SparsePolynomial, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(polynomial_to_dict(f), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -111,9 +111,10 @@ def verify_output_boxes(
         )
         values = evaluate_batch(f, points.reshape(-1, f.n)).reshape(points.shape[:2])
         one_sign = np.all(values > 0.0, axis=1) | np.all(values < 0.0, axis=1)
-        for box_points in points[~one_sign]:
-            grads = gradient_batch(f, box_points)
-            if not np.min(grads @ grads.T) > 0.0:
+        mixed = points[~one_sign]
+        grads = gradient_batch(f, mixed.reshape(-1, f.n)).reshape(mixed.shape)
+        for box_grads in grads:
+            if not np.min(box_grads @ box_grads.T) > 0.0:
                 return False
     return True
 

@@ -16,7 +16,7 @@ from cubecond.condition import (
     local_condition,
     local_size_bound,
 )
-from cubecond.interval import BoxN, predicate_Cf_box
+from cubecond.interval import BoxN, predicate_clause
 from cubecond.poly import evaluate, gradient, new_sparse, norm1, to_dense
 from helpers import lin_comb, random_poly
 
@@ -161,6 +161,26 @@ def test_global_condition_scan_inside_enclosure():
         assert enc.lower <= enc.upper
 
 
+@pytest.mark.parametrize("n, eps", [(2, 1 / 40), (3, 1 / 12)])
+def test_global_condition_streamed_grid_matches_full_meshgrid(n, eps):
+    # the grid is walked one slab at a time; the enclosure must equal the one
+    # computed from kappa over every grid point at once, bit for bit
+    rng = np.random.default_rng(25 + n)
+    # 2 +- x_i has its largest kappa only on the grid face x_i = -+1
+    faces = [
+        new_sparse(n, [((0,) * n, 2.0), (tuple(int(j == i) for j in range(n)), sign)])
+        for i in (0, n - 1) for sign in (1.0, -1.0)
+    ]
+    for f in faces + [random_poly(rng, n, 5, 7, include_simplex=True) for _ in range(5)]:
+        enc = global_condition(f, eps)
+        axes = np.linspace(-1.0, 1.0, math.ceil(1.0 / eps) + 1)
+        mesh = np.meshgrid(*([axes] * n), indexing="ij")
+        lower = float(np.max(kappa_batch(f, np.stack([m.ravel() for m in mesh], axis=1))))
+        slack = 1.0 / lower - f.degree * eps
+        assert enc.lower == lower
+        assert enc.upper == (1.0 / slack if slack > 0.0 else math.inf)
+
+
 def test_gamma_bound_examples():
     assert gamma_bound(X, [0.0]) == 0.0
     x = 1.0 / math.sqrt(2.0)
@@ -285,7 +305,7 @@ def test_local_size_bound_is_a_local_size_bound():
     polys = [QUAD, random_poly(rng, 2, 3, 5), random_poly(rng, 1, 5, 4)]
     for f in polys:
         for box in _dyadic_boxes(f.n, 6):
-            if predicate_Cf_box(f, box):
+            if predicate_clause(f, box) is not None:
                 continue
             for x in box.sample(rng, 8):
                 assert box.width ** f.n >= local_size_bound(f, x) * (1 - 1e-9)

@@ -7,7 +7,6 @@ from cubecond.interval import (
     BoxN,
     interval_f,
     interval_grad_norm,
-    predicate_Cf_box,
     predicate_clause,
     sample_boxes,
     split_boxes,
@@ -84,8 +83,8 @@ def test_child_interval_radius_halves_exactly():
 
 
 def test_predicate_examples():
-    assert predicate_Cf_box(LINE2, CUBE2) is False
-    assert predicate_Cf_box(LINE2, BoxN((0.5, 0.5), 0.5)) is True
+    assert predicate_clause(LINE2, CUBE2) is None
+    assert predicate_clause(LINE2, BoxN((0.5, 0.5), 0.5)) is not None
 
 
 def test_predicate_implies_exclusion_semantics():
@@ -97,7 +96,7 @@ def test_predicate_implies_exclusion_semantics():
         n = int(rng.integers(1, 3))
         f = random_poly(rng, n, 6, 6)
         box = random_box(rng, n)
-        if not predicate_Cf_box(f, box):
+        if predicate_clause(f, box) is None:
             continue
         checked += 1
         points = box.sample(rng, 100)

@@ -1,9 +1,11 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cubecond import poly
 from cubecond.poly import (
     derivative_norm_bound,
     evaluate,
@@ -17,6 +19,7 @@ from cubecond.poly import (
     partial_derivative,
     polynomial_to_dict,
     to_dense,
+    value_and_gradient_batch,
 )
 from helpers import directional_derivative, lin_comb, poly_to_dict, random_poly
 
@@ -77,6 +80,85 @@ def test_evaluate_matches_fsum_oracle_and_norm_bound():
 def test_evaluate_overflow_propagates():
     f = new_sparse(1, [((100,), 1e300)])
     assert math.isinf(evaluate(f, [10.0]))
+
+
+def _chunk_points(f):
+    """Points per chunk of the evaluation kernel for f."""
+    return max(1, poly._CHUNK_TABLE_ENTRIES // (f._kernel_terms.table_size * f.n))
+
+
+def test_batch_rows_match_one_row_calls_bit_for_bit():
+    # a row's value and gradient may not depend on N, the chunk or the other rows
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3):
+        f = random_poly(rng, n, 8, 9)
+        chunk = _chunk_points(f)
+        for count in (1, 7, chunk - 1, chunk + 3):
+            X = rng.uniform(-1, 1, (count, n))
+            values, grads = evaluate_batch(f, X), gradient_batch(f, X)
+            # a reversed batch puts every row in another chunk position
+            assert np.array_equal(evaluate_batch(f, X[::-1]), values[::-1])
+            assert np.array_equal(gradient_batch(f, X[::-1]), grads[::-1])
+            fused = value_and_gradient_batch(f, X)
+            assert np.array_equal(fused[0], values) and np.array_equal(fused[1], grads)
+            # both sides of a chunk edge, the ends and a spread of rows in between
+            rows = {0, count - 1, chunk - 1, chunk} | set(range(0, count, 97))
+            for r in sorted(row for row in rows if row < count):
+                assert evaluate_batch(f, X[r])[0] == values[r]
+                assert np.array_equal(gradient_batch(f, X[r])[0], grads[r])
+
+
+def _exact_terms(f, x, var=None):
+    """(sum t, sum |t|) over the terms t of f, or of d f / d x_var, at x in exact rationals."""
+    total, size = Fraction(0), Fraction(0)
+    for alpha, c in f.terms():
+        term = Fraction(c)
+        if var is not None:
+            if alpha[var] == 0:
+                continue
+            term *= alpha[var]
+            alpha = tuple(a - (i == var) for i, a in enumerate(alpha))
+        for xi, a in zip(x, alpha):
+            term *= xi ** a
+        total += term
+        size += abs(term)
+    return total, size
+
+
+def test_kernel_matches_exact_rationals_within_error_bound():
+    # each term takes at most d roundings and each sum m - 1, so the error of a
+    # value or partial derivative is at most 2 (d + m) u sum |c_alpha x^alpha|
+    u = 2.0 ** -53
+    rng = np.random.default_rng(12)
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        degree = int(rng.integers(1, 13))
+        f = random_poly(rng, n, degree, min(int(rng.integers(1, 10)), math.comb(degree + n, n)))
+        d, m = int(f.exponents.sum(axis=1).max()), f.support_size
+        X = rng.integers(-1024, 1025, (5, n)) / 1024.0  # dyadic, so exact as rationals
+        values, grads = evaluate_batch(f, X), gradient_batch(f, X)
+        for x, value, grad in zip(X, values, grads):
+            x = [Fraction(xi) for xi in x]
+            exact, size = _exact_terms(f, x)
+            assert abs(Fraction(value) - exact) <= 2 * (d + m) * Fraction(u) * size
+            for i in range(n):
+                exact, size = _exact_terms(f, x, i)
+                assert abs(Fraction(grad[i]) - exact) <= 2 * (d + m) * Fraction(u) * size
+
+
+def test_kernel_edge_cases():
+    # alpha_i = 0 at x_i = 0 contributes nothing to entry i: no 0 * x^-1
+    f = new_sparse(2, [((0, 3), 1.0), ((2, 0), 1.0), ((0, 0), -1.0)])
+    assert list(gradient(f, [0.0, 0.0])) == [0.0, 0.0]
+    assert list(gradient(f, [0.0, 0.5])) == [0.0, 0.75]
+    # overflow propagates as +-inf in values and gradients
+    g = new_sparse(1, [((100,), -1e300)])
+    assert evaluate(g, [10.0]) == -math.inf
+    assert gradient(g, [-10.0])[0] == math.inf
+    # a long power table: 10^5 multiplications stay within 10^5 rounding units
+    x = 1.0 - 2.0 ** -20
+    h = new_sparse(1, [((10 ** 5,), 1.0)])
+    assert abs(evaluate(h, [x]) / math.pow(x, 10 ** 5) - 1.0) <= 10 ** 5 * 2.0 ** -53
 
 
 def test_gradient_examples():
