@@ -21,6 +21,7 @@ import numpy as np
 
 from .poly import (
     SparsePolynomial,
+    _horner,
     _monomial_matrix,
     evaluate,
     gradient,
@@ -129,10 +130,8 @@ def global_condition(f: SparsePolynomial, grid_eps: float) -> GlobalConditionEnc
     axes = _grid_axes(f, grid_eps)
     if f.n == 1:
         dense = to_dense(f)
-        values = np.polynomial.polynomial.polyval(axes, dense)
-        deriv = np.polynomial.polynomial.polyval(
-            axes, np.polynomial.polynomial.polyder(dense)
-        )
+        values = _horner(dense, axes)
+        deriv = _horner(np.polynomial.polynomial.polyder(dense), axes)
         denom = np.maximum(np.abs(values), np.abs(deriv) / f.degree)
         with np.errstate(divide="ignore"):
             kappas = np.where(denom > 0.0, norm1(f) / denom, np.inf)

@@ -335,6 +335,27 @@ def to_dense(f: SparsePolynomial) -> np.ndarray:
     return dense
 
 
+def _horner(dense, x):
+    """Horner's rule for the ascending coefficients ``dense`` at x (an array or a scalar).
+
+    The steps of ``numpy.polynomial.polynomial.polyval``: start from
+    c[-1] + x*0, then once per degree multiply by x and add the next
+    coefficient.  An exact zero coefficient is not added; adding a zero is an
+    identity in IEEE arithmetic apart from the sign of a zero result, so abs()
+    of the result has polyval's bits.  An array x is multiplied in place; a
+    scalar x runs on plain Python numbers.
+    """
+    coefficients = np.asarray(dense, dtype=np.float64).tolist()
+    if isinstance(x, np.generic):  # a numpy scalar becomes a Python number
+        x = x.item()
+    value = coefficients[-1] + x * 0
+    for c in reversed(coefficients[:-1]):
+        value *= x
+        if c:
+            value += c
+    return value
+
+
 # ---------------------------------------------------------------------------
 # JSON file format: {"n": 2, "terms": [{"alpha": [0, 0], "c": 1.0}, ...]}
 # ---------------------------------------------------------------------------

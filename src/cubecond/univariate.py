@@ -17,12 +17,13 @@ import math
 import weakref
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .poly import SparsePolynomial, norm1, to_dense
+from .poly import SparsePolynomial, _horner, norm1, to_dense
 
 __all__ = [
     "TreeStats",
@@ -34,7 +35,6 @@ __all__ = [
     "descartes_isolate",
     "separation_oracle",
     "oracle_roots",
-    "aberth_roots",
     "tree_size_bound",
     "separation_lower_bound",
     "eps_separation_lower_bound",
@@ -75,7 +75,9 @@ class IsolationResult:
     f(lo) * f(hi) < 0.  Roots hit exactly by a bisection point (or by an
     endpoint of [-1, 1]) are listed in ``exact_roots`` instead.  ``complete``
     is False when the depth guard left some interval unresolved; those
-    intervals are listed in ``unresolved``.
+    intervals are listed in ``unresolved``.  ``max_coefficient_bits`` is the
+    largest bit length of an integer coefficient of any tree node, which
+    sizes the exact arithmetic.
     """
 
     intervals: list
@@ -83,6 +85,7 @@ class IsolationResult:
     tree: TreeStats
     complete: bool = True
     unresolved: list = field(default_factory=list)
+    max_coefficient_bits: int = 0
 
     @property
     def root_count(self) -> int:
@@ -136,13 +139,17 @@ def _dyadic_ints(dense) -> list[int]:
 
 
 def _int_shift_by_one(c: list[int]) -> list[int]:
-    """Coefficients of p(x + 1), integer synthetic additions."""
-    c = list(c)
-    size = len(c)
-    for i in range(size - 1):
-        for j in range(size - 2, i - 1, -1):
-            c[j] += c[j + 1]
-    return c
+    """Coefficients of p(x + 1), integer synthetic additions.
+
+    Synthetic division by x - 1 runs over the descending coefficients as one
+    running sum; its last entry is the next coefficient of p(x + 1), and the
+    rest are the quotient, which the next pass divides again.
+    """
+    descending, shifted = c[::-1], []
+    for _ in range(len(c) - 1):
+        *descending, last = accumulate(descending)
+        shifted.append(last)
+    return shifted + descending
 
 
 def _int_mirror(c: list[int]) -> list[int]:
@@ -178,11 +185,11 @@ def _sign_change_endpoints(dense, lo, hi):
     lo_candidates = [lo] + [lo + width * 2.0 ** -j for j in (20, 14, 8, 4, 2)]
     hi_candidates = [hi] + [hi - width * 2.0 ** -j for j in (20, 14, 8, 4, 2)]
     for a in lo_candidates:
-        fa = npp.polyval(a, dense)
+        fa = _horner(dense, a)
         if fa == 0.0:
             continue
         for b in hi_candidates:
-            fb = npp.polyval(b, dense)
+            fb = _horner(dense, b)
             if fb == 0.0:
                 continue
             if fa * fb < 0.0:
@@ -234,6 +241,8 @@ def descartes_isolate(f: SparsePolynomial, max_depth: int = 40) -> IsolationResu
     while queue:
         coeffs, lo, hi, depth = queue.popleft()
         result.tree.count(depth)
+        bits = max(max(coeffs), -min(coeffs)).bit_length()
+        result.max_coefficient_bits = max(result.max_coefficient_bits, bits)
         v = _int_variation_count(coeffs)
         if v == 0:
             continue
@@ -301,8 +310,19 @@ def _newton_polygon_starts(c, rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _aberth(dense, max_sweeps: int = 1000, tol: float = 1e-12) -> tuple[np.ndarray, int]:
-    """Aberth-Ehrlich iteration behind ``aberth_roots``; also returns the
-    number of correction sweeps it took (0 when no iteration was needed)."""
+    """All complex roots of an ascending dense coefficient vector, and the
+    number of correction sweeps they took (0 when no iteration was needed).
+
+    Roots at the origin (zero low-order coefficients) are split off exactly.
+    The rest start on the circles of the Newton polygon of the coefficients
+    (Bini 1996, as in MPSolve), with deterministic angular jitter (fixed
+    seed), and the Aberth-Ehrlich correction runs until every residual
+    satisfies |p(z)| <= tol * sum|c| * max(1, |z|)^D; the max(1, |z|)^D
+    factor keeps the target achievable in double precision for roots outside
+    the unit disk.  A root that meets its target is frozen: later sweeps correct only
+    the others, which are still repelled by every root.  Raises
+    OracleFailedError after ``max_sweeps`` sweeps without convergence.
+    """
     c = np.asarray(dense, dtype=np.float64)
     scale_norm = float(np.abs(c).sum())
     if scale_norm == 0.0:
@@ -327,13 +347,13 @@ def _aberth(dense, max_sweeps: int = 1000, tol: float = 1e-12) -> tuple[np.ndarr
     for sweep in range(max_sweeps):
         # a root whose residual meets the target is frozen; it still repels
         za = z[active]
-        pz = npp.polyval(za, c)
+        pz = _horner(c, za)
         target = tol * scale_norm * np.maximum(1.0, np.abs(za)) ** degree
         moving = ~(np.abs(pz) <= target)
         if not moving.any():
             return np.concatenate([origin, z]), sweep
         active, za, pz = active[moving], za[moving], pz[moving]
-        pdz = npp.polyval(za, deriv)
+        pdz = _horner(deriv, za)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = pz / pdz
             diff = za[:, None] - z[None, :]
@@ -351,26 +371,6 @@ def _aberth(dense, max_sweeps: int = 1000, tol: float = 1e-12) -> tuple[np.ndarr
     raise OracleFailedError("oracle failed: root iteration did not converge")
 
 
-def aberth_roots(
-    dense,
-    max_sweeps: int = 1000,
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """All complex roots of an ascending dense coefficient vector.
-
-    Roots at the origin (zero low-order coefficients) are split off exactly.
-    The rest start on the circles of the Newton polygon of the coefficients
-    (Bini 1996, as in MPSolve), with deterministic angular jitter (fixed
-    seed), and the Aberth-Ehrlich correction runs until every residual
-    satisfies |p(z)| <= tol * sum|c| * max(1, |z|)^D; the max(1, |z|)^D
-    factor keeps the target achievable in double precision for roots outside
-    the unit disk.  A root that meets its target is frozen: later sweeps correct only
-    the others, which are still repelled by every root.  Raises
-    OracleFailedError after ``max_sweeps`` sweeps without convergence.
-    """
-    return _aberth(dense, max_sweeps, tol)[0]
-
-
 def _classify_real(dense, roots):
     """Split the oracle output into polished real roots and complex roots."""
     deriv = npp.polyder(dense)
@@ -380,15 +380,15 @@ def _classify_real(dense, roots):
         if abs(z.imag) <= 1e-8 * max(1.0, abs(z)):
             x = z.real
             for _ in range(5):  # Newton polish; harmless for simple roots
-                px = npp.polyval(x, dense)
-                dpx = npp.polyval(x, deriv)
+                px = _horner(dense, x)
+                dpx = _horner(deriv, x)
                 if dpx == 0.0 or not math.isfinite(px):
                     break
                 step = px / dpx
                 if abs(step) > 0.1 * (1.0 + abs(x)):
                     break
                 x = x - step
-            if abs(npp.polyval(x, dense)) <= abs(npp.polyval(z.real, dense)):
+            if abs(_horner(dense, x)) <= abs(_horner(dense, z.real)):
                 reals.append(x)
             else:
                 reals.append(z.real)

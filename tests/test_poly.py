@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
 from cubecond import poly
 from cubecond.poly import (
@@ -288,6 +289,47 @@ def test_gradient_norm_bound_on_cube():
         X = rng.uniform(-1, 1, (50, n))
         norms = np.abs(gradient_batch(f, X)).sum(axis=1)
         assert np.all(norms <= f.degree * norm1(f) * (1 + 1e-9) + 1e-12)
+
+
+def assert_same_abs_bits(mine, ref):
+    mine, ref = np.abs(np.asarray(mine)), np.abs(np.asarray(ref))
+    assert mine.dtype == ref.dtype and mine.shape == ref.shape
+    assert mine.tobytes() == ref.tobytes()
+
+
+def test_horner_matches_polyval_bit_for_bit():
+    rng = np.random.default_rng(61)
+    special = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 1e300, np.inf, -np.inf, np.nan])
+    for trial in range(300):
+        dense = rng.normal(size=int(rng.integers(1, 70))) * 10.0 ** rng.integers(-8, 8)
+        if trial % 2:  # sparse: mostly zero coefficients, some of them -0.0
+            dense[rng.random(dense.size) < 0.8] = 0.0
+            dense[rng.random(dense.size) < 0.2] *= -0.0
+        special_complex = special.astype(np.complex128)
+        special_complex.imag = special[::-1]
+        points = [
+            rng.uniform(-1.5, 1.5, 40),
+            rng.normal(size=30) + 1j * rng.normal(size=30),
+            special,
+            special_complex,
+        ]
+        scalars = [0.0, -0.0, 1.0, -1.0, 0, 1, -1, float(rng.uniform(-1, 1)),
+                   np.float64(rng.uniform(-1, 1)), complex(*rng.normal(size=2)),
+                   np.complex128(complex(*rng.normal(size=2)))]
+        with np.errstate(all="ignore"):
+            for x in points + scalars:
+                assert_same_abs_bits(poly._horner(dense, x), npp.polyval(x, dense))
+
+
+def test_horner_leaves_points_alone_and_returns_plain_scalars():
+    dense = np.array([1.0, 0.0, -2.0, 0.0, 3.0])
+    x = np.linspace(-1.0, 1.0, 7)
+    before = x.copy()
+    assert_same_abs_bits(poly._horner(dense, x), npp.polyval(x, dense))
+    assert np.array_equal(x, before)  # the input points are not overwritten
+    assert type(poly._horner(dense, np.float64(0.5))) is float
+    assert type(poly._horner(dense, 0.5j)) is complex
+    assert poly._horner([2.5], x).tolist() == [2.5] * 7
 
 
 def test_to_dense():

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import weakref
 
 import numpy as np
@@ -7,13 +8,12 @@ import pytest
 from numpy.polynomial import polynomial as npp
 
 from cubecond import random as models
-from cubecond import univariate
+from cubecond import condition, univariate
 from cubecond.condition import global_condition
 from cubecond.poly import new_sparse, to_dense
 from cubecond.univariate import (
     HypothesisViolatedError,
     OracleFailedError,
-    aberth_roots,
     descartes_isolate,
     eps_separation_lower_bound,
     js_condition_bound,
@@ -46,6 +46,20 @@ def assert_residuals_meet_target(dense, roots, tol=1e-12):
     assert len(roots) == degree
     target = tol * np.abs(dense).sum() * np.maximum(1.0, np.abs(roots)) ** degree
     assert np.all(np.abs(npp.polyval(roots, dense)) <= target)
+
+
+def nested_loop_shift(c):
+    """Reference for p(x + 1): the synthetic additions as a double loop."""
+    c = list(c)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += c[j + 1]
+    return c
+
+
+def polyval_horner(dense, x):
+    """Reference for ``poly._horner``: numpy's polyval."""
+    return npp.polyval(x, dense)
 
 
 def test_sign_variations_examples():
@@ -243,7 +257,7 @@ def test_aberth_agrees_with_companion_roots():
         deg = int(rng.integers(2, 40))
         dense = rng.normal(0, 1, deg + 1)
         dense[-1] += math.copysign(0.2, dense[-1])  # keep the lead coefficient away from 0
-        mine = aberth_roots(dense)
+        mine = univariate._aberth(dense)[0]
         ref = np.roots(dense[::-1])
         # order-robust symmetric matching: ties in sort order between
         # conjugates make elementwise comparison fragile
@@ -280,7 +294,7 @@ def test_oracle_real_count_agrees_with_companion_on_suite_support():
     ],
 )
 def test_aberth_edge_cases_meet_residual_target(dense):
-    roots = aberth_roots(dense)
+    roots = univariate._aberth(dense)[0]
     assert_residuals_meet_target(dense, roots)
     ref = np.roots(np.trim_zeros(np.asarray(dense[::-1]), "f"))
     assert np.max(np.min(np.abs(roots[:, None] - ref[None, :]), axis=1)) <= 1e-6
@@ -298,22 +312,89 @@ def test_aberth_edge_cases_meet_residual_target(dense):
 )
 def test_aberth_coefficients_spanning_200_orders(dense, moduli):
     # np.roots is no reference here: the companion matrix holds 1e210-sized entries
-    roots = aberth_roots(dense)
+    roots = univariate._aberth(dense)[0]
     assert_residuals_meet_target(dense, roots)
     assert np.sort(np.abs(roots)) == pytest.approx(moduli, rel=1e-9)
 
 
 def test_aberth_origin_roots_are_exact():
-    roots = aberth_roots([0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 0.0])
+    roots = univariate._aberth([0.0, 0.0, -1.0, 0.0, 1.0, 0.0, 0.0])[0]
     assert np.count_nonzero(roots == 0.0) == 2
     assert np.sort(roots[roots != 0.0].real) == pytest.approx([-1.0, 1.0], abs=1e-12)
 
 
 def test_aberth_sweep_guard_still_raises():
     dense = to_dense(suite_draws(1)[0])
-    assert_residuals_meet_target(dense, aberth_roots(dense))
+    assert_residuals_meet_target(dense, univariate._aberth(dense)[0])
     with pytest.raises(OracleFailedError):
-        aberth_roots(dense, max_sweeps=1)
+        univariate._aberth(dense, max_sweeps=1)
+
+
+def test_horner_matches_polyval_on_aberth_iterates(monkeypatch):
+    calls = []
+    horner = univariate._horner
+
+    def recorded(dense, x):
+        calls.append((dense, np.copy(x)))
+        return horner(dense, x)
+
+    monkeypatch.setattr(univariate, "_horner", recorded)
+    univariate._aberth(to_dense(suite_draws(1)[0]))
+    assert len(calls) > 10
+    for dense, x in calls:
+        assert x.dtype == np.complex128
+        assert np.abs(horner(dense, x)).tobytes() == np.abs(npp.polyval(x, dense)).tobytes()
+
+
+def test_accumulate_shift_matches_nested_loop_reference():
+    rng = random.Random(55)
+    for size in range(1, 131):
+        bits = rng.randrange(1, 400)
+        c = [rng.getrandbits(bits) - (1 << (bits - 1)) for _ in range(size)]
+        assert univariate._int_shift_by_one(c) == nested_loop_shift(c)
+    assert univariate._int_shift_by_one([]) == []
+
+
+def test_max_coefficient_bits_is_the_largest_node_coefficient(monkeypatch):
+    assert descartes_isolate(X).max_coefficient_bits == 2  # root node [-1, 2]
+    assert descartes_isolate(new_sparse(1, [((0,), 3.0)])).max_coefficient_bits == 0
+    nodes = []
+    count = univariate._int_variation_count
+
+    def recorded(coeffs):
+        nodes.append(coeffs)
+        return count(coeffs)
+
+    monkeypatch.setattr(univariate, "_int_variation_count", recorded)
+    for f in suite_draws(6):
+        nodes.clear()
+        res = descartes_isolate(f, max_depth=60)
+        assert len(nodes) == res.tree.nodes
+        assert res.max_coefficient_bits == max(abs(v).bit_length() for c in nodes for v in c)
+
+
+def fixture_records(draws):
+    records = []
+    for f in draws:
+        enclosure = global_condition(f, 2e-5)
+        reals, complexes = oracle_roots(f)
+        sweeps = separation_oracle(f, 1e-3).sweeps
+        iso = descartes_isolate(f, max_depth=60)
+        records.append(repr((
+            enclosure.lower, enclosure.upper, reals.tobytes(), complexes.tobytes(), sweeps,
+            iso.intervals, iso.exact_roots, iso.tree.per_depth, iso.max_coefficient_bits,
+        )))
+    return records
+
+
+def test_fixture_draws_match_polyval_and_nested_loop_reference(monkeypatch):
+    # the first 40 draws of each fixture model; every number bit for bit
+    fast = fixture_records(suite_draws(80))
+    monkeypatch.setattr(univariate, "_horner", polyval_horner)
+    monkeypatch.setattr(condition, "_horner", polyval_horner)
+    monkeypatch.setattr(univariate, "_int_shift_by_one", nested_loop_shift)
+    reference = fixture_records(suite_draws(80))
+    assert fast == reference
 
 
 def count_solves(monkeypatch):
