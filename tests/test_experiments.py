@@ -147,21 +147,67 @@ def test_multi_worker_runs_match_single_worker():
     assert rows1 == rows2
 
 
-@pytest.mark.parametrize("seed", [11, 22, 33])
-def test_csv_bytes_match_golden(tmp_path, seed):
-    dist = UNIF if seed == 22 else GAUSS
-    cfg = exps.ExperimentConfig(
-        kind="tail",
-        model=models.RandomModel(n=1, support=SUP_D5, dist=dist),
-        trials=20,
-        seed=seed,
-        t_grid=(math.e, 10.0),
-    )
-    rep = exps.run_tail_experiment(cfg)
+SUP_D2 = ((0,), (1,), (2,))
+SUP_D64 = ((0,), (1,), (13,), (64,))
+SUP_D33 = ((0,), (1,), (5,), (17,), (33,))
+TAIL_GOLDEN = {"kind": "tail", "trials": 20, "t_grid": (math.e, 10.0)}
+# golden file stem -> ExperimentConfig fields; the files hold the CSV bytes
+GOLDEN_CONFIGS = {
+    "tail_seed11": {**TAIL_GOLDEN, "model": gaussian_model(), "seed": 11},
+    "tail_seed22": {
+        **TAIL_GOLDEN,
+        "model": models.RandomModel(n=1, support=SUP_D5, dist=UNIF),
+        "seed": 22,
+    },
+    "tail_seed33": {**TAIL_GOLDEN, "model": gaussian_model(), "seed": 33},
+    "pv_seed5": {
+        "kind": "pv", "model": gaussian_model(SUP_D2), "trials": 20, "seed": 5, "max_depth": 20,
+    },
+    # every trial stops at the depth guard: excluded rows, an infinite mean, flagged
+    "pv_flagged_seed5": {
+        "kind": "pv", "model": gaussian_model(SUP_D2), "trials": 20, "seed": 5, "max_depth": 1,
+    },
+    "pv_n2_seed8": {
+        "kind": "pv",
+        "model": models.RandomModel(
+            n=2, support=((0, 0), (1, 0), (0, 1), (1, 1), (0, 3)), dist=UNIF
+        ),
+        "trials": 12,
+        "seed": 8,
+        "max_depth": 16,
+    },
+    "descartes_seed6": {
+        "kind": "descartes", "model": gaussian_model(SUP_D64), "trials": 20, "seed": 6,
+        "k_list": (1, 2), "max_depth": 60,
+    },
+    # 3 of 20 trees hit the depth guard: incomplete rows, flagged
+    "descartes_incomplete_seed6": {
+        "kind": "descartes", "model": gaussian_model(SUP_D64), "trials": 20, "seed": 6,
+        "k_list": (1, 2, 3), "max_depth": 2,
+    },
+    "separation_seed7": {
+        "kind": "separation", "model": gaussian_model(SUP_D33), "trials": 10, "seed": 7,
+        "grid_eps": 1e-4,
+    },
+    "separation_uniform_seed3": {
+        "kind": "separation",
+        "model": models.RandomModel(n=1, support=((0,), (1,), (7,), (9,)), dist=UNIF),
+        "trials": 10,
+        "seed": 3,
+        "grid_eps": 1e-4,
+        "eps": 1e-2,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "golden", list(GOLDEN_CONFIGS), ids=lambda name: name.removeprefix("tail_seed")
+)
+def test_csv_bytes_match_golden(tmp_path, golden):
+    rep = exps.run_experiment(exps.ExperimentConfig(**GOLDEN_CONFIGS[golden]))
     out = tmp_path / "report.csv"
     exps.emit_csv(rep, out)
-    golden = open(os.path.join(GOLDEN, f"tail_seed{seed}.csv"), "rb").read()
-    assert out.read_bytes() == golden
+    assert out.read_bytes() == open(os.path.join(GOLDEN, f"{golden}.csv"), "rb").read()
 
 
 def test_svg_bytes_match_golden(tmp_path):
