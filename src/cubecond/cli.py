@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 from . import experiments as exps
 from . import random as models
@@ -199,10 +200,10 @@ def _cmd_sample(args) -> int:
 def _cmd_experiment(args) -> int:
     # seed precedence: --seed flag, then the config file, then CUBECOND_SEED/default
     obj = _read_json_object(args.config, "experiment config")
-    seed_override = args.seed
-    if seed_override is None and "seed" not in obj:
-        seed_override = _default_seed()
-    cfg = exps.load_config(obj, seed_override=seed_override, workers_override=args.workers)
+    seed = args.seed if args.seed is not None or "seed" in obj else _default_seed()
+    overrides = {"seed": seed, "workers": args.workers}
+    cfg = exps.load_config(obj)
+    cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
     report = exps.run_experiment(cfg)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{cfg.kind}.csv")

@@ -24,7 +24,6 @@ from .poly import (
     _horner,
     _monomial_matrix,
     evaluate,
-    gradient,
     new_sparse,
     norm1,
     partial_derivative,
@@ -159,8 +158,9 @@ def gamma_bound(f: SparsePolynomial, x) -> float:
     EstimateInapplicableError.
     """
     nf = _check_nonzero(f)
-    fx = abs(evaluate(f, x))
-    gx = float(np.abs(gradient(f, x)).sum())
+    value, grad = value_and_gradient_batch(f, x)
+    fx = abs(float(value[0]))
+    gx = float(np.abs(grad[0]).sum())
     if not fx < gx / f.degree:
         raise EstimateInapplicableError(
             "derivative estimate needs kappa(f,x) * |f(x)| / norm1(f) < 1"
@@ -196,11 +196,8 @@ def gamma_exact_univariate(f: SparsePolynomial, x: float) -> float:
 
 def _constraint_matrix(f: SparsePolynomial, x) -> tuple[np.ndarray, np.ndarray]:
     """Rows: evaluation and the n partial derivatives, one column per support exponent."""
-    A = _monomial_matrix(f, x)
-    b = np.empty(f.n + 1)
-    b[0] = evaluate(f, x)
-    b[1:] = gradient(f, x)
-    return A, b
+    value, grad = value_and_gradient_batch(f, x)
+    return _monomial_matrix(f, x), np.append(value, grad)  # b = (f(x), grad f(x))
 
 
 def dist1_to_sigma_x(f: SparsePolynomial, x) -> float:

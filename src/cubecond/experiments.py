@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -90,15 +90,11 @@ class ExperimentReport:
     wallclock: float = 0.0
 
 
+_COLUMNS = ("trial", "seed", "stat_name", "value", "bound", "pass")
+
+
 def _stat_row(trial, seed, name, value, bound="", ok=""):
-    return {
-        "trial": trial,
-        "seed": seed,
-        "stat_name": name,
-        "value": value,
-        "bound": bound,
-        "pass": ok,
-    }
+    return dict(zip(_COLUMNS, (trial, seed, name, value, bound, ok)))
 
 
 def _map_trials(worker, cfg: ExperimentConfig):
@@ -110,86 +106,102 @@ def _map_trials(worker, cfg: ExperimentConfig):
         return list(pool.map(worker, [(cfg, i) for i in indices], chunksize=chunk))
 
 
+# --- the harness every kind shares ------------------------------------------
+# A trial worker returns its statistic, or None for an excluded trial; a
+# summarizer writes the rows and aggregates of the report from those outcomes.
+
+def _run(kind, cfg: ExperimentConfig, worker, summarize) -> ExperimentReport:
+    start = time.perf_counter()
+    report = ExperimentReport(kind=kind)
+    summarize(report, cfg, _map_trials(worker, cfg))
+    report.passed = report.violations == 0 and not report.flagged
+    report.wallclock = time.perf_counter() - start
+    return report
+
+
+def _trial_rows(report, cfg, outcomes, rows_of, excluded_row, share) -> list:
+    """Append each trial's rows and return the outcomes of the kept trials.
+
+    An excluded trial gets the single row ``excluded_row``; more than
+    ``share`` of the trials excluded flags the run as inconclusive.
+    """
+    kept = []
+    for i, outcome in enumerate(outcomes):
+        if outcome is None:
+            report.excluded += 1
+            rows = [excluded_row]
+        else:
+            kept.append(outcome)
+            rows = rows_of(outcome)
+        report.rows.extend(_stat_row(i, cfg.seed, *row) for row in rows)
+    report.flagged = report.excluded > share * cfg.trials
+    return kept
+
+
+def _aggregate(report, cfg, name, value, bound, ok, **extra) -> None:
+    """Append an aggregate row and its summary entry; a failed check is a violation."""
+    report.rows.append(_stat_row(-1, cfg.seed, name, value, bound, int(ok)))
+    report.summary[name] = {"value": value, **extra, "bound": bound, "pass": ok}
+    report.violations += int(not ok)
+
+
+def _mean_check(report, cfg, name, values, bound, **extra) -> None:
+    """Aggregate the check mean + 3 stderr <= bound; no values read as an infinite mean."""
+    count = len(values)
+    mean = float(np.mean(values)) if count else math.inf
+    stderr = float(np.std(values, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    _aggregate(report, cfg, name, mean, bound, mean + 3.0 * stderr <= bound, stderr=stderr, **extra)
+
+
 # --- tail experiment -------------------------------------------------------
 
 def _tail_trial(args):
     cfg, i = args
     f = models.sample(cfg.model, (cfg.seed, i))
-    x0 = cfg.x0 if cfg.x0 is not None else (0.0,) * cfg.model.n
-    return local_condition(f, x0)
+    return local_condition(f, cfg.x0 if cfg.x0 is not None else (0.0,) * cfg.model.n)
+
+
+def _tail_summary(report, cfg, outcomes):
+    # no tail trial is excluded, so the excluded row and share are never read
+    kappas = _trial_rows(report, cfg, outcomes, lambda kappa: [("kappa_at_x0", kappa)], None, 0.0)
+    kappas = np.asarray(kappas)
+    for t in cfg.t_grid:
+        survival = float(np.mean(kappas >= t))
+        stderr = math.sqrt(max(survival * (1.0 - survival), 0.0) / cfg.trials)
+        bound = models.tail_bound_local(cfg.model, t, clamp=True)
+        ok = survival - 3.0 * stderr <= bound
+        _aggregate(report, cfg, f"survival_t={t:.6g}", survival, bound, ok, stderr=stderr)
 
 
 def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Empirical survival of kappa(f, x0) against the local tail bound."""
     if any(t < math.e for t in cfg.t_grid):
         raise ValueError("t_grid entries must be >= e")
-    start = time.perf_counter()
-    report = ExperimentReport(kind="tail")
-    kappas = np.asarray(_map_trials(_tail_trial, cfg))
-    for i, kappa in enumerate(kappas):
-        report.rows.append(_stat_row(i, cfg.seed, "kappa_at_x0", float(kappa)))
-    all_pass = True
-    for t in cfg.t_grid:
-        survival = float(np.mean(kappas >= t))
-        stderr = math.sqrt(max(survival * (1.0 - survival), 0.0) / cfg.trials)
-        bound = models.tail_bound_local(cfg.model, t, clamp=True)
-        ok = survival - 3.0 * stderr <= bound
-        all_pass = all_pass and ok
-        name = f"survival_t={t:.6g}"
-        report.rows.append(_stat_row(-1, cfg.seed, name, survival, bound, int(ok)))
-        report.summary[name] = {"value": survival, "stderr": stderr, "bound": bound, "pass": ok}
-        if not ok:
-            report.violations += 1
-    report.passed = all_pass
-    report.wallclock = time.perf_counter() - start
-    return report
+    return _run("tail", cfg, _tail_trial, _tail_summary)
 
 
 # --- subdivision box count experiment --------------------------------------
 
 def _pv_trial(args):
     cfg, i = args
-    f = models.sample(cfg.model, (cfg.seed, i))
-    rep = pv_subdivide(f, cfg.max_depth)
-    return rep.final_count if rep.terminated else -1
+    rep = pv_subdivide(models.sample(cfg.model, (cfg.seed, i)), cfg.max_depth)
+    return rep.final_count if rep.terminated else None
+
+
+def _pv_summary(report, cfg, outcomes):
+    counts = _trial_rows(
+        report, cfg, outcomes, lambda count: [("final_boxes", count)],
+        ("final_boxes_nonterminated", 0), 0.10,
+    )
+    bound = models.expected_boxes_bound(cfg.model).value
+    _mean_check(report, cfg, "mean_final_boxes", counts, bound, excluded=report.excluded)
 
 
 def run_pv_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Mean terminated box count against the expected-box-count bound."""
     if cfg.model.n > 2 or cfg.model.degree > 16:
         raise ValueError("box-count experiment is limited to n <= 2, degree <= 16")
-    start = time.perf_counter()
-    report = ExperimentReport(kind="pv")
-    counts = _map_trials(_pv_trial, cfg)
-    finished = []
-    for i, count in enumerate(counts):
-        if count < 0:
-            report.excluded += 1
-            report.rows.append(_stat_row(i, cfg.seed, "final_boxes_nonterminated", 0))
-        else:
-            finished.append(count)
-            report.rows.append(_stat_row(i, cfg.seed, "final_boxes", count))
-    bound = models.expected_boxes_bound(cfg.model).value
-    if finished:
-        mean = float(np.mean(finished))
-        stderr = float(np.std(finished, ddof=1) / math.sqrt(len(finished))) if len(finished) > 1 else 0.0
-    else:
-        mean, stderr = math.inf, 0.0
-    ok = mean + 3.0 * stderr <= bound
-    report.flagged = report.excluded > 0.10 * cfg.trials
-    report.rows.append(_stat_row(-1, cfg.seed, "mean_final_boxes", mean, bound, int(ok)))
-    report.summary["mean_final_boxes"] = {
-        "value": mean,
-        "stderr": stderr,
-        "bound": bound,
-        "pass": ok,
-        "excluded": report.excluded,
-    }
-    if not ok:
-        report.violations += 1
-    report.passed = ok and not report.flagged
-    report.wallclock = time.perf_counter() - start
-    return report
+    return _run("pv", cfg, _pv_trial, _pv_summary)
 
 
 # --- isolation tree size experiment ----------------------------------------
@@ -198,7 +210,17 @@ def _descartes_trial(args):
     cfg, i = args
     f = models.sample(cfg.model, (cfg.seed, i))
     res = descartes_isolate(f, max_depth=min(cfg.max_depth, 100))
-    return res.tree.nodes if res.complete else -1
+    return res.tree.nodes if res.complete else None
+
+
+def _descartes_summary(report, cfg, outcomes):
+    sizes = _trial_rows(
+        report, cfg, outcomes, lambda size: [("tree_size", size)], ("tree_size_incomplete", 0), 0.10
+    )
+    sizes = np.asarray(sizes, dtype=np.float64)
+    for k in cfg.k_list:
+        bound = models.descartes_moment_bound(cfg.model, k)
+        _mean_check(report, cfg, f"tree_size_moment_k={k}", sizes ** k, bound)
 
 
 def run_descartes_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -207,37 +229,7 @@ def run_descartes_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError("isolation experiment requires a univariate model")
     if any(k not in (1, 2, 3) for k in cfg.k_list):
         raise ValueError("k_list entries must lie in {1, 2, 3}")
-    start = time.perf_counter()
-    report = ExperimentReport(kind="descartes")
-    sizes_raw = _map_trials(_descartes_trial, cfg)
-    sizes = []
-    for i, size in enumerate(sizes_raw):
-        if size < 0:
-            report.excluded += 1
-            report.rows.append(_stat_row(i, cfg.seed, "tree_size_incomplete", 0))
-        else:
-            sizes.append(size)
-            report.rows.append(_stat_row(i, cfg.seed, "tree_size", size))
-    sizes = np.asarray(sizes, dtype=np.float64)
-    report.flagged = report.excluded > 0.10 * cfg.trials
-    all_pass = True
-    for k in cfg.k_list:
-        moments = sizes ** k
-        mean = float(np.mean(moments)) if len(sizes) else math.inf
-        stderr = (
-            float(np.std(moments, ddof=1) / math.sqrt(len(moments))) if len(sizes) > 1 else 0.0
-        )
-        bound = models.descartes_moment_bound(cfg.model, k)
-        ok = mean + 3.0 * stderr <= bound
-        all_pass = all_pass and ok
-        name = f"tree_size_moment_k={k}"
-        report.rows.append(_stat_row(-1, cfg.seed, name, mean, bound, int(ok)))
-        report.summary[name] = {"value": mean, "stderr": stderr, "bound": bound, "pass": ok}
-        if not ok:
-            report.violations += 1
-    report.passed = all_pass and not report.flagged
-    report.wallclock = time.perf_counter() - start
-    return report
+    return _run("descartes", cfg, _descartes_trial, _descartes_summary)
 
 
 # --- separation experiment --------------------------------------------------
@@ -245,23 +237,33 @@ def run_descartes_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _separation_trial(args):
     cfg, i = args
     f = models.sample(cfg.model, (cfg.seed, i))
-    enclosure = global_condition(f, cfg.grid_eps)
-    kappa_upper = enclosure.upper
-    d = f.degree
-    if math.isfinite(kappa_upper):
-        eps = min(cfg.eps, 0.5 / (math.e * d * kappa_upper))
-    else:
-        eps = cfg.eps
+    kappa_upper = global_condition(f, cfg.grid_eps).upper
+    finite = math.isfinite(kappa_upper)
+    eps = min(cfg.eps, 0.5 / (math.e * f.degree * kappa_upper)) if finite else cfg.eps
     try:
         oracle = separation_oracle(f, eps)
     except OracleFailedError:
-        return (i, "oracle_failed", 0.0, 0.0, 0.0, 0.0, 0.0)
+        return None
     bound_real = separation_lower_bound(f, kappa_upper)
-    if math.isfinite(kappa_upper):
-        bound_eps = eps_separation_lower_bound(f, kappa_upper, eps)
-    else:
-        bound_eps = 0.0
-    return (i, "ok", kappa_upper, oracle.delta, bound_real, oracle.delta_eps, bound_eps)
+    bound_eps = eps_separation_lower_bound(f, kappa_upper, eps) if finite else 0.0
+    return kappa_upper, oracle.delta, bound_real, oracle.delta_eps, bound_eps
+
+
+def _separation_rows(outcome):
+    kappa_upper, delta, bound_real, delta_eps, bound_eps = outcome
+    return [
+        ("kappa_upper", kappa_upper),
+        ("delta", delta, bound_real, int(delta >= bound_real)),
+        ("delta_eps", delta_eps, bound_eps, int(delta_eps >= bound_eps)),
+    ]
+
+
+def _separation_summary(report, cfg, outcomes):
+    _trial_rows(report, cfg, outcomes, _separation_rows, ("oracle_failed", 1), 0.01)
+    violations = sum(row["pass"] == 0 for row in report.rows)
+    _aggregate(report, cfg, "violations", violations, 0, violations == 0,
+               excluded=report.excluded)
+    report.violations = violations  # the failed trial checks, not the aggregate
 
 
 def run_separation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -270,35 +272,7 @@ def run_separation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError("separation experiment requires a univariate model")
     if cfg.model.degree > 64:
         raise ValueError("separation experiment is limited to degree <= 64")
-    start = time.perf_counter()
-    report = ExperimentReport(kind="separation")
-    outcomes = _map_trials(_separation_trial, cfg)
-    for i, status, kappa_upper, delta, bound_real, delta_eps, bound_eps in outcomes:
-        if status == "oracle_failed":
-            report.excluded += 1
-            report.rows.append(_stat_row(i, cfg.seed, "oracle_failed", 1))
-            continue
-        ok_real = delta >= bound_real
-        ok_eps = delta_eps >= bound_eps
-        report.rows.append(_stat_row(i, cfg.seed, "kappa_upper", kappa_upper))
-        report.rows.append(_stat_row(i, cfg.seed, "delta", delta, bound_real, int(ok_real)))
-        report.rows.append(_stat_row(i, cfg.seed, "delta_eps", delta_eps, bound_eps, int(ok_eps)))
-        if not ok_real:
-            report.violations += 1
-        if not ok_eps:
-            report.violations += 1
-    report.flagged = report.excluded > 0.01 * cfg.trials
-    ok = report.violations == 0
-    report.rows.append(_stat_row(-1, cfg.seed, "violations", report.violations, 0, int(ok)))
-    report.summary["violations"] = {
-        "value": report.violations,
-        "bound": 0,
-        "pass": ok,
-        "excluded": report.excluded,
-    }
-    report.passed = ok and not report.flagged
-    report.wallclock = time.perf_counter() - start
-    return report
+    return _run("separation", cfg, _separation_trial, _separation_summary)
 
 
 _RUNNERS = {
@@ -331,14 +305,8 @@ def emit_csv(report: ExperimentReport, path) -> None:
     The bytes are a pure function of the report: floats are rendered with
     repr (shortest round-trip form) and rows keep trial order.
     """
-    lines = ["trial,seed,stat_name,value,bound,pass"]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                _format_cell(row[key])
-                for key in ("trial", "seed", "stat_name", "value", "bound", "pass")
-            )
-        )
+    lines = [",".join(_COLUMNS)]
+    lines.extend(",".join(_format_cell(row[key]) for key in _COLUMNS) for row in report.rows)
     data = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(data)
@@ -386,25 +354,14 @@ def emit_svg(report: SubdivisionReport, path, size: int = 640) -> None:
 # config files: the model description plus engine knobs
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = {
-    "experiment",
-    "model",
-    "trials",
-    "seed",
-    "t_grid",
-    "k_list",
-    "max_depth",
-    "grid_eps",
-    "eps",
-    "x0",
-    "workers",
-}
+def load_config(source) -> ExperimentConfig:
+    """Read an ExperimentConfig from a JSON file path, file object or dict.
 
-
-def load_config(source, seed_override=None, workers_override=None) -> ExperimentConfig:
-    """Read an ExperimentConfig from a JSON file path, file object or dict."""
+    The fields are those of ExperimentConfig, with ``experiment`` for ``kind``.
+    """
     obj = _read_json_object(source, "experiment config")
-    extras = set(obj) - _CONFIG_FIELDS
+    known = {f.name for f in fields(ExperimentConfig)} - {"kind"} | {"experiment"}
+    extras = set(obj) - known
     if extras:
         raise ValueError(f"experiment config: unknown field '{sorted(extras)[0]}'")
     if "experiment" not in obj:
@@ -439,11 +396,9 @@ def load_config(source, seed_override=None, workers_override=None) -> Experiment
             kwargs[key] = tuple(convert(v) for v in obj[key])
     if "x0" in obj and obj["x0"] is not None:
         x0 = obj["x0"]
-        if not isinstance(x0, list) or len(x0) != model.n or not all(map(_is_number, x0)):
-            raise ValueError("experiment config: field 'x0' must be a list of n numbers")
+        if not isinstance(x0, list) or len(x0) != model.n or not all(
+            _is_number(v) and -1.0 <= v <= 1.0 for v in x0  # rejects nan and inf too
+        ):
+            raise ValueError("experiment config: field 'x0' must be a point of [-1, 1]^n")
         kwargs["x0"] = tuple(float(v) for v in x0)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    if workers_override is not None:
-        kwargs["workers"] = workers_override
     return ExperimentConfig(kind=obj["experiment"], model=model, **kwargs)

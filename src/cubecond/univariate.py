@@ -198,6 +198,18 @@ def _sign_change_endpoints(dense, lo, hi):
     return None
 
 
+def _dense_univariate(f: SparsePolynomial, not_univariate: str, zero: str) -> np.ndarray:
+    """Dense coefficients of a nonzero univariate f of degree <= MAX_DENSE_DEGREE."""
+    if f.n != 1:
+        raise ValueError(not_univariate)
+    if norm1(f) == 0.0:
+        raise ValueError(zero)
+    dense = to_dense(f)
+    if len(dense) - 1 > MAX_DENSE_DEGREE:
+        raise ValueError(f"degree {len(dense) - 1} exceeds the dense cap {MAX_DENSE_DEGREE}")
+    return dense
+
+
 def descartes_isolate(f: SparsePolynomial, max_depth: int = 40) -> IsolationResult:
     """Isolate the real roots of a univariate polynomial in [-1, 1].
 
@@ -211,15 +223,10 @@ def descartes_isolate(f: SparsePolynomial, max_depth: int = 40) -> IsolationResu
     The traversal is breadth-first with left children first, so tree
     statistics and output order are deterministic.
     """
-    if f.n != 1:
-        raise ValueError("isolation requires a univariate polynomial")
-    if norm1(f) == 0.0:
-        raise ValueError("cannot isolate roots of the zero polynomial")
+    dense = _dense_univariate(f, "isolation requires a univariate polynomial",
+                              "cannot isolate roots of the zero polynomial")
     if not 1 <= max_depth <= 100:
         raise ValueError(f"max_depth must lie in [1, 100], got {max_depth}")
-    dense = to_dense(f)
-    if len(dense) - 1 > MAX_DENSE_DEGREE:
-        raise ValueError(f"degree {len(dense) - 1} exceeds the dense cap {MAX_DENSE_DEGREE}")
 
     result = IsolationResult(intervals=[], exact_roots=[], tree=TreeStats())
     if len(dense) == 1:
@@ -422,23 +429,12 @@ class _OracleRoots(NamedTuple):
 _ROOT_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def oracle_roots(f: SparsePolynomial) -> tuple[np.ndarray, np.ndarray]:
-    """All roots of f as (real roots, strictly complex roots).
-
-    Real roots are identified by a relative imaginary-part threshold and
-    polished by a few Newton steps.  The result is computed once per
-    polynomial object and cached while the object lives, so both arrays are
-    read-only; a failed solve is not cached.
-    """
+def _oracle_entry(f: SparsePolynomial) -> _OracleRoots:
+    """The cached roots and sweep count of f, solving on a cache miss."""
     cached = _ROOT_CACHE.get(f)
     if cached is None:
-        if f.n != 1:
-            raise ValueError("the root oracle requires a univariate polynomial")
-        if norm1(f) == 0.0:
-            raise ValueError("the zero polynomial has no root set")
-        dense = to_dense(f)
-        if len(dense) - 1 > MAX_DENSE_DEGREE:
-            raise ValueError(f"degree {len(dense) - 1} exceeds the dense cap {MAX_DENSE_DEGREE}")
+        dense = _dense_univariate(f, "the root oracle requires a univariate polynomial",
+                                  "the zero polynomial has no root set")
         if len(dense) == 1:
             reals, complexes, sweeps = np.zeros(0), np.zeros(0, dtype=np.complex128), 0
         else:
@@ -447,7 +443,18 @@ def oracle_roots(f: SparsePolynomial) -> tuple[np.ndarray, np.ndarray]:
         reals.setflags(write=False)
         complexes.setflags(write=False)
         cached = _ROOT_CACHE[f] = _OracleRoots(reals, complexes, sweeps)
-    return cached.reals, cached.complexes
+    return cached
+
+
+def oracle_roots(f: SparsePolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """All roots of f as (real roots, strictly complex roots).
+
+    Real roots are identified by a relative imaginary-part threshold and
+    polished by a few Newton steps.  The result is computed once per
+    polynomial object and cached while the object lives, so both arrays are
+    read-only; a failed solve is not cached.
+    """
+    return _oracle_entry(f)[:2]  # (reals, complexes)
 
 
 def separation_oracle(f: SparsePolynomial, eps: float) -> SeparationEstimate:
@@ -460,8 +467,7 @@ def separation_oracle(f: SparsePolynomial, eps: float) -> SeparationEstimate:
     """
     if eps <= 0.0:
         raise ValueError(f"eps must be positive, got {eps}")
-    reals, complexes = oracle_roots(f)
-    sweeps = _ROOT_CACHE[f].sweeps  # the entry oracle_roots just read or made
+    reals, complexes, sweeps = _oracle_entry(f)
     reals_in_cube = reals[np.abs(reals) <= 1.0] if len(reals) else reals
     delta = _min_pairwise(list(reals_in_cube))
     near = [complex(r, 0.0) for r in reals if _distance_to_interval(complex(r, 0.0)) <= eps]

@@ -4,8 +4,9 @@ import pathlib
 
 import pytest
 
+from cubecond import experiments as exps
 from cubecond import univariate
-from cubecond.cli import main
+from cubecond.cli import DEFAULT_SEED, main
 from cubecond.poly import load_polynomial
 from cubecond.univariate import OracleFailedError
 
@@ -151,6 +152,47 @@ def test_experiment_runs_and_writes_csv(tmp_path, capsys):
     assert csv_path.exists()
     header = csv_path.read_text().splitlines()[0]
     assert header == "trial,seed,stat_name,value,bound,pass"
+
+
+@pytest.mark.parametrize(
+    "config_seed, flag, env, expected",
+    [
+        (5, "7", "9", 7),  # --seed beats the config file and CUBECOND_SEED
+        (5, None, "9", 5),  # the config file beats CUBECOND_SEED
+        (None, None, "9", 9),  # CUBECOND_SEED beats the default
+        (None, None, None, DEFAULT_SEED),
+    ],
+)
+def test_experiment_seed_precedence(tmp_path, capsys, monkeypatch, config_seed, flag, env,
+                                    expected):
+    cfg = {"experiment": "tail", "model": MODEL, "trials": 4}
+    if config_seed is not None:
+        cfg["seed"] = config_seed
+    if env is None:
+        monkeypatch.delenv("CUBECOND_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CUBECOND_SEED", env)
+    argv = ["experiment", write(tmp_path, "cfg.json", cfg), "--out", str(tmp_path / "o")]
+    code, _ = run(capsys, argv + (["--seed", flag] if flag else []))
+    assert code == 0
+    rows = (tmp_path / "o" / "tail.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[1] for row in rows} == {str(expected)}
+
+
+def test_experiment_workers_flag_reaches_the_run(tmp_path, capsys, monkeypatch):
+    seen = []
+    real = exps.run_experiment
+    monkeypatch.setattr(exps, "run_experiment", lambda cfg: seen.append(cfg.workers) or real(cfg))
+    cfg = {"experiment": "tail", "model": MODEL, "trials": 8, "seed": 3, "workers": 1}
+    path = write(tmp_path, "cfg.json", cfg)
+    for workers in ("1", "2"):
+        code, _ = run(capsys, ["experiment", path, "--out", str(tmp_path / workers),
+                               "--workers", workers])
+        assert code == 0
+    assert seen == [1, 2]
+    assert (tmp_path / "1" / "tail.csv").read_bytes() == (tmp_path / "2" / "tail.csv").read_bytes()
+    code, _ = run(capsys, ["experiment", path, "--out", str(tmp_path / "0"), "--workers", "0"])
+    assert code == 1 and "workers" in run.err and seen == [1, 2]
 
 
 def test_experiment_flagged_exit_code(tmp_path, capsys):

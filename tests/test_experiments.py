@@ -59,11 +59,35 @@ TAIL_CONFIG = {
         ({"trials": True}, "'trials'"),
         ({"eps": False}, "'eps'"),
         ({"model": 0}, "model file"),
+        ({"x0": [3.0]}, "'x0'"),  # outside the cube, where the tail bound is not proved
+        ({"x0": [float("nan")]}, "'x0'"),  # json reads a NaN literal
     ],
 )
 def test_config_loader_names_offending_field(fields, needle):
     with pytest.raises(ValueError, match=needle):
         exps.load_config({**TAIL_CONFIG, **fields})
+
+
+def test_config_loader_accepts_exactly_the_config_fields():
+    cfg = exps.load_config(
+        {
+            **TAIL_CONFIG,
+            "trials": 7,
+            "seed": 2,
+            "t_grid": [3.0],
+            "k_list": [3],
+            "max_depth": 5,
+            "grid_eps": 1e-3,
+            "eps": 1e-2,
+            "x0": [-1.0],
+            "workers": 2,
+        }
+    )
+    assert (cfg.trials, cfg.seed, cfg.t_grid, cfg.k_list, cfg.max_depth) == (7, 2, (3.0,), (3,), 5)
+    assert (cfg.grid_eps, cfg.eps, cfg.x0, cfg.workers) == (1e-3, 1e-2, (-1.0,), 2)
+    # the kind is read from "experiment" only
+    with pytest.raises(ValueError, match="unknown field 'kind'"):
+        exps.load_config({**TAIL_CONFIG, "kind": "pv"})
 
 
 def test_tail_experiment_passes_and_rejects_small_t():
@@ -136,17 +160,6 @@ def test_separation_experiment_no_violations():
     assert rep.passed and rep.violations == 0
 
 
-def test_multi_worker_runs_match_single_worker():
-    m = gaussian_model()
-    rows1 = exps.run_tail_experiment(
-        exps.ExperimentConfig(kind="tail", model=m, trials=60, seed=9, workers=1)
-    ).rows
-    rows2 = exps.run_tail_experiment(
-        exps.ExperimentConfig(kind="tail", model=m, trials=60, seed=9, workers=2)
-    ).rows
-    assert rows1 == rows2
-
-
 SUP_D2 = ((0,), (1,), (2,))
 SUP_D64 = ((0,), (1,), (13,), (64,))
 SUP_D33 = ((0,), (1,), (5,), (17,), (33,))
@@ -208,6 +221,60 @@ def test_csv_bytes_match_golden(tmp_path, golden):
     out = tmp_path / "report.csv"
     exps.emit_csv(rep, out)
     assert out.read_bytes() == open(os.path.join(GOLDEN, f"{golden}.csv"), "rb").read()
+    # the flag is not in the CSV: only the two runs with too many excluded trials carry
+    # it, and a flagged run does not pass even when its checks hold
+    flagged = golden in ("pv_flagged_seed5", "descartes_incomplete_seed6")
+    assert (rep.flagged, rep.passed) == (flagged, not flagged)
+
+
+MULTI_WORKER_CONFIGS = {
+    "tail": {"kind": "tail", "model": gaussian_model(), "trials": 60, "seed": 9},
+    "pv": GOLDEN_CONFIGS["pv_seed5"],
+    "descartes": GOLDEN_CONFIGS["descartes_incomplete_seed6"],
+    "separation": GOLDEN_CONFIGS["separation_seed7"],
+}
+
+
+@pytest.mark.parametrize("kind", list(MULTI_WORKER_CONFIGS))
+def test_multi_worker_runs_match_single_worker(kind):
+    one, two = (
+        exps.run_experiment(exps.ExperimentConfig(**MULTI_WORKER_CONFIGS[kind], workers=workers))
+        for workers in (1, 2)
+    )
+    assert one.rows == two.rows
+    assert one.summary == two.summary
+    assert (one.violations, one.excluded, one.flagged, one.passed) == (
+        two.violations, two.excluded, two.flagged, two.passed
+    )
+
+
+def test_separation_counts_failed_trial_checks(monkeypatch):
+    # trial 0 fails its real-root check, trial 1 loses its oracle, trial 2 fails its eps check
+    outcomes = [(5.0, 0.1, 0.5, 0.2, 0.1), None, (5.0, 0.6, 0.5, 0.05, 0.1)]
+    monkeypatch.setattr(exps, "_separation_trial", lambda args: outcomes[args[1]])
+    cfg = exps.ExperimentConfig(kind="separation", model=gaussian_model(), trials=3, seed=1)
+    rep = exps.run_separation_experiment(cfg)
+    assert (rep.violations, rep.excluded, rep.flagged, rep.passed) == (2, 1, True, False)
+    assert [(r["trial"], r["stat_name"], r["pass"]) for r in rep.rows] == [
+        (0, "kappa_upper", ""), (0, "delta", 0), (0, "delta_eps", 1),
+        (1, "oracle_failed", ""),
+        (2, "kappa_upper", ""), (2, "delta", 1), (2, "delta_eps", 0),
+        (-1, "violations", 0),
+    ]
+    assert rep.summary["violations"] == {"value": 2, "excluded": 1, "bound": 0, "pass": False}
+
+
+def test_mean_check_reads_no_values_as_inf_and_one_value_with_zero_stderr():
+    cfg = exps.ExperimentConfig(kind="pv", model=gaussian_model(SUP_D2), trials=2, seed=4)
+    report = exps.ExperimentReport(kind="pv")
+    exps._mean_check(report, cfg, "none", [], 1e9)
+    exps._mean_check(report, cfg, "one", [5], 5.0)
+    exps._mean_check(report, cfg, "two", [1, 3], 4.0)  # 2 + 3 * 1 > 4
+    assert report.summary["none"] == {"value": math.inf, "stderr": 0.0, "bound": 1e9, "pass": False}
+    assert report.summary["one"] == {"value": 5.0, "stderr": 0.0, "bound": 5.0, "pass": True}
+    assert report.summary["two"]["stderr"] == 1.0 and not report.summary["two"]["pass"]
+    assert report.violations == 2
+    assert [row["pass"] for row in report.rows] == [0, 1, 0]
 
 
 def test_svg_bytes_match_golden(tmp_path):
