@@ -20,7 +20,7 @@ import numpy as np
 
 from . import random as models
 from .condition import global_condition, local_condition
-from .poly import _is_int, _is_number, _read_json_object
+from .poly import _is_int, _is_number, _read_json_object, _reject_unknown_fields
 from .pv import SubdivisionReport, pv_subdivide
 from .univariate import (
     OracleFailedError,
@@ -67,6 +67,11 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # the tail bound is proved only on the cube; -1 <= nan is False
+        if self.x0 is not None and (
+            len(self.x0) != self.model.n or not all(-1.0 <= v <= 1.0 for v in self.x0)
+        ):
+            raise ValueError(f"field 'x0' must be a point of [-1, 1]^{self.model.n}")
 
 
 @dataclass
@@ -313,9 +318,10 @@ def emit_csv(report: ExperimentReport, path) -> None:
 
 
 _SVG_COLORS = {"value": "#4477aa", "gradient": "#ee6677"}
+_SVG_SIZE = 640  # pixels per side
 
 
-def emit_svg(report: SubdivisionReport, path, size: int = 640) -> None:
+def emit_svg(report: SubdivisionReport, path) -> None:
     """Draw a planar subdivision: one rectangle per final box, in box order.
 
     Boxes accepted by the value clause are blue, by the gradient clause
@@ -323,7 +329,7 @@ def emit_svg(report: SubdivisionReport, path, size: int = 640) -> None:
     """
     if report.final_midpoints.shape[1] != 2:
         raise ValueError("svg rendering requires a planar (n = 2) subdivision")
-    margin = 10.0
+    size, margin = _SVG_SIZE, 10.0
     span = size - 2.0 * margin
 
     def tx(u):
@@ -361,9 +367,7 @@ def load_config(source) -> ExperimentConfig:
     """
     obj = _read_json_object(source, "experiment config")
     known = {f.name for f in fields(ExperimentConfig)} - {"kind"} | {"experiment"}
-    extras = set(obj) - known
-    if extras:
-        raise ValueError(f"experiment config: unknown field '{sorted(extras)[0]}'")
+    _reject_unknown_fields(obj, known, "experiment config")
     if "experiment" not in obj:
         raise ValueError("experiment config: missing field 'experiment'")
     if obj["experiment"] not in EXPERIMENT_KINDS:
@@ -394,11 +398,8 @@ def load_config(source) -> ExperimentConfig:
                     f"experiment config: field '{key}' must be a nonempty list of {entries}"
                 )
             kwargs[key] = tuple(convert(v) for v in obj[key])
-    if "x0" in obj and obj["x0"] is not None:
-        x0 = obj["x0"]
-        if not isinstance(x0, list) or len(x0) != model.n or not all(
-            _is_number(v) and -1.0 <= v <= 1.0 for v in x0  # rejects nan and inf too
-        ):
-            raise ValueError("experiment config: field 'x0' must be a point of [-1, 1]^n")
-        kwargs["x0"] = tuple(float(v) for v in x0)
+    if obj.get("x0") is not None:
+        if not isinstance(obj["x0"], list) or not all(map(_is_number, obj["x0"])):
+            raise ValueError("experiment config: field 'x0' must be a list of numbers")
+        kwargs["x0"] = tuple(float(v) for v in obj["x0"])
     return ExperimentConfig(kind=obj["experiment"], model=model, **kwargs)

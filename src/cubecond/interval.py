@@ -24,7 +24,6 @@ __all__ = [
     "sample_boxes",
     "interval_f",
     "interval_grad_norm",
-    "predicate_clause",
 ]
 
 
@@ -87,25 +86,20 @@ def interval_grad_norm(f: SparsePolynomial, box: BoxN) -> Interval:
     return Interval(max(0.0, center - radius), center + radius)
 
 
-def predicate_clause(f: SparsePolynomial, box: BoxN):
-    """Which clause of the effective exclusion test the box passes, if any.
+def predicate_clause_batch(f: SparsePolynomial, midpoints, widths) -> np.ndarray:
+    """Which clause of the effective exclusion test each box passes, as an
+    integer array with one code per row of ``midpoints`` (N, n).
 
-    Returns "value" when |f(m)| > d*norm1(f)*w/2 (f cannot vanish on the
-    box), "gradient" when norm1(d_m f) > sqrt(2n)*d^2*norm1(f)*w/2 (the
-    gradient field cannot turn on the box), and None when neither strict
-    inequality holds.
+    The code is 1 ("value") when |f(m)| > d*norm1(f)*w/2, so f cannot vanish
+    on the box; 2 ("gradient") when norm1(d_m f) > sqrt(2n)*d^2*norm1(f)*w/2,
+    so the gradient field cannot turn on the box; and 0 when neither strict
+    inequality holds.  ``widths`` is an (N,) array or one width shared by all
+    boxes.
     """
-    return predicate_clause_batch(f, np.array([box.midpoint]), box.width)[0]
-
-
-def predicate_clause_batch(f: SparsePolynomial, midpoints, widths) -> list:
-    """predicate_clause for each row of ``midpoints`` (N, n), one entry per box;
-    ``widths`` is an (N,) array or one width shared by all boxes."""
     value_radii, grad_radii = _exclusion_radii(f, np.asarray(widths) / 2)
     values, grads = value_and_gradient_batch(f, midpoints)
-    values_pass = np.abs(values) > value_radii
     grads_pass = np.abs(grads).sum(axis=1) > grad_radii
-    return np.where(values_pass, "value", np.where(grads_pass, "gradient", None)).tolist()
+    return np.where(np.abs(values) > value_radii, 1, 2 * grads_pass)
 
 
 def split_boxes(midpoints: np.ndarray, width: float) -> tuple[np.ndarray, float]:

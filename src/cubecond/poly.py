@@ -385,9 +385,16 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+def _reject_unknown_fields(obj: dict, known, what: str) -> None:
+    extras = set(obj) - set(known)
+    if extras:
+        raise ValueError(f"{what}: unknown field '{sorted(extras)[0]}'")
+
+
 def load_polynomial(source) -> SparsePolynomial:
     """Read a polynomial from a JSON file path, file object or parsed dict."""
     obj = _read_json_object(source, "polynomial file")
+    _reject_unknown_fields(obj, ("n", "terms"), "polynomial file")
     if "n" not in obj:
         raise ValueError("polynomial file: missing field 'n'")
     n = obj["n"]
@@ -402,6 +409,7 @@ def load_polynomial(source) -> SparsePolynomial:
         where = f"terms[{idx}]"
         if not isinstance(t, dict) or "alpha" not in t or "c" not in t:
             raise ValueError(f"polynomial file: {where} must be an object with 'alpha' and 'c'")
+        _reject_unknown_fields(t, ("alpha", "c"), f"polynomial file: {where}")
         alpha = t["alpha"]
         if not isinstance(alpha, list) or len(alpha) != n:
             raise ValueError(f"polynomial file: {where}.alpha must be a list of length n={n}")

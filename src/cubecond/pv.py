@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _VERIFY_CHUNK_POINTS = 2 ** 13  # sample points per evaluation in verify_output_boxes
+_CLAUSE_NAMES = (None, "value", "gradient")  # indexed by predicate_clause_batch codes
 
 
 @dataclass
@@ -71,17 +72,18 @@ def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
         raise ValueError(f"max_depth must lie in [1, 50], got {max_depth}")
     # each level's predicate evaluations run as a single vectorised batch
     midpoints, width = np.zeros((1, f.n)), 2.0
-    final_midpoints, final_widths, final_clauses, counts = [], [], [], []
+    final_midpoints, final_widths, final_codes, counts = [], [], [], []
     while True:
         counts.append(len(midpoints))
-        clauses = predicate_clause_batch(f, midpoints, width)
-        passed = np.array([clause is not None for clause in clauses])
-        final_clauses += [clause for clause in clauses if clause is not None]
+        codes = predicate_clause_batch(f, midpoints, width)
+        passed = codes > 0
+        final_codes.append(codes[passed])
         final_midpoints.append(midpoints[passed])
         final_widths.append(np.full(np.count_nonzero(passed), width))
         if passed.all() or len(counts) > max_depth:
             break
         midpoints, width = split_boxes(midpoints[~passed], width)
+    final_clauses = [_CLAUSE_NAMES[code] for code in np.concatenate(final_codes).tolist()]
     return SubdivisionReport(
         np.concatenate(final_midpoints), np.concatenate(final_widths), final_clauses,
         processed_count=sum(counts), max_depth_reached=len(counts) - 1,

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .poly import SparsePolynomial, _is_int, _is_number, _read_json_object, new_sparse, norm1
+from .poly import SparsePolynomial, new_sparse, norm1
+from .poly import _is_int, _is_number, _read_json_object, _reject_unknown_fields
 
 __all__ = [
     "Gaussian",
@@ -45,7 +46,6 @@ __all__ = [
     "moment_bound_kappa_n_p",
     "descartes_moment_bound",
     "load_model",
-    "model_to_dict",
 ]
 
 
@@ -502,20 +502,5 @@ def load_model(source) -> RandomModel:
     p = obj.get("p", 2)
     if not _is_number(p) or p < 1:
         raise ValueError(f"model file: field 'p' must be a number >= 1, got {p!r}")
-    extras = set(obj) - {"n", "support", "dist", "p"}
-    if extras:
-        raise ValueError(f"model file: unknown field '{sorted(extras)[0]}'")
+    _reject_unknown_fields(obj, ("n", "support", "dist", "p"), "model file")
     return RandomModel(n=n, support=tuple(support), dist=dist, p=float(p))
-
-
-def model_to_dict(model: RandomModel) -> dict:
-    dist = {"kind": model.dist.kind}
-    for key, value in vars(model.dist).items():
-        dist[key] = value
-    out = {
-        "n": model.n,
-        "support": [list(a) for a in model.support],
-        "dist": dist,
-        "p": model.p,
-    }
-    return out

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 MAX_DENSE_DEGREE = 512
+_ABERTH_TOL = 1e-12  # relative residual target of _aberth
 
 
 class HypothesisViolatedError(ValueError):
@@ -316,7 +317,7 @@ def _newton_polygon_starts(c, rng) -> tuple[np.ndarray, np.ndarray]:
     return radii * np.exp(1j * angles), radii
 
 
-def _aberth(dense, max_sweeps: int = 1000, tol: float = 1e-12) -> tuple[np.ndarray, int]:
+def _aberth(dense, max_sweeps: int = 1000) -> tuple[np.ndarray, int]:
     """All complex roots of an ascending dense coefficient vector, and the
     number of correction sweeps they took (0 when no iteration was needed).
 
@@ -324,7 +325,7 @@ def _aberth(dense, max_sweeps: int = 1000, tol: float = 1e-12) -> tuple[np.ndarr
     The rest start on the circles of the Newton polygon of the coefficients
     (Bini 1996, as in MPSolve), with deterministic angular jitter (fixed
     seed), and the Aberth-Ehrlich correction runs until every residual
-    satisfies |p(z)| <= tol * sum|c| * max(1, |z|)^D; the max(1, |z|)^D
+    satisfies |p(z)| <= _ABERTH_TOL * sum|c| * max(1, |z|)^D; the max(1, |z|)^D
     factor keeps the target achievable in double precision for roots outside
     the unit disk.  A root that meets its target is frozen: later sweeps correct only
     the others, which are still repelled by every root.  Raises
@@ -355,7 +356,7 @@ def _aberth(dense, max_sweeps: int = 1000, tol: float = 1e-12) -> tuple[np.ndarr
         # a root whose residual meets the target is frozen; it still repels
         za = z[active]
         pz = _horner(c, za)
-        target = tol * scale_norm * np.maximum(1.0, np.abs(za)) ** degree
+        target = _ABERTH_TOL * scale_norm * np.maximum(1.0, np.abs(za)) ** degree
         moving = ~(np.abs(pz) <= target)
         if not moving.any():
             return np.concatenate([origin, z]), sweep

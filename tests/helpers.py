@@ -1,5 +1,7 @@
-"""Shared test helpers: random sparse polynomials and formal coefficient math."""
+"""Shared test helpers: random sparse polynomials, formal coefficient math and
+the exclusion clause of a box read from the public enclosures."""
 
+from cubecond.interval import interval_f, interval_grad_norm
 from cubecond.poly import SparsePolynomial, new_sparse
 
 
@@ -53,3 +55,16 @@ def directional_derivative(f: SparsePolynomial, v):
     from cubecond.poly import partial_derivative
 
     return lin_comb(f.n, [(float(v[i]), partial_derivative(f, i)) for i in range(f.n)])
+
+
+def reference_clause(f, box):
+    """The exclusion clause the box passes, read off the public enclosures
+    rather than the batch predicate: "value" when the range enclosure of f
+    excludes 0 strictly, "gradient" when the gradient-norm enclosure has a
+    positive lower end, None otherwise."""
+    values = interval_f(f, box)
+    if values.lo > 0.0 or values.hi < 0.0:
+        return "value"
+    if interval_grad_norm(f, box).lo > 0.0:
+        return "gradient"
+    return None

@@ -16,9 +16,9 @@ from cubecond.condition import (
     local_condition,
     local_size_bound,
 )
-from cubecond.interval import BoxN, predicate_clause
+from cubecond.interval import BoxN
 from cubecond.poly import evaluate, gradient, new_sparse, norm1, to_dense
-from helpers import lin_comb, random_poly
+from helpers import lin_comb, random_poly, reference_clause
 
 X = new_sparse(1, [((1,), 1.0)])
 QUAD = new_sparse(1, [((2,), 2.0), ((0,), -1.0)])
@@ -305,7 +305,7 @@ def test_local_size_bound_is_a_local_size_bound():
     polys = [QUAD, random_poly(rng, 2, 3, 5), random_poly(rng, 1, 5, 4)]
     for f in polys:
         for box in _dyadic_boxes(f.n, 6):
-            if predicate_clause(f, box) is not None:
+            if reference_clause(f, box) is not None:
                 continue
             for x in box.sample(rng, 8):
                 assert box.width ** f.n >= local_size_bound(f, x) * (1 - 1e-9)

@@ -68,6 +68,13 @@ def test_config_loader_names_offending_field(fields, needle):
         exps.load_config({**TAIL_CONFIG, **fields})
 
 
+@pytest.mark.parametrize("x0", [(3.0,), (float("nan"),), (0.1, 0.2)])
+def test_config_rejects_x0_off_the_cube(x0):
+    # the tail bound is proved only on the cube, however the config is built
+    with pytest.raises(ValueError, match="'x0'"):
+        exps.ExperimentConfig(kind="tail", model=gaussian_model(), trials=50, seed=1, x0=x0)
+
+
 def test_config_loader_accepts_exactly_the_config_fields():
     cfg = exps.load_config(
         {

@@ -7,12 +7,12 @@ from cubecond.interval import (
     BoxN,
     interval_f,
     interval_grad_norm,
-    predicate_clause,
+    predicate_clause_batch,
     sample_boxes,
     split_boxes,
 )
 from cubecond.poly import evaluate_batch, gradient_batch, new_sparse
-from helpers import lin_comb, random_poly
+from helpers import lin_comb, random_poly, reference_clause
 
 X = new_sparse(1, [((1,), 1.0)])
 QUAD = new_sparse(1, [((2,), 2.0), ((0,), -1.0)])
@@ -82,9 +82,53 @@ def test_child_interval_radius_halves_exactly():
         assert f.degree * norm1(f) * child_width / 2 == parent_radius / 2
 
 
+CODES = {None: 0, "value": 1, "gradient": 2}
+
+
+def codes_of(f, boxes):
+    """predicate_clause_batch on BoxN objects, each with its own width."""
+    return predicate_clause_batch(
+        f, np.array([b.midpoint for b in boxes]), np.array([b.width for b in boxes])
+    )
+
+
+def test_predicate_codes_are_an_integer_array():
+    codes = predicate_clause_batch(X, np.array([[0.0], [-0.75], [0.0]]), np.array([2.0, 0.5, 0.5]))
+    assert isinstance(codes, np.ndarray) and codes.dtype.kind == "i"
+    assert codes.tolist() == [0, 1, 2]
+    # one width shared by every box
+    assert predicate_clause_batch(X, np.array([[-0.75], [0.0]]), 0.5).tolist() == [1, 2]
+
+
 def test_predicate_examples():
-    assert predicate_clause(LINE2, CUBE2) is None
-    assert predicate_clause(LINE2, BoxN((0.5, 0.5), 0.5)) is not None
+    # each inequality is strict, so a box on a radius does not pass that clause
+    for f, box, code in [
+        (LINE2, CUBE2, 0),
+        (LINE2, BoxN((0.5, 0.5), 0.5), 1),
+        (X, BoxN((0.75,), 0.5), 1),  # |0.75| > 0.25
+        # value tie |0.5| == 1 * 1 * 0.5; the gradient 1 > sqrt(2) * 0.5 passes
+        (X, BoxN((0.5,), 1.0), 2),
+        # gradient tie 2 == sqrt(4) * 1 * 2 * 0.5, value 0 fails
+        (LINE2, BoxN((0.5, -0.5), 1.0), 0),
+        # both tie: |f(m)| == 1 == d * norm1 * w/2 and 2 == 2
+        (LINE2, BoxN((0.5, 0.5), 1.0), 0),
+        (LINE2, BoxN((0.25, -0.25), 0.5), 2),
+    ]:
+        assert codes_of(f, [box]).tolist() == [code]
+        assert CODES[reference_clause(f, box)] == code
+
+
+def test_predicate_codes_match_enclosures():
+    rng = np.random.default_rng(16)
+    seen = set()
+    for _ in range(100):
+        n = int(rng.integers(1, 4))
+        f = random_poly(rng, n, 3, 4)  # low degree, so some boxes pass by the gradient
+        boxes = [random_box(rng, n) for _ in range(10)]
+        codes = codes_of(f, boxes).tolist()
+        assert codes == [CODES[reference_clause(f, box)] for box in boxes]
+        seen.update(codes)
+    assert seen == {0, 1, 2}
 
 
 def test_predicate_implies_exclusion_semantics():
@@ -96,7 +140,7 @@ def test_predicate_implies_exclusion_semantics():
         n = int(rng.integers(1, 3))
         f = random_poly(rng, n, 6, 6)
         box = random_box(rng, n)
-        if predicate_clause(f, box) is None:
+        if codes_of(f, [box])[0] == 0:
             continue
         checked += 1
         points = box.sample(rng, 100)
@@ -112,10 +156,10 @@ def test_predicate_scale_invariance():
     for _ in range(50):
         n = int(rng.integers(1, 3))
         f = random_poly(rng, n, 6, 6)
-        box = random_box(rng, n)
+        boxes = [random_box(rng, n)]
         for c in (3.7, -0.002, -41.0):
             scaled = lin_comb(n, [(c, f)])
-            assert predicate_clause(scaled, box) == predicate_clause(f, box)
+            assert codes_of(scaled, boxes).tolist() == codes_of(f, boxes).tolist()
 
 
 def test_split_boxes_1d():

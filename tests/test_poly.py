@@ -362,6 +362,9 @@ def test_json_round_trip(tmp_path):
         ({"n": 1, "terms": [{"alpha": [0], "c": False}]}, ".c"),
         # open() would take an integer as a file descriptor; 0 reads stdin
         (0, "polynomial file"),
+        ({"n": 1, "terms": [{"alpha": [1], "c": 1.0}], "extra": 1}, "unknown field 'extra'"),
+        ({"n": 1, "terms": [{"alpha": [1], "c": 1.0, "typo": 3}]},
+         "terms[0]: unknown field 'typo'"),
     ],
 )
 def test_loader_names_offending_field(payload, needle):

@@ -6,7 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from cubecond.interval import BoxN, predicate_clause
+from cubecond.interval import BoxN
 from cubecond.poly import new_sparse
 from cubecond.pv import (
     _VERIFY_CHUNK_POINTS,
@@ -15,7 +15,7 @@ from cubecond.pv import (
     pv_subdivide,
     verify_output_boxes,
 )
-from helpers import random_poly
+from helpers import random_poly, reference_clause
 
 X = new_sparse(1, [((1,), 1.0)])
 LINE2 = new_sparse(2, [((1, 0), 1.0), ((0, 1), 1.0)])
@@ -27,13 +27,14 @@ DOUBLED_CIRCLE = new_sparse(2, [((4, 0), 1.0), ((2, 2), 2.0), ((0, 4), 1.0),
 
 
 def reference_subdivide(f, max_depth):
-    """The per-box FIFO worklist of BoxN objects that pv_subdivide batches by level."""
+    """The per-box FIFO worklist of BoxN objects that pv_subdivide batches by
+    level, with each box's clause read off the public enclosures."""
     queue = deque([(BoxN((0.0,) * f.n, 2.0), 0)])
     final, clauses, counts, terminated = [], [], [0] * (max_depth + 1), True
     while queue:
         box, depth = queue.popleft()
         counts[depth] += 1
-        clause = predicate_clause(f, box)
+        clause = reference_clause(f, box)
         if clause is not None:
             final.append(box)
             clauses.append(clause)
