@@ -36,7 +36,6 @@ from .poly import (
     derivative_norm_bound,
     evaluate,
     gradient,
-    lipschitz_constants,
     load_polynomial,
     new_sparse,
     norm1,
@@ -51,7 +50,6 @@ from .univariate import (
     descartes_isolate,
     eps_separation_lower_bound,
     js_condition_bound,
-    js_runtime_bound,
     separation_lower_bound,
     separation_oracle,
     sign_variations,

@@ -126,8 +126,8 @@ def _cmd_condition(args) -> int:
             args.pretty,
         )
     else:
-        if len(args.point) != f.n:
-            raise ValueError(f"--point needs {f.n} coordinates, got {len(args.point)}")
+        if len(args.point) != f.n or not all(map(math.isfinite, args.point)):
+            raise ValueError(f"--point needs {f.n} finite coordinates, got {args.point}")
         _emit({"kappa": local_condition(f, args.point)}, args.pretty)
     return 0
 
@@ -199,7 +199,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_experiment(args) -> int:
     # seed precedence: --seed flag, then the config file, then CUBECOND_SEED/default
-    obj = _read_json_object(args.config, "experiment config")
+    obj = _read_json_object(args.config, "experiment config", exps._CONFIG_FIELDS)
     seed = args.seed if args.seed is not None or "seed" in obj else _default_seed()
     overrides = {"seed": seed, "workers": args.workers}
     cfg = exps.load_config(obj)

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import random as models
 from .condition import global_condition, local_condition
-from .poly import _is_int, _is_number, _read_json_object, _reject_unknown_fields
+from .poly import _build, _field, _is_int, _is_number, _list_of, _read_json_object
 from .pv import SubdivisionReport, pv_subdivide
 from .univariate import (
     OracleFailedError,
@@ -170,10 +170,13 @@ def _tail_summary(report, cfg, outcomes):
     # no tail trial is excluded, so the excluded row and share are never read
     kappas = _trial_rows(report, cfg, outcomes, lambda kappa: [("kappa_at_x0", kappa)], None, 0.0)
     kappas = np.asarray(kappas)
+    # a heavy-tailed law has no subgaussian K, and the K-bound is then 1 at every t
+    heavy = math.isinf(models.model_constants(cfg.model).K)
+    tail_bound = models.tail_bound_local_p if heavy else models.tail_bound_local
     for t in cfg.t_grid:
         survival = float(np.mean(kappas >= t))
         stderr = math.sqrt(max(survival * (1.0 - survival), 0.0) / cfg.trials)
-        bound = models.tail_bound_local(cfg.model, t, clamp=True)
+        bound = tail_bound(cfg.model, t, clamp=True)
         ok = survival - 3.0 * stderr <= bound
         _aggregate(report, cfg, f"survival_t={t:.6g}", survival, bound, ok, stderr=stderr)
 
@@ -360,46 +363,36 @@ def emit_svg(report: SubdivisionReport, path) -> None:
 # config files: the model description plus engine knobs
 # ---------------------------------------------------------------------------
 
+def _floats(values):
+    return None if values is None else tuple(map(float, values))
+
+
+_INTEGER = (_is_int, "an integer", int)
+_NUMBER = (_is_number, "a finite number", float)
+# (check, expected, convert) for each optional field of a config file
+_CONFIG_TABLE = {
+    "trials": _INTEGER, "seed": _INTEGER, "max_depth": _INTEGER, "workers": _INTEGER,
+    "grid_eps": _NUMBER, "eps": _NUMBER,
+    "t_grid": (lambda v: v and _list_of(_is_number)(v), "a nonempty list of finite numbers",
+               _floats),
+    "k_list": (lambda v: v and _list_of(_is_int)(v), "a nonempty list of integers", tuple),
+    "x0": (lambda v: v is None or _list_of(_is_number)(v), "a list of finite numbers", _floats),
+}
+_CONFIG_FIELDS = {"experiment", "model", *_CONFIG_TABLE}
+
+
 def load_config(source) -> ExperimentConfig:
     """Read an ExperimentConfig from a JSON file path, file object or dict.
 
     The fields are those of ExperimentConfig, with ``experiment`` for ``kind``.
     """
-    obj = _read_json_object(source, "experiment config")
-    known = {f.name for f in fields(ExperimentConfig)} - {"kind"} | {"experiment"}
-    _reject_unknown_fields(obj, known, "experiment config")
-    if "experiment" not in obj:
-        raise ValueError("experiment config: missing field 'experiment'")
-    if obj["experiment"] not in EXPERIMENT_KINDS:
-        raise ValueError(
-            f"experiment config: field 'experiment' must be one of {EXPERIMENT_KINDS}"
-        )
-    if "model" not in obj:
-        raise ValueError("experiment config: missing field 'model'")
-    model = models.load_model(obj["model"])
-    kwargs = {}
-    for key in ("trials", "max_depth", "seed", "workers"):
-        if key in obj:
-            if not _is_int(obj[key]):
-                raise ValueError(f"experiment config: field '{key}' must be an integer")
-            kwargs[key] = obj[key]
-    for key in ("grid_eps", "eps"):
-        if key in obj:
-            if not _is_number(obj[key]):
-                raise ValueError(f"experiment config: field '{key}' must be a number")
-            kwargs[key] = float(obj[key])
-    for key, is_entry, convert, entries in (
-        ("t_grid", _is_number, float, "numbers"),
-        ("k_list", _is_int, int, "integers"),
-    ):
-        if key in obj:
-            if not isinstance(obj[key], list) or not obj[key] or not all(map(is_entry, obj[key])):
-                raise ValueError(
-                    f"experiment config: field '{key}' must be a nonempty list of {entries}"
-                )
-            kwargs[key] = tuple(convert(v) for v in obj[key])
-    if obj.get("x0") is not None:
-        if not isinstance(obj["x0"], list) or not all(map(_is_number, obj["x0"])):
-            raise ValueError("experiment config: field 'x0' must be a list of numbers")
-        kwargs["x0"] = tuple(float(v) for v in obj["x0"])
-    return ExperimentConfig(kind=obj["experiment"], model=model, **kwargs)
+    what = "experiment config"
+    obj = _read_json_object(source, what, _CONFIG_FIELDS)
+    kind = _field(obj, "experiment", what, lambda v: isinstance(v, str), "a string")
+    model = models.load_model(_field(obj, "model", what, lambda v: True, "a model"))
+    kwargs = {
+        name: convert(_field(obj, name, what, check, expected))
+        for name, (check, expected, convert) in _CONFIG_TABLE.items()
+        if name in obj
+    }
+    return _build(what, ExperimentConfig, kind=kind, model=model, **kwargs)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+import reprlib
+from dataclasses import MISSING, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "value_and_gradient_batch",
     "partial_derivative",
     "derivative_norm_bound",
-    "lipschitz_constants",
     "to_dense",
     "load_polynomial",
     "polynomial_to_dict",
@@ -129,23 +129,25 @@ def new_sparse(n, terms) -> SparsePolynomial:
     """Build a canonical polynomial from (exponent vector, coefficient) pairs.
 
     Duplicate exponent vectors are merged by summing their coefficients.
-    Exponents must be nonnegative integers of length ``n``.  An empty term
-    list gives the zero polynomial.
+    Exponents must be nonnegative integers of length ``n`` and coefficients
+    finite.  An empty term list gives the zero polynomial.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     merged: dict[tuple, float] = {}
     order: list[tuple] = []
-    for alpha, c in terms:
-        alpha = tuple(int(a) for a in alpha)
+    for idx, (alpha, c) in enumerate(terms):
+        alpha, c = tuple(int(a) for a in alpha), float(c)
         if len(alpha) != n:
-            raise ValueError(f"exponent {alpha} has length {len(alpha)}, expected n={n}")
+            raise ValueError(f"terms[{idx}].alpha {alpha} has length {len(alpha)}, expected n={n}")
         if any(a < 0 for a in alpha):
-            raise ValueError(f"exponent {alpha} has a negative entry")
+            raise ValueError(f"terms[{idx}].alpha {alpha} has a negative entry")
+        if not math.isfinite(c):
+            raise ValueError(f"terms[{idx}].c must be finite, got {c}")
         if alpha in merged:
-            merged[alpha] += float(c)
+            merged[alpha] += c
         else:
-            merged[alpha] = float(c)
+            merged[alpha] = c
             order.append(alpha)
     if order:
         exponents = np.array(order, dtype=np.int64).reshape(len(order), n)
@@ -306,16 +308,6 @@ def derivative_norm_bound(f: SparsePolynomial, k: int) -> float:
     return math.comb(f.degree, k) * norm1(f)
 
 
-def lipschitz_constants(f: SparsePolynomial) -> tuple[float, float]:
-    """Lipschitz constants (d * norm1, d^2 * norm1) on the unit cube.
-
-    The first bounds the variation of x -> |f(x)|, the second of
-    x -> norm1 of the gradient covector, both w.r.t. the infinity norm.
-    """
-    nf = norm1(f)
-    return (f.degree * nf, f.degree ** 2 * nf)
-
-
 def to_dense(f: SparsePolynomial) -> np.ndarray:
     """Ascending dense coefficient vector of a univariate polynomial.
 
@@ -357,23 +349,56 @@ def _horner(dense, x):
 
 
 # ---------------------------------------------------------------------------
-# JSON file format: {"n": 2, "terms": [{"alpha": [0, 0], "c": 1.0}, ...]}
+# JSON files.  Each loader reads every field through ``_field``, which checks
+# its JSON type only; the value rules live in the constructor the loader calls.
+#   polynomial file: {"n": 2, "terms": [{"alpha": [0, 0], "c": 1.0}, ...]}
 # ---------------------------------------------------------------------------
 
-def _read_json_object(source, what: str) -> dict:
-    """The JSON object in a file path, file object or parsed dict; ``what`` prefixes errors."""
+def _read_json_object(source, what: str, known) -> dict:
+    """The JSON object in a file path, file object or dict, with no field outside ``known``."""
     if isinstance(source, dict):
-        return source
-    if isinstance(source, int):  # open() would read it as a file descriptor
+        obj = source
+    elif isinstance(source, int):  # open() would read it as a file descriptor
         raise ValueError(f"{what}: expected an object or a path, got {source!r}")
-    if hasattr(source, "read"):
+    elif hasattr(source, "read"):
         obj = json.load(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError(f"{what}: top-level value must be an object")
+    extras = set(obj) - set(known)
+    if extras:
+        raise ValueError(f"{what}: unknown field '{sorted(extras)[0]}'")
     return obj
+
+
+def _field(obj: dict, name: str, what: str, check, expected: str, default=MISSING):
+    """The field ``name`` of ``obj``, which must pass ``check``; ``what`` prefixes errors.
+
+    A dotted or indexed name such as 'dist.sd' or 'terms[0].c' reads the part
+    after the last dot, and errors name it in full.  An absent field takes
+    ``default``; with none (``MISSING``, as for a dataclass field without a
+    default) it is an error.
+    """
+    key = name.rsplit(".", 1)[-1]
+    if key not in obj:
+        if default is MISSING:
+            raise ValueError(f"{what}: missing field '{name}'")
+        return default
+    value = obj[key]
+    if not check(value):
+        got = reprlib.repr(value)  # a long list is cut short
+        raise ValueError(f"{what}: field '{name}' must be {expected}, got {got}")
+    return value
+
+
+def _build(what: str, constructor, *args, **kwargs):
+    """``constructor(*args, **kwargs)``, with ``what`` prefixed to the ValueError of a value rule."""
+    try:
+        return constructor(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _is_int(value) -> bool:
@@ -382,46 +407,36 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    # JSON NaN, Infinity and -Infinity load as floats, and an integer past the
+    # float range overflows; none of them is a number here
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
 
 
-def _reject_unknown_fields(obj: dict, known, what: str) -> None:
-    extras = set(obj) - set(known)
-    if extras:
-        raise ValueError(f"{what}: unknown field '{sorted(extras)[0]}'")
+def _is_object(value) -> bool:
+    return isinstance(value, dict)
+
+
+def _list_of(check):
+    """A check that passes a list whose entries all pass ``check``."""
+    return lambda value: isinstance(value, list) and all(map(check, value))
 
 
 def load_polynomial(source) -> SparsePolynomial:
     """Read a polynomial from a JSON file path, file object or parsed dict."""
-    obj = _read_json_object(source, "polynomial file")
-    _reject_unknown_fields(obj, ("n", "terms"), "polynomial file")
-    if "n" not in obj:
-        raise ValueError("polynomial file: missing field 'n'")
-    n = obj["n"]
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"polynomial file: field 'n' must be a positive integer, got {n!r}")
-    if "terms" not in obj:
-        raise ValueError("polynomial file: missing field 'terms'")
-    if not isinstance(obj["terms"], list):
-        raise ValueError("polynomial file: field 'terms' must be a list")
-    terms = []
-    for idx, t in enumerate(obj["terms"]):
+    what = "polynomial file"
+    obj = _read_json_object(source, what, ("n", "terms"))
+    n = _field(obj, "n", what, _is_int, "an integer")
+    terms = _field(obj, "terms", what, _list_of(_is_object), "a list of objects")
+    pairs = []
+    for idx, term in enumerate(terms):
         where = f"terms[{idx}]"
-        if not isinstance(t, dict) or "alpha" not in t or "c" not in t:
-            raise ValueError(f"polynomial file: {where} must be an object with 'alpha' and 'c'")
-        _reject_unknown_fields(t, ("alpha", "c"), f"polynomial file: {where}")
-        alpha = t["alpha"]
-        if not isinstance(alpha, list) or len(alpha) != n:
-            raise ValueError(f"polynomial file: {where}.alpha must be a list of length n={n}")
-        if any(not _is_int(a) or a < 0 for a in alpha):
-            raise ValueError(f"polynomial file: {where}.alpha entries must be nonnegative integers")
-        try:
-            # float() would take JSON true/false, which are not numbers here
-            c = float(None if isinstance(t["c"], bool) else t["c"])
-        except (TypeError, ValueError):
-            raise ValueError(f"polynomial file: {where}.c must be a number") from None
-        terms.append((tuple(alpha), c))
-    return new_sparse(n, terms)
+        _read_json_object(term, f"{what}: {where}", ("alpha", "c"))
+        alpha = _field(term, f"{where}.alpha", what, _list_of(_is_int), "a list of integers")
+        pairs.append((alpha, _field(term, f"{where}.c", what, _is_number, "a finite number")))
+    return _build(what, new_sparse, n, pairs)
 
 
 def polynomial_to_dict(f: SparsePolynomial) -> dict:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import log_ndtr
 
 from .poly import SparsePolynomial, new_sparse, norm1
-from .poly import _is_int, _is_number, _read_json_object, _reject_unknown_fields
+from .poly import _build, _field, _is_int, _is_number, _is_object, _list_of, _read_json_object
 
 __all__ = [
     "Gaussian",
@@ -88,10 +88,10 @@ class Gaussian:
     sd: float = 1.0
 
     def __post_init__(self):
-        if self.sd <= 0:
-            raise ValueError("gaussian sd must be positive")
-
-    kind = "gaussian"
+        if not math.isfinite(self.mean):
+            raise ValueError(f"gaussian mean must be finite, got {self.mean}")
+        if not 0 < self.sd < math.inf:
+            raise ValueError(f"gaussian sd must be positive and finite, got {self.sd}")
 
     def draw(self, rng, size):
         return rng.normal(self.mean, self.sd, size)
@@ -111,10 +111,8 @@ class Uniform:
     hi: float = 1.0
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("uniform bounds must satisfy lo < hi")
-
-    kind = "uniform"
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"uniform needs finite lo < hi, got lo={self.lo}, hi={self.hi}")
 
     def draw(self, rng, size):
         return rng.uniform(self.lo, self.hi, size)
@@ -135,12 +133,11 @@ class WeibullSymmetric:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ValueError("weibull shape must be >= 1 (bounded density)")
-        if self.scale <= 0:
-            raise ValueError("weibull scale must be positive")
-
-    kind = "weibull_symmetric"
+        if not 1.0 <= self.p < math.inf:
+            # a shape below 1 has an unbounded density at 0
+            raise ValueError(f"weibull shape p must be finite and >= 1, got {self.p}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"weibull scale must be positive and finite, got {self.scale}")
 
     def draw(self, rng, size):
         # inverse CDF of the magnitude, then an independent random sign
@@ -159,6 +156,7 @@ class WeibullSymmetric:
         return self.scale * _weibull_tail_constant(self.p, p)
 
 
+# the "dist.kind" name of each coefficient law in a model file
 _DIST_KINDS = {"gaussian": Gaussian, "uniform": Uniform, "weibull_symmetric": WeibullSymmetric}
 
 
@@ -186,11 +184,11 @@ class RandomModel:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("n must be >= 1")
+            raise ValueError(f"n must be >= 1, got {self.n}")
         seen = set()
         for alpha in self.support:
             if len(alpha) != self.n or any(a < 0 for a in alpha):
-                raise ValueError(f"bad support exponent {alpha}")
+                raise ValueError(f"support exponent {alpha} must have {self.n} nonnegative entries")
             if alpha in seen:
                 raise ValueError(f"duplicate support exponent {alpha}")
             seen.add(alpha)
@@ -200,9 +198,9 @@ class RandomModel:
         for alpha in required:
             if alpha not in seen:
                 raise ValueError(f"support must contain {alpha}")
-        if self.p < 1.0:
-            raise ValueError("tail exponent p must be >= 1")
-        if self.scale <= 0.0:
+        if not self.p >= 1.0:
+            raise ValueError(f"tail exponent p must be >= 1, got {self.p}")
+        if not self.scale > 0.0:
             raise ValueError("scale must be positive")
         if self.offsets is not None and len(self.offsets) != len(self.support):
             raise ValueError("offsets must align with the support")
@@ -236,6 +234,8 @@ def trial_rng(seed, trial: int | None = None) -> np.random.Generator:
     experiment workers reproduce the single-worker draws exactly.
     """
     entropy = seed if trial is None else (seed, trial)
+    if min(entropy if isinstance(entropy, tuple) else (entropy,)) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {entropy!r}")
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -319,8 +319,8 @@ def smoothed_model(f0: SparsePolynomial, sigma: float, base: RandomModel) -> Ran
 # ---------------------------------------------------------------------------
 
 def _check_t(t: float, floor: float, name: str) -> None:
-    if not t >= floor:
-        raise ValueError(f"{name} requires t >= {floor:.6g}, got {t}")
+    if not floor <= t < math.inf:
+        raise ValueError(f"{name} requires a finite t >= {floor:.6g}, got {t}")
 
 
 def tail_bound_local(model: RandomModel, t: float, clamp: bool = True) -> float:
@@ -465,42 +465,18 @@ def descartes_moment_bound(model: RandomModel, k: int) -> float:
 
 def load_model(source) -> RandomModel:
     """Read a model from a JSON file path, file object or parsed dict."""
-    obj = _read_json_object(source, "model file")
-    for fieldname in ("n", "support", "dist"):
-        if fieldname not in obj:
-            raise ValueError(f"model file: missing field '{fieldname}'")
-    n = obj["n"]
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"model file: field 'n' must be a positive integer, got {n!r}")
-    if not isinstance(obj["support"], list) or not obj["support"]:
-        raise ValueError("model file: field 'support' must be a nonempty list")
-    support = []
-    for idx, alpha in enumerate(obj["support"]):
-        if (
-            not isinstance(alpha, list)
-            or len(alpha) != n
-            or any(not _is_int(a) or a < 0 for a in alpha)
-        ):
-            raise ValueError(
-                f"model file: support[{idx}] must be a list of {n} nonnegative integers"
-            )
-        support.append(tuple(alpha))
-    dist_obj = obj["dist"]
-    if not isinstance(dist_obj, dict) or "kind" not in dist_obj:
-        raise ValueError("model file: field 'dist' must be an object with a 'kind'")
-    kind = dist_obj["kind"]
-    if kind not in _DIST_KINDS:
-        raise ValueError(f"model file: dist.kind must be one of {sorted(_DIST_KINDS)}")
-    params = {k: v for k, v in dist_obj.items() if k != "kind"}
-    for key, value in params.items():
-        if not _is_number(value):
-            raise ValueError(f"model file: field 'dist.{key}' must be a number, got {value!r}")
-    try:
-        dist = _DIST_KINDS[kind](**params)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"model file: bad dist parameters: {exc}") from None
-    p = obj.get("p", 2)
-    if not _is_number(p) or p < 1:
-        raise ValueError(f"model file: field 'p' must be a number >= 1, got {p!r}")
-    _reject_unknown_fields(obj, ("n", "support", "dist", "p"), "model file")
-    return RandomModel(n=n, support=tuple(support), dist=dist, p=float(p))
+    what = "model file"
+    obj = _read_json_object(source, what, ("n", "support", "dist", "p"))
+    n = _field(obj, "n", what, _is_int, "an integer")
+    support = _field(obj, "support", what, _list_of(_list_of(_is_int)), "a list of integer lists")
+    dist_obj = _field(obj, "dist", what, _is_object, "an object")
+    kind = _field(dist_obj, "dist.kind", what, lambda v: isinstance(v, str) and v in _DIST_KINDS,
+                  f"one of {sorted(_DIST_KINDS)}")
+    law = _DIST_KINDS[kind]
+    _read_json_object(dist_obj, f"{what}: dist", ["kind"] + [f.name for f in fields(law)])
+    dist = _build(what, law, **{
+        f.name: _field(dist_obj, f"dist.{f.name}", what, _is_number, "a finite number", f.default)
+        for f in fields(law)
+    })
+    p = _field(obj, "p", what, _is_number, "a finite number", 2)
+    return _build(what, RandomModel, n=n, support=tuple(map(tuple, support)), dist=dist, p=float(p))

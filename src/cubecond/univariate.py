@@ -38,7 +38,6 @@ __all__ = [
     "tree_size_bound",
     "separation_lower_bound",
     "eps_separation_lower_bound",
-    "js_runtime_bound",
     "js_condition_bound",
 ]
 
@@ -522,21 +521,6 @@ def eps_separation_lower_bound(f: SparsePolynomial, kappa_upper: float, eps: flo
             f"hypothesis violated: eps must lie in (0, {limit:.3e}), got {eps:.3e}"
         )
     return 1.0 / (12.0 * f.degree * kappa_upper)
-
-
-def js_runtime_bound(M_size: int, d: int, norm1_f: float, L: int) -> float:
-    """Bit-operation bound shape |M|^12 * log2(d)^3 * max(log2(norm1)^2, L^2).
-
-    This evaluates the bound formula with constant 1; it is a shape, not a
-    calibrated runtime.
-    """
-    if M_size <= 0 or d <= 0 or norm1_f <= 0 or L <= 0:
-        raise ValueError("all arguments must be positive")
-    return (
-        float(M_size) ** 12
-        * math.log2(d) ** 3
-        * max(math.log2(norm1_f) ** 2, float(L) ** 2)
-    )
 
 
 def js_condition_bound(M_size: int, d: int, norm1_f: float, kappa: float) -> float:

@@ -60,6 +60,8 @@ def test_condition_global(tmp_path, capsys):
 def test_condition_wrong_point_dimension(tmp_path, capsys):
     code, _ = run(capsys, ["condition", write(tmp_path, "q.json", QUAD), "--point", "0", "0"])
     assert code == 1
+    code, _ = run(capsys, ["condition", write(tmp_path, "q.json", QUAD), "--point", "nan"])
+    assert code == 1 and "finite" in run.err
 
 
 def test_pv_line2d(tmp_path, capsys):
@@ -179,6 +181,23 @@ def test_experiment_seed_precedence(tmp_path, capsys, monkeypatch, config_seed, 
     assert {row.split(",")[1] for row in rows} == {str(expected)}
 
 
+@pytest.mark.parametrize("route", ["sample --seed", "experiment --seed", "CUBECOND_SEED"])
+def test_negative_seed_is_one_error_line_naming_the_seed(tmp_path, capsys, monkeypatch, route):
+    if route == "CUBECOND_SEED":
+        monkeypatch.setenv("CUBECOND_SEED", "-1")
+        argv = ["sample", write(tmp_path, "model.json", MODEL)]
+    elif route == "sample --seed":
+        argv = ["sample", write(tmp_path, "model.json", MODEL), "--seed", "-1"]
+    else:
+        cfg = {"experiment": "tail", "model": MODEL, "trials": 2}
+        argv = ["experiment", write(tmp_path, "cfg.json", cfg), "--out", str(tmp_path / "o"),
+                "--seed", "-3"]
+    code, out = run(capsys, argv)
+    assert code == 1 and out is None
+    assert len(run.err.splitlines()) == 1
+    assert run.err.startswith("error: seed must be a non-negative integer")
+
+
 def test_experiment_workers_flag_reaches_the_run(tmp_path, capsys, monkeypatch):
     seen = []
     real = exps.run_experiment
@@ -228,10 +247,15 @@ def test_malformed_json_names_field(tmp_path, capsys):
          "'dist.sd'"),
         ("sample", "model.json", {**MODEL, "dist": {"kind": "gaussian", "mean": "a"}},
          "'dist.mean'"),
+        # a NaN coefficient passes no predicate, so pv would split every box to the depth cap
+        ("pv", "nan.json", {**QUAD, "terms": [{"alpha": [0], "c": math.nan}]}, "'terms[0].c'"),
+        ("isolate", "inf.json", {**QUAD, "terms": [{"alpha": [0], "c": math.inf}]},
+         "'terms[0].c'"),
     ],
 )
 def test_malformed_field_type_is_one_error_line(tmp_path, capsys, command, name, obj, field):
-    extra = {"experiment": ["--out", str(tmp_path / "o")], "condition": ["--point", "0"]}
+    extra = {"experiment": ["--out", str(tmp_path / "o")], "condition": ["--point", "0"],
+             "pv": ["--max-depth", "8"]}
     extra = extra.get(command, [])
     code, out = run(capsys, [command, write(tmp_path, name, obj)] + extra)
     assert code == 1 and out is None

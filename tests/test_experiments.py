@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import os
 
@@ -75,6 +77,15 @@ def test_config_rejects_x0_off_the_cube(x0):
         exps.ExperimentConfig(kind="tail", model=gaussian_model(), trials=50, seed=1, x0=x0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["grid_eps", "eps", "t_grid"])
+def test_config_loader_rejects_non_finite_numbers(field, value):
+    payload = {**TAIL_CONFIG, field: [3.0, value] if field == "t_grid" else value}
+    # json writes and reads NaN, Infinity and -Infinity literals
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        exps.load_config(io.StringIO(json.dumps(payload)))
+
+
 def test_config_loader_accepts_exactly_the_config_fields():
     cfg = exps.load_config(
         {
@@ -106,6 +117,17 @@ def test_tail_experiment_passes_and_rejects_small_t():
     )
     with pytest.raises(ValueError):
         exps.run_tail_experiment(bad)
+
+
+def test_tail_experiment_checks_heavy_tails_against_the_p_bound():
+    # Weibull shape 1 has no subgaussian K, so the K-bound reads 1 at every t
+    m = models.RandomModel(n=1, support=SUP_D5, dist=models.WeibullSymmetric(1.0), p=1.0)
+    assert math.isinf(models.model_constants(m).K)
+    cfg = exps.ExperimentConfig(kind="tail", model=m, trials=200, seed=1, t_grid=(100.0, 1000.0))
+    rep = exps.run_tail_experiment(cfg)
+    bound = rep.summary["survival_t=1000"]["bound"]
+    assert bound == models.tail_bound_local_p(m, 1000.0) < 1.0
+    assert rep.passed
 
 
 def test_tail_experiment_bounds_do_not_depend_on_draws():

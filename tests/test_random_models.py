@@ -1,3 +1,5 @@
+import io
+import json
 import math
 
 import numpy as np
@@ -115,6 +117,24 @@ def test_weibull_constants_and_sampling():
     assert abs(np.mean(np.sign(draws))) < 5e-3
     with pytest.raises(ValueError):
         models.WeibullSymmetric(p=0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "dist, field",
+    [
+        (models.Gaussian, "mean"),
+        (models.Gaussian, "sd"),
+        (models.Uniform, "lo"),
+        (models.Uniform, "hi"),
+        (models.WeibullSymmetric, "p"),
+        (models.WeibullSymmetric, "scale"),
+    ],
+)
+def test_distributions_reject_non_finite_parameters(dist, field, value):
+    params = {"p": 1.0} if dist is models.WeibullSymmetric else {}
+    with pytest.raises(ValueError, match=field):
+        dist(**{**params, field: value})
 
 
 def test_smoothed_model_constants_and_draws():
@@ -262,3 +282,24 @@ def test_model_json_round_trip():
 def test_model_loader_names_offending_field(payload, needle):
     with pytest.raises(ValueError, match=needle):
         models.load_model(payload)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "dist, field",
+    [
+        ({"kind": "gaussian"}, "dist.mean"),
+        ({"kind": "gaussian"}, "dist.sd"),
+        ({"kind": "uniform"}, "dist.lo"),
+        ({"kind": "uniform"}, "dist.hi"),
+        ({"kind": "weibull_symmetric"}, "dist.p"),
+        ({"kind": "weibull_symmetric", "p": 1}, "dist.scale"),
+        ({"kind": "gaussian"}, "p"),
+    ],
+)
+def test_model_loader_rejects_non_finite_numbers(dist, field, value):
+    payload = {"n": 1, "support": [[0], [1]], "dist": dict(dist)}
+    (payload["dist"] if "." in field else payload)[field.split(".")[-1]] = value
+    # json writes and reads NaN, Infinity and -Infinity literals
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        models.load_model(io.StringIO(json.dumps(payload)))

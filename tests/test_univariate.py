@@ -17,7 +17,6 @@ from cubecond.univariate import (
     descartes_isolate,
     eps_separation_lower_bound,
     js_condition_bound,
-    js_runtime_bound,
     oracle_roots,
     separation_lower_bound,
     separation_oracle,
@@ -464,20 +463,7 @@ def test_separation_oracle_sweeps_counter():
     assert separation_oracle(QUAD, 0.01).sweeps > 0
 
 
-def test_js_runtime_bound():
-    value = js_runtime_bound(3, 256, 4.0, 10)
-    assert value == pytest.approx(531441 * 512 * 100, rel=1e-12)
-    assert js_runtime_bound(1, 256, 4.0, 10) == pytest.approx(512 * 100, rel=1e-12)
-    with pytest.raises(ValueError):
-        js_runtime_bound(0, 2, 1.0, 1)
-
-
 def test_js_bounds_monotone():
-    base = js_runtime_bound(3, 64, 4.0, 8)
-    assert js_runtime_bound(4, 64, 4.0, 8) >= base
-    assert js_runtime_bound(3, 128, 4.0, 8) >= base
-    assert js_runtime_bound(3, 64, 8.0, 8) >= base
-    assert js_runtime_bound(3, 64, 4.0, 9) >= base
     cond_base = js_condition_bound(3, 64, 4.0, 10.0)
     assert js_condition_bound(3, 64, 4.0, 20.0) >= cond_base
     assert js_condition_bound(3, 64, 4.0, 10.0) == pytest.approx(
