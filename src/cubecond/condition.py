@@ -8,7 +8,10 @@ with d the (clamped) degree.  kappa is scale invariant, at least 1 on the
 cube, and infinite exactly at singular zeros of f.  The global condition
 number is the maximum of kappa over the cube; here it is enclosed by
 evaluating on a finite grid and padding with the Lipschitz constant of
-x -> 1/kappa(f, x).
+x -> 1/kappa(f, x).  For n = 1 the grid scan skips, with a certificate, the
+cells that cannot hold the grid maximum (Taylor bounds at cell centres
+widened by Horner's a-priori error, in the manner of Piyavskii's Lipschitz
+pruning), so it returns the full scan's bits from a fraction of the points.
 """
 
 from __future__ import annotations
@@ -63,12 +66,14 @@ class GlobalConditionEnclosure:
 
     ``lower`` is the maximum of kappa over the evaluation grid, ``upper`` the
     Lipschitz-padded certificate (math.inf when the padding swallows the
-    whole range), ``grid_eps`` the covering radius of the grid used.
+    whole range), ``grid_eps`` the covering radius of the grid used and
+    ``points_evaluated`` the number of grid points at which f was evaluated.
     """
 
     lower: float
     upper: float
     grid_eps: float
+    points_evaluated: int
 
 
 def _check_nonzero(f: SparsePolynomial) -> float:
@@ -113,13 +118,93 @@ def _grid_axes(f: SparsePolynomial, grid_eps: float) -> np.ndarray:
     return np.linspace(-1.0, 1.0, points_per_axis)
 
 
+def _univariate_grid_max(f: SparsePolynomial, axes: np.ndarray) -> tuple[float, int]:
+    """The maximum of kappa over the n = 1 grid and the number of points evaluated.
+
+    The grid is cut into cells of consecutive points, each with a grid point as
+    centre, and f and f' are evaluated at the centres first.  On a cell of
+    radius r about c, Taylor's theorem bounds the denominator of kappa at every
+    point of the cell from below by the larger of
+
+        |f(c)| - |f'(c)| r - S2(f) r^2    and    (|f'(c)| - S1(f') r) / d,
+
+    with S1(g) = sum k |g_k| >= max |g'| and S2(g) = sum binom(k, 2) |g_k|
+    >= max |g''| / 2 on [-1, 1].  Each computed value is widened by Horner's
+    a-priori error on [-1, 1], gamma_2d times the coefficient 1-norm (Higham
+    2002, section 5.1), once at the centre and once at the point.  A cell
+    whose bound is at least the smallest denominator among the centres holds
+    no point of larger computed kappa and is dropped.  The other points go
+    through the same _horner calls as the centres, which act pointwise, so the
+    maximum has the bits of the full scan.  When a coefficient sum is not
+    finite, or the r-terms alone exceed the 1-norms so that no bound can be
+    positive, the centres are not evaluated first and every cell stays live.
+    """
+    d = f.degree
+    dense = to_dense(f)
+    deriv = np.polynomial.polynomial.polyder(dense)
+    # cells of radius about 1/(16 d), as the Taylor terms scale with d r, and of
+    # at least 65 points, so that the two passes over the centres stay cheap
+    half = max(32, (axes.size - 1) // (32 * d))
+    starts = np.arange(0, axes.size, 2 * half + 1)
+    ends = np.minimum(starts + 2 * half, axes.size - 1)
+    centres = (starts + ends) // 2
+    x = axes[centres]
+    # the largest distance from a centre to a point of its cell, rounded up
+    r = np.maximum(x - axes[starts], axes[ends] - x) * (1.0 + 2.0 ** -51)
+    with np.errstate(all="ignore"):  # an overflow here only keeps every cell live
+        norm_f, norm_d = float(np.abs(dense).sum()), float(np.abs(deriv).sum())
+        # Higham's gamma_k = k u / (1 - k u) at k = 4d + 16 units of roundoff: Horner's
+        # 2d, the rounding of polyder's coefficients, of the sums here and of the
+        # bound itself; the last term is Horner's underflow
+        units = 4 * d + 16
+        gamma = units * 2.0 ** -53 / (1.0 - units * 2.0 ** -53)
+        err_f, err_d = (gamma * norm + units * math.ulp(0.0) for norm in (norm_f, norm_d))
+        k = np.arange(dense.size)
+        s2_f = float(k * (k - 1) / 2 @ np.abs(dense))
+        s1_d = float(k[: deriv.size] @ np.abs(deriv))
+        # twice each 1-norm finite keeps every Horner intermediate, at most
+        # (1 + gamma) times a 1-norm, below the overflow threshold
+        finite = np.isfinite([2.0 * norm_f, 2.0 * norm_d, s2_f, s1_d]).all()
+        reach = float(r.max())
+        hopeful = s2_f * reach * reach < norm_f or s1_d * reach < norm_d
+        live = np.ones(centres.size, dtype=bool)
+        checked, checked_denom = centres[:0], np.zeros(0)
+        if finite and hopeful:
+            value, slope = np.abs(_horner(dense, x)), np.abs(_horner(deriv, x))
+            checked, checked_denom = centres, np.maximum(value, slope / d)
+            bound = np.maximum(
+                value - 2.0 * err_f - (slope + err_d) * r - s2_f * r * r,
+                (slope - 2.0 * err_d - s1_d * r) / d,
+            )
+            live = ~(bound >= checked_denom.min())
+    points = np.repeat(live, ends - starts + 1)
+    points[checked] = False
+    rest = axes[points]
+    values = _horner(dense, rest)
+    slopes = _horner(deriv, rest)
+    np.abs(slopes, out=slopes)
+    slopes /= d
+    rest_denom = np.maximum(np.abs(values, out=values), slopes, out=values)
+    nf = norm1(f)
+    lower = np.max([_kappa_max(nf, checked_denom), _kappa_max(nf, rest_denom)])
+    return float(lower), checked.size + rest.size
+
+
+def _kappa_max(nf: float, denom: np.ndarray) -> float:
+    """max over the denominators of kappa = nf / denom, math.inf where denom is not positive."""
+    kappas = np.divide(nf, denom, out=np.full_like(denom, np.inf), where=denom > 0.0)
+    return np.max(kappas, initial=-np.inf)
+
+
 def global_condition(f: SparsePolynomial, grid_eps: float) -> GlobalConditionEnclosure:
     """Enclose max kappa(f, x) over the cube using a grid of covering radius grid_eps.
 
     The lower end is the grid maximum.  Since x -> 1/kappa(f, x) is
     d-Lipschitz for the infinity norm, 1/kappa(f) >= 1/lower - d*grid_eps;
     when that is positive its reciprocal is a certified upper bound,
-    otherwise the upper end is reported as math.inf.
+    otherwise the upper end is reported as math.inf.  For n = 1 the grid
+    maximum skips the cells that provably cannot hold it (see
+    ``_univariate_grid_max``) and has the bits of the full scan.
     """
     _check_nonzero(f)
     if not 0.0 < grid_eps < 1.0:
@@ -128,13 +213,7 @@ def global_condition(f: SparsePolynomial, grid_eps: float) -> GlobalConditionEnc
         raise ValueError("certified global enclosure supports n <= 3")
     axes = _grid_axes(f, grid_eps)
     if f.n == 1:
-        dense = to_dense(f)
-        values = _horner(dense, axes)
-        deriv = _horner(np.polynomial.polynomial.polyder(dense), axes)
-        denom = np.maximum(np.abs(values), np.abs(deriv) / f.degree)
-        with np.errstate(divide="ignore"):
-            kappas = np.where(denom > 0.0, norm1(f) / denom, np.inf)
-        lower = float(np.max(kappas))
+        lower, points_evaluated = _univariate_grid_max(f, axes)
     else:
         # one slab of the grid per value of the first coordinate, with a running maximum
         mesh = np.meshgrid(*([axes] * (f.n - 1)), indexing="ij")
@@ -143,11 +222,12 @@ def global_condition(f: SparsePolynomial, grid_eps: float) -> GlobalConditionEnc
         for x0 in axes:
             slab[:, 0] = x0
             lower = max(lower, float(np.max(kappa_batch(f, slab))))
+        points_evaluated = axes.size ** f.n
     if math.isinf(lower):
-        return GlobalConditionEnclosure(math.inf, math.inf, grid_eps)
+        return GlobalConditionEnclosure(math.inf, math.inf, grid_eps, points_evaluated)
     slack = 1.0 / lower - f.degree * grid_eps
     upper = 1.0 / slack if slack > 0.0 else math.inf
-    return GlobalConditionEnclosure(lower, upper, grid_eps)
+    return GlobalConditionEnclosure(lower, upper, grid_eps, points_evaluated)
 
 
 def gamma_bound(f: SparsePolynomial, x) -> float:

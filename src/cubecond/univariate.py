@@ -465,8 +465,8 @@ def separation_oracle(f: SparsePolynomial, eps: float) -> SeparationEstimate:
     distance ``eps`` of the interval.  Either is math.inf when fewer than two
     qualifying roots exist.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     reals, complexes, sweeps = _oracle_entry(f)
     reals_in_cube = reals[np.abs(reals) <= 1.0] if len(reals) else reals
     delta = _min_pairwise(list(reals_in_cube))

@@ -1,8 +1,13 @@
-"""Shared test helpers: random sparse polynomials, formal coefficient math and
-the exclusion clause of a box read from the public enclosures."""
+"""Shared test helpers: random sparse polynomials, formal coefficient math, the
+exclusion clause of a box read from the public enclosures and the full-grid
+scan of the n = 1 condition enclosure."""
+
+import math
+
+import numpy as np
 
 from cubecond.interval import interval_f, interval_grad_norm
-from cubecond.poly import SparsePolynomial, new_sparse
+from cubecond.poly import SparsePolynomial, _horner, new_sparse, norm1, to_dense
 
 
 def random_support(rng, n, max_degree, m, include_simplex=False):
@@ -68,3 +73,20 @@ def reference_clause(f, box):
     if interval_grad_norm(f, box).lo > 0.0:
         return "gradient"
     return None
+
+
+def reference_global_condition(f, grid_eps):
+    """(lower, upper, grid_eps) of the n = 1 enclosure from kappa at every grid point:
+    the full scan, evaluated with the same dense Horner calls as the library."""
+    axes = np.linspace(-1.0, 1.0, math.ceil(1.0 / grid_eps) + 1)
+    dense = to_dense(f)
+    values = _horner(dense, axes)
+    deriv = _horner(np.polynomial.polynomial.polyder(dense), axes)
+    denom = np.maximum(np.abs(values), np.abs(deriv) / f.degree)
+    with np.errstate(divide="ignore"):
+        kappas = np.where(denom > 0.0, norm1(f) / denom, np.inf)
+    lower = float(np.max(kappas))
+    if math.isinf(lower):
+        return math.inf, math.inf, grid_eps
+    slack = 1.0 / lower - f.degree * grid_eps
+    return lower, (1.0 / slack if slack > 0.0 else math.inf), grid_eps

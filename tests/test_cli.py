@@ -113,6 +113,13 @@ def test_isolate_with_oracle(tmp_path, capsys):
     assert out["complete"] is True
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_isolate_oracle_rejects_non_finite_eps(tmp_path, capsys, eps):
+    code, out = run(capsys, ["isolate", write(tmp_path, "q.json", QUAD), "--eps", eps, "--oracle"])
+    assert code == 1 and out is None
+    assert run.err.splitlines() == [f"error: eps must be positive and finite, got {eps}"]
+
+
 def test_isolate_oracle_failure_exit_code(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise OracleFailedError("oracle failed: root iteration did not converge")

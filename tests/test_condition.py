@@ -4,7 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npp
 
+from cubecond import random as models
 from cubecond.condition import (
     GRID_WORK_CAP,
     EstimateInapplicableError,
@@ -18,7 +20,7 @@ from cubecond.condition import (
 )
 from cubecond.interval import BoxN
 from cubecond.poly import evaluate, gradient, new_sparse, norm1, to_dense
-from helpers import lin_comb, random_poly, reference_clause
+from helpers import lin_comb, random_poly, reference_clause, reference_global_condition
 
 X = new_sparse(1, [((1,), 1.0)])
 QUAD = new_sparse(1, [((2,), 2.0), ((0,), -1.0)])
@@ -179,6 +181,87 @@ def test_global_condition_streamed_grid_matches_full_meshgrid(n, eps):
         slack = 1.0 / lower - f.degree * eps
         assert enc.lower == lower
         assert enc.upper == (1.0 / slack if slack > 0.0 else math.inf)
+
+
+def assert_matches_full_scan(f, eps):
+    enc = global_condition(f, eps)
+    lower, upper, grid_eps = reference_global_condition(f, eps)
+    assert (repr(enc.lower), repr(enc.upper), enc.grid_eps) == (repr(lower), repr(upper), grid_eps)
+    return enc
+
+
+def test_global_condition_matches_full_scan_on_suite_draws():
+    # the criteria 06/07 draws: the pruned n = 1 grid keeps the full scan's bits
+    # while evaluating a small share of the grid
+    support = ((0,), (1,), (5,), (13,), (27,), (41,), (54,), (64,))
+    counts = []
+    for dist in (models.Gaussian(), models.Uniform()):
+        model = models.RandomModel(n=1, support=support, dist=dist)
+        for i in range(300):
+            counts.append(assert_matches_full_scan(models.sample(model, (2024, i)), 2e-5).points_evaluated)
+    assert np.median(counts) <= 0.05 * 50001
+
+
+def dense_gaussian(degree, seed, scale=1.0):
+    coefficients = np.random.default_rng(seed).normal(size=degree + 1) * scale
+    return new_sparse(1, [((k,), float(c)) for k, c in enumerate(coefficients)])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 30, 200, 512])
+def test_global_condition_matches_full_scan_dense(degree):
+    assert_matches_full_scan(dense_gaussian(degree, 30 + degree), 1e-4)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_global_condition_matches_full_scan_extreme_scales(scale):
+    enc = assert_matches_full_scan(dense_gaussian(30, 31, scale), 2e-5)
+    assert enc.points_evaluated < 50001  # the allowances scale with the coefficients
+
+
+def test_global_condition_matches_full_scan_on_a_narrow_well():
+    # W = ((x - c)^2 - t^2)^2 + 1e-12 has a local maximum at c and its minima, the
+    # grid maximum of kappa, at c -+ t inside the cell about c.  The factor
+    # (x - c')^2 + t^4 puts a smaller centre denominator at c', so a bound at c
+    # that left out its Taylor remainder would drop the cell of the maximum.
+    # c runs through every position of a cell of up to 80 points.
+    step = 2.0 ** -10
+    t, c_ref = 8 * step, -1.0 + 1527 * step
+    for j in range(960, 1040):
+        c = -1.0 + j * step
+        well = npp.polyadd(npp.polyfromroots([c - t, c - t, c + t, c + t]), [1e-12])
+        coefficients = npp.polymul(well, npp.polyadd(npp.polyfromroots([c_ref, c_ref]), [t**4]))
+        f = new_sparse(1, [((k,), float(v)) for k, v in enumerate(coefficients)])
+        assert_matches_full_scan(f, 2.0 ** -11)
+
+
+def test_global_condition_matches_full_scan_where_nothing_prunes():
+    # kappa(X, x) = 1 on the whole cube: every grid point is evaluated
+    assert assert_matches_full_scan(X, 2e-5).points_evaluated == 50001
+
+
+def test_global_condition_double_root_on_a_grid_point():
+    # spacing 2^-10, so 1/2 is a grid point and (X - 1/2)^2 and its derivative vanish there exactly
+    enc = assert_matches_full_scan(DOUBLE_ROOT, 2.0 ** -11)
+    assert enc.lower == math.inf
+
+
+def test_global_condition_grid_smaller_than_one_cell():
+    for f in (QUAD, DOUBLE_ROOT, dense_gaussian(30, 32)):
+        assert assert_matches_full_scan(f, 0.3).points_evaluated <= 5
+
+
+def test_global_condition_overflowing_derivative_keeps_every_cell():
+    # 64 * 1e307 overflows in polyder, so a coefficient sum is not finite and the
+    # whole grid is scanned
+    f = new_sparse(1, [((64,), 1e307), ((1,), 1.0), ((0,), -0.5)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        enc = assert_matches_full_scan(f, 2e-5)
+    assert enc.points_evaluated == 50001
+
+
+def test_global_condition_points_evaluated_on_slab_path():
+    f = new_sparse(2, [((1, 0), 1.0), ((0, 2), 1.0)])
+    assert global_condition(f, 1 / 40).points_evaluated == 41 ** 2
 
 
 def test_gamma_bound_examples():

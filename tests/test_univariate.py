@@ -225,6 +225,12 @@ def test_separation_oracle_quadratic():
     assert est.delta_eps == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+def test_separation_oracle_rejects_eps_outside_zero_to_inf(eps):
+    with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
+        separation_oracle(QUAD, eps)
+
+
 def test_separation_oracle_single_root():
     est = separation_oracle(X, 0.01)
     assert math.isinf(est.delta) and math.isinf(est.delta_eps)
