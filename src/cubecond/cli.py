@@ -20,6 +20,7 @@ from dataclasses import replace
 from . import experiments as exps
 from . import random as models
 from .condition import _finest_grid_eps, global_condition, local_condition
+from .experiments import DEFAULT_SEED
 from .poly import _read_json_object, load_polynomial, norm1, polynomial_to_dict
 from .pv import pv_subdivide
 from .univariate import (
@@ -32,8 +33,6 @@ from .univariate import (
     separation_oracle,
     tree_size_bound,
 )
-
-DEFAULT_SEED = 20240817
 
 
 class _Parser(argparse.ArgumentParser):
@@ -220,7 +219,7 @@ def _cmd_experiment(args) -> int:
         },
         args.pretty,
     )
-    return 0 if report.passed and not report.flagged else 2
+    return 0 if report.passed else 2
 
 
 def main(argv=None) -> int:

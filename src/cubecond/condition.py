@@ -92,7 +92,11 @@ def kappa_batch(f: SparsePolynomial, points) -> np.ndarray:
     """Vectorised kappa(f, x) over rows of ``points``."""
     nf = _check_nonzero(f)
     values, grads = value_and_gradient_batch(f, points)
-    denom = np.maximum(np.abs(values), np.abs(grads).sum(axis=1) / f.degree)
+    return _kappas(nf, np.maximum(np.abs(values), np.abs(grads).sum(axis=1) / f.degree))
+
+
+def _kappas(nf: float, denom: np.ndarray) -> np.ndarray:
+    """kappa = nf / denom per denominator, math.inf where denom is not positive."""
     return np.divide(nf, denom, out=np.full_like(denom, np.inf), where=denom > 0.0)
 
 
@@ -185,15 +189,8 @@ def _univariate_grid_max(f: SparsePolynomial, axes: np.ndarray) -> tuple[float, 
     np.abs(slopes, out=slopes)
     slopes /= d
     rest_denom = np.maximum(np.abs(values, out=values), slopes, out=values)
-    nf = norm1(f)
-    lower = np.max([_kappa_max(nf, checked_denom), _kappa_max(nf, rest_denom)])
+    lower = np.max(_kappas(norm1(f), np.concatenate([checked_denom, rest_denom])))
     return float(lower), checked.size + rest.size
-
-
-def _kappa_max(nf: float, denom: np.ndarray) -> float:
-    """max over the denominators of kappa = nf / denom, math.inf where denom is not positive."""
-    kappas = np.divide(nf, denom, out=np.full_like(denom, np.inf), where=denom > 0.0)
-    return np.max(kappas, initial=-np.inf)
 
 
 def global_condition(f: SparsePolynomial, grid_eps: float) -> GlobalConditionEnclosure:

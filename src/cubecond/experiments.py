@@ -43,15 +43,17 @@ __all__ = [
     "load_config",
 ]
 
-EXPERIMENT_KINDS = ("tail", "pv", "descartes", "separation")
+DEFAULT_SEED = 20240817
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment; the rules of its fields and kind, not the engines', are checked here."""
+
     kind: str
     model: models.RandomModel
     trials: int = 1000
-    seed: int = 20240817
+    seed: int = DEFAULT_SEED
     t_grid: tuple = (math.e, 10.0, 100.0)
     k_list: tuple = (1, 2)
     max_depth: int = 30
@@ -61,17 +63,28 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+        n, d, kind = self.model.n, self.model.degree, self.kind
+        if kind not in _RUNNERS:
+            raise ValueError(f"unknown experiment kind {kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        # the tail bound is proved only on the cube; -1 <= nan is False
-        if self.x0 is not None and (
-            len(self.x0) != self.model.n or not all(-1.0 <= v <= 1.0 for v in self.x0)
-        ):
-            raise ValueError(f"field 'x0' must be a point of [-1, 1]^{self.model.n}")
+        # the tail bound is proved only on the cube and for t >= e; -1 <= nan is False
+        if self.x0 is not None and (len(self.x0) != n or not all(-1 <= v <= 1 for v in self.x0)):
+            raise ValueError(f"field 'x0' must be a point of [-1, 1]^{n}")
+        if not all(t >= math.e for t in self.t_grid):
+            raise ValueError(f"field 't_grid' entries must be >= e, got {self.t_grid}")
+        if not all(k in (1, 2, 3) for k in self.k_list):
+            raise ValueError(f"field 'k_list' entries must lie in {{1, 2, 3}}, got {self.k_list}")
+        if kind == "pv" and (n > 2 or d > 16):
+            raise ValueError(
+                f"field 'model' of kind pv needs n <= 2, degree <= 16, got n = {n}, degree {d}"
+            )
+        if kind in ("descartes", "separation") and n != 1:
+            raise ValueError(f"field 'model' of kind {kind} must be univariate, got n = {n}")
+        if kind == "separation" and d > 64:
+            raise ValueError(f"field 'model' of kind separation needs degree <= 64, got {d}")
 
 
 @dataclass
@@ -183,8 +196,6 @@ def _tail_summary(report, cfg, outcomes):
 
 def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Empirical survival of kappa(f, x0) against the local tail bound."""
-    if any(t < math.e for t in cfg.t_grid):
-        raise ValueError("t_grid entries must be >= e")
     return _run("tail", cfg, _tail_trial, _tail_summary)
 
 
@@ -207,8 +218,6 @@ def _pv_summary(report, cfg, outcomes):
 
 def run_pv_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Mean terminated box count against the expected-box-count bound."""
-    if cfg.model.n > 2 or cfg.model.degree > 16:
-        raise ValueError("box-count experiment is limited to n <= 2, degree <= 16")
     return _run("pv", cfg, _pv_trial, _pv_summary)
 
 
@@ -217,7 +226,7 @@ def run_pv_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def _descartes_trial(args):
     cfg, i = args
     f = models.sample(cfg.model, (cfg.seed, i))
-    res = descartes_isolate(f, max_depth=min(cfg.max_depth, 100))
+    res = descartes_isolate(f, max_depth=cfg.max_depth)
     return res.tree.nodes if res.complete else None
 
 
@@ -233,10 +242,6 @@ def _descartes_summary(report, cfg, outcomes):
 
 def run_descartes_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Empirical tree-size moments against the moment bound, per k in k_list."""
-    if cfg.model.n != 1:
-        raise ValueError("isolation experiment requires a univariate model")
-    if any(k not in (1, 2, 3) for k in cfg.k_list):
-        raise ValueError("k_list entries must lie in {1, 2, 3}")
     return _run("descartes", cfg, _descartes_trial, _descartes_summary)
 
 
@@ -276,10 +281,6 @@ def _separation_summary(report, cfg, outcomes):
 
 def run_separation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Oracle-computed separations against their condition-based lower bounds."""
-    if cfg.model.n != 1:
-        raise ValueError("separation experiment requires a univariate model")
-    if cfg.model.degree > 64:
-        raise ValueError("separation experiment is limited to degree <= 64")
     return _run("separation", cfg, _separation_trial, _separation_summary)
 
 

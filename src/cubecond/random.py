@@ -213,11 +213,8 @@ class RandomModel:
     def degree(self) -> int:
         return max(1, max(sum(alpha) for alpha in self.support))
 
-    def is_plain(self, dist_type=None) -> bool:
-        plain = self.offsets is None and self.scale == 1.0
-        if dist_type is None:
-            return plain
-        return plain and isinstance(self.dist, dist_type)
+    def is_plain(self) -> bool:
+        return self.offsets is None and self.scale == 1.0
 
 
 @dataclass(frozen=True)
@@ -227,16 +224,15 @@ class ModelConstants:
     L: float
 
 
-def trial_rng(seed, trial: int | None = None) -> np.random.Generator:
-    """Counter-based stream: trial i of base seed s is the stream (s, i).
+def trial_rng(seed) -> np.random.Generator:
+    """Counter-based stream: trial i of base seed s is the stream of seed (s, i).
 
     Streams for distinct trials are independent and order-free, so parallel
     experiment workers reproduce the single-worker draws exactly.
     """
-    entropy = seed if trial is None else (seed, trial)
-    if min(entropy if isinstance(entropy, tuple) else (entropy,)) < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {entropy!r}")
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    if min(seed if isinstance(seed, tuple) else (seed,)) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def sample(model: RandomModel, seed) -> SparsePolynomial:
@@ -318,9 +314,22 @@ def smoothed_model(f0: SparsePolynomial, sigma: float, base: RandomModel) -> Ran
 # closed-form bound formulas
 # ---------------------------------------------------------------------------
 
-def _check_t(t: float, floor: float, name: str) -> None:
-    if not floor <= t < math.inf:
-        raise ValueError(f"{name} requires a finite t >= {floor:.6g}, got {t}")
+def _tail_bound_local(model: RandomModel, t: float, clamp: bool, p: float) -> float:
+    """The local tail bound of tail_bound_local_p, with the subgaussian K as L at p = 2."""
+    if not math.e <= t < math.inf:
+        raise ValueError(f"the local tail bound requires a finite t >= e, got {t}")
+    c = model_constants(model)
+    n, d, m = model.n, model.degree, model.support_size
+    tail = c.K if p == 2.0 else c.L
+    value = (
+        math.sqrt(n)
+        * d ** n
+        * m
+        * (8.0 * tail * c.rho / (n + 1) ** (1.0 - 1.0 / p)) ** (n + 1)
+        * math.log(t) ** ((n + 1) / p)
+        / t ** (n + 1)
+    )
+    return min(1.0, value) if clamp else value
 
 
 def tail_bound_local(model: RandomModel, t: float, clamp: bool = True) -> float:
@@ -331,34 +340,12 @@ def tail_bound_local(model: RandomModel, t: float, clamp: bool = True) -> float:
                           * ln(t)^((n+1)/2) / t^(n+1).
     With ``clamp`` the value is cut at 1 for reporting.
     """
-    _check_t(t, math.e, "the local tail bound")
-    c = model_constants(model)
-    n, d, m = model.n, model.degree, model.support_size
-    value = (
-        math.sqrt(n)
-        * d ** n
-        * m
-        * (8.0 * c.K * c.rho / math.sqrt(n + 1)) ** (n + 1)
-        * math.log(t) ** ((n + 1) / 2)
-        / t ** (n + 1)
-    )
-    return min(1.0, value) if clamp else value
+    return _tail_bound_local(model, t, clamp, 2.0)
 
 
 def tail_bound_local_p(model: RandomModel, t: float, clamp: bool = True) -> float:
     """p-tail variant: (8 L rho / (n+1)^(1-1/p))^(n+1) * ln(t)^((n+1)/p) / t^(n+1)."""
-    _check_t(t, math.e, "the local tail bound")
-    c = model_constants(model)
-    n, d, m, p = model.n, model.degree, model.support_size, model.p
-    value = (
-        math.sqrt(n)
-        * d ** n
-        * m
-        * (8.0 * c.L * c.rho / (n + 1) ** (1.0 - 1.0 / p)) ** (n + 1)
-        * math.log(t) ** ((n + 1) / p)
-        / t ** (n + 1)
-    )
-    return min(1.0, value) if clamp else value
+    return _tail_bound_local(model, t, clamp, model.p)
 
 
 def tail_bound_global(model: RandomModel, t: float) -> tuple[float, float]:
@@ -414,9 +401,9 @@ def expected_boxes_bound(model: RandomModel) -> BoxCountBound:
         2.0 * n ** 1.5 * d ** (2 * n) * m * (20.0 * (n + 1) * c.K * c.rho) ** (n + 1)
     )
     specialized = None
-    if model.is_plain(Gaussian) and model.dist == Gaussian(0.0, 1.0):
+    if model.is_plain() and model.dist == Gaussian(0.0, 1.0):
         specialized = 2.0 * n ** 1.5 * (10.0 * (n + 1)) ** (n + 1) * d ** (2 * n) * m ** (n + 2)
-    elif model.is_plain(Uniform) and model.dist == Uniform(-1.0, 1.0):
+    elif model.is_plain() and model.dist == Uniform(-1.0, 1.0):
         specialized = 2.0 * n * 32.0 ** (n + 1) * d ** (2 * n) * m ** (n + 2)
     return BoxCountBound(general=general, specialized=specialized)
 

@@ -457,6 +457,11 @@ def oracle_roots(f: SparsePolynomial) -> tuple[np.ndarray, np.ndarray]:
     return _oracle_entry(f)[:2]  # (reals, complexes)
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
 def separation_oracle(f: SparsePolynomial, eps: float) -> SeparationEstimate:
     """Numerically computed separations of the roots of f near [-1, 1].
 
@@ -465,8 +470,7 @@ def separation_oracle(f: SparsePolynomial, eps: float) -> SeparationEstimate:
     distance ``eps`` of the interval.  Either is math.inf when fewer than two
     qualifying roots exist.
     """
-    if not 0.0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _check_eps(eps)
     reals, complexes, sweeps = _oracle_entry(f)
     reals_in_cube = reals[np.abs(reals) <= 1.0] if len(reals) else reals
     delta = _min_pairwise(list(reals_in_cube))
@@ -510,13 +514,14 @@ def separation_lower_bound(f: SparsePolynomial, kappa_upper: float) -> float:
 def eps_separation_lower_bound(f: SparsePolynomial, kappa_upper: float, eps: float) -> float:
     """Lower bound 1 / (12 * d * kappa_upper) on the eps-neighbourhood separation.
 
-    Requires 0 < eps < 1 / (e * d * kappa_upper); outside that range the
-    bound is not established and HypothesisViolatedError is raised.
+    Requires 0 < eps < 1 / (e * d * kappa_upper): an eps not positive and finite is
+    a ValueError; past the limit the bound is not established (HypothesisViolatedError).
     """
     if kappa_upper < 1.0:
         raise ValueError("kappa_upper must be >= 1")
+    _check_eps(eps)
     limit = 1.0 / (math.e * f.degree * kappa_upper)
-    if not 0.0 < eps < limit:
+    if not eps < limit:
         raise HypothesisViolatedError(
             f"hypothesis violated: eps must lie in (0, {limit:.3e}), got {eps:.3e}"
         )

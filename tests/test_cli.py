@@ -113,9 +113,17 @@ def test_isolate_with_oracle(tmp_path, capsys):
     assert out["complete"] is True
 
 
-@pytest.mark.parametrize("eps", ["nan", "inf"])
-def test_isolate_oracle_rejects_non_finite_eps(tmp_path, capsys, eps):
-    code, out = run(capsys, ["isolate", write(tmp_path, "q.json", QUAD), "--eps", eps, "--oracle"])
+@pytest.mark.parametrize(
+    "eps, flags",
+    [
+        pytest.param("nan", ["--oracle"], id="nan"),
+        pytest.param("inf", ["--oracle"], id="inf"),
+        # the eps-separation bound rejects it too when the oracle is not run
+        pytest.param("nan", [], id="nan-without-oracle"),
+    ],
+)
+def test_isolate_oracle_rejects_non_finite_eps(tmp_path, capsys, eps, flags):
+    code, out = run(capsys, ["isolate", write(tmp_path, "q.json", QUAD), "--eps", eps, *flags])
     assert code == 1 and out is None
     assert run.err.splitlines() == [f"error: eps must be positive and finite, got {eps}"]
 

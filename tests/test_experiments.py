@@ -47,6 +47,10 @@ TAIL_CONFIG = {
     "experiment": "tail",
     "model": {"n": 1, "support": [[0], [1], [5]], "dist": {"kind": "gaussian"}},
 }
+N2_MODEL = {"n": 2, "support": [[0, 0], [1, 0], [0, 1]], "dist": {"kind": "gaussian"}}
+N3_MODEL = {"n": 3, "support": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            "dist": {"kind": "gaussian"}}
+D65_MODEL = {"n": 1, "support": [[0], [1], [65]], "dist": {"kind": "gaussian"}}
 
 
 @pytest.mark.parametrize(
@@ -63,6 +67,13 @@ TAIL_CONFIG = {
         ({"model": 0}, "model file"),
         ({"x0": [3.0]}, "'x0'"),  # outside the cube, where the tail bound is not proved
         ({"x0": [float("nan")]}, "'x0'"),  # json reads a NaN literal
+        # the kind rules, checked when the config is built
+        ({"t_grid": [2.0]}, "experiment config: field 't_grid'"),
+        ({"k_list": [4]}, "experiment config: field 'k_list'"),
+        ({"experiment": "descartes", "model": N2_MODEL}, "experiment config: field 'model'"),
+        ({"experiment": "separation", "model": N2_MODEL}, "experiment config: field 'model'"),
+        ({"experiment": "separation", "model": D65_MODEL}, "experiment config: field 'model'"),
+        ({"experiment": "pv", "model": N3_MODEL}, "experiment config: field 'model'"),
     ],
 )
 def test_config_loader_names_offending_field(fields, needle):
@@ -112,10 +123,10 @@ def test_tail_experiment_passes_and_rejects_small_t():
     cfg = exps.ExperimentConfig(kind="tail", model=gaussian_model(), trials=400, seed=5)
     rep = exps.run_tail_experiment(cfg)
     assert rep.passed and rep.violations == 0
-    bad = exps.ExperimentConfig(
-        kind="tail", model=gaussian_model(), trials=10, seed=5, t_grid=(2.0, 10.0)
-    )
     with pytest.raises(ValueError):
+        bad = exps.ExperimentConfig(
+            kind="tail", model=gaussian_model(), trials=10, seed=5, t_grid=(2.0, 10.0)
+        )
         exps.run_tail_experiment(bad)
 
 
@@ -123,6 +134,7 @@ def test_tail_experiment_checks_heavy_tails_against_the_p_bound():
     # Weibull shape 1 has no subgaussian K, so the K-bound reads 1 at every t
     m = models.RandomModel(n=1, support=SUP_D5, dist=models.WeibullSymmetric(1.0), p=1.0)
     assert math.isinf(models.model_constants(m).K)
+    assert models.tail_bound_local(m, 1000.0) == 1.0
     cfg = exps.ExperimentConfig(kind="tail", model=m, trials=200, seed=1, t_grid=(100.0, 1000.0))
     rep = exps.run_tail_experiment(cfg)
     bound = rep.summary["survival_t=1000"]["bound"]
@@ -178,6 +190,14 @@ def test_descartes_experiment_passes():
         exps.run_descartes_experiment(
             exps.ExperimentConfig(kind="descartes", model=m, trials=5, seed=6, k_list=(4,))
         )
+
+
+def test_descartes_experiment_leaves_max_depth_to_the_engine():
+    # a depth past the engine's guard fails with its message instead of running at 100
+    m = gaussian_model(support=((0,), (1,), (13,), (64,)))
+    cfg = exps.ExperimentConfig(kind="descartes", model=m, trials=2, seed=6, max_depth=101)
+    with pytest.raises(ValueError, match=r"max_depth must lie in \[1, 100\], got 101"):
+        exps.run_experiment(cfg)
 
 
 def test_separation_experiment_no_violations():

@@ -219,6 +219,14 @@ def test_eps_separation_bound_values():
         eps_separation_lower_bound(QUAD, 4.1, 0.2)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+def test_eps_separation_bound_rejects_eps_outside_zero_to_inf(eps):
+    # a malformed eps is an input error, not a hypothesis the bound leaves open
+    with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}") as info:
+        eps_separation_lower_bound(QUAD, 4.1, eps)
+    assert not isinstance(info.value, HypothesisViolatedError)
+
+
 def test_separation_oracle_quadratic():
     est = separation_oracle(QUAD, 0.01)
     assert est.delta == pytest.approx(math.sqrt(2.0), rel=1e-9)
