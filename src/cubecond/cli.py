@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: condition, pv, isolate, sample, experiment.  All output is
-machine-readable JSON on stdout (``--pretty`` re-indents it); infinities are
-encoded as the string "inf".  Exit codes: 0 success, 1 usage or input error,
-2 flagged or failed run (an experiment, or a root oracle that did not
-converge).  The environment variable CUBECOND_SEED overrides the built-in
-default seed.
+machine-readable JSON on stdout (``--pretty`` re-indents it); a non-finite
+float is written as "inf", "-inf" or "nan".  Exit codes: 0 success, 1 usage
+or input error, 2 flagged or failed run (an experiment, or a root oracle
+that did not converge).  The environment variable CUBECOND_SEED overrides
+the built-in default seed.
 """
 
 from __future__ import annotations
@@ -53,25 +53,17 @@ def _default_seed() -> int:
         raise ValueError(f"CUBECOND_SEED must be an integer, got {env!r}") from None
 
 
-def _jsonable(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if math.isnan(value):
-            return "nan"
-    return value
-
-
 def _emit(obj, pretty: bool) -> None:
+    # only dicts are rebuilt; allow_nan=False rejects a non-finite float in a list
     def clean(v):
         if isinstance(v, dict):
             return {k: clean(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        return _jsonable(v)
+        if isinstance(v, float) and not math.isfinite(v):
+            return str(v)
+        return v
 
     indent = 2 if pretty else None
-    print(json.dumps(clean(obj), indent=indent, sort_keys=True))
+    print(json.dumps(clean(obj), indent=indent, sort_keys=True, allow_nan=False))
 
 
 def _build_parser() -> _Parser:
@@ -125,8 +117,6 @@ def _cmd_condition(args) -> int:
             args.pretty,
         )
     else:
-        if len(args.point) != f.n or not all(map(math.isfinite, args.point)):
-            raise ValueError(f"--point needs {f.n} finite coordinates, got {args.point}")
         _emit({"kappa": local_condition(f, args.point)}, args.pretty)
     return 0
 
@@ -136,10 +126,11 @@ def _cmd_pv(args) -> int:
     report = pv_subdivide(f, args.max_depth)
     if args.svg:
         exps.emit_svg(report, args.svg)
+    pairs = zip(report.final_midpoints.tolist(), report.final_widths.tolist())
     _emit(
         {
             "final_count": report.final_count,
-            "final_boxes": [{"m": b.midpoint, "w": b.width} for b in report.final_boxes],
+            "final_boxes": [{"m": m, "w": w} for m, w in pairs],
             "clauses": report.final_clauses,
             "processed": report.processed_count,
             "max_depth_reached": report.max_depth_reached,

@@ -24,6 +24,7 @@ import numpy as np
 
 from .poly import (
     SparsePolynomial,
+    _as_points,
     _horner,
     _monomial_matrix,
     evaluate,
@@ -89,9 +90,13 @@ def local_condition(f: SparsePolynomial, x) -> float:
 
 
 def kappa_batch(f: SparsePolynomial, points) -> np.ndarray:
-    """Vectorised kappa(f, x) over rows of ``points``."""
+    """Vectorised kappa(f, x) over rows of ``points``, which must be finite."""
     nf = _check_nonzero(f)
-    values, grads = value_and_gradient_batch(f, points)
+    X = _as_points(f, points)
+    if not np.isfinite(X).all():  # flat check first: a per-row one is slow for small n
+        bad = X[~np.isfinite(X).all(axis=1)]
+        raise ValueError(f"kappa needs a finite point, got {bad[0].tolist()}")
+    values, grads = value_and_gradient_batch(f, X)
     return _kappas(nf, np.maximum(np.abs(values), np.abs(grads).sum(axis=1) / f.degree))
 
 
@@ -220,8 +225,6 @@ def global_condition(f: SparsePolynomial, grid_eps: float) -> GlobalConditionEnc
             slab[:, 0] = x0
             lower = max(lower, float(np.max(kappa_batch(f, slab))))
         points_evaluated = axes.size ** f.n
-    if math.isinf(lower):
-        return GlobalConditionEnclosure(math.inf, math.inf, grid_eps, points_evaluated)
     slack = 1.0 / lower - f.degree * grid_eps
     upper = 1.0 / slack if slack > 0.0 else math.inf
     return GlobalConditionEnclosure(lower, upper, grid_eps, points_evaluated)

@@ -129,6 +129,8 @@ def _map_trials(worker, cfg: ExperimentConfig):
 # summarizer writes the rows and aggregates of the report from those outcomes.
 
 def _run(kind, cfg: ExperimentConfig, worker, summarize) -> ExperimentReport:
+    if cfg.kind != kind:
+        raise ValueError(f"a {cfg.kind} config cannot run a {kind} experiment")
     start = time.perf_counter()
     report = ExperimentReport(kind=kind)
     summarize(report, cfg, _map_trials(worker, cfg))
@@ -321,7 +323,7 @@ def emit_csv(report: ExperimentReport, path) -> None:
         fh.write(data)
 
 
-_SVG_COLORS = {"value": "#4477aa", "gradient": "#ee6677"}
+_SVG_COLORS = (None, "#4477aa", "#ee6677")  # indexed by clause code: value, gradient
 _SVG_SIZE = 640  # pixels per side
 
 
@@ -345,14 +347,15 @@ def emit_svg(report: SubdivisionReport, path) -> None:
         f'<rect x="{margin:.2f}" y="{margin:.2f}" width="{span:.2f}" height="{span:.2f}" '
         'fill="white" stroke="black" stroke-width="1"/>',
     ]
-    for box, clause in zip(report.final_boxes, report.final_clauses):
-        half = box.width / 2.0
-        x = tx(box.midpoint[0] - half)
-        y = tx(-box.midpoint[1] - half)  # flip: svg y grows downward
-        w = box.width / 2.0 * span
+    mids, widths = report.final_midpoints.tolist(), report.final_widths.tolist()
+    for (mx, my), width, code in zip(mids, widths, report.final_codes.tolist()):
+        half = width / 2.0
+        x = tx(mx - half)
+        y = tx(-my - half)  # flip: svg y grows downward
+        w = width / 2.0 * span
         parts.append(
             f'<rect x="{x:.4f}" y="{y:.4f}" width="{w:.4f}" height="{w:.4f}" '
-            f'fill="{_SVG_COLORS[clause]}" fill-opacity="0.55" '
+            f'fill="{_SVG_COLORS[code]}" fill-opacity="0.55" '
             'stroke="black" stroke-width="0.5"/>'
         )
     parts.append("</svg>")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condition import kappa_batch
-from .interval import BoxN, predicate_clause_batch, sample_boxes, split_boxes
+from .interval import predicate_clause_batch, sample_boxes, split_boxes
 from .poly import SparsePolynomial, evaluate_batch, gradient_batch, norm1
 
 __all__ = [
@@ -34,16 +34,16 @@ _CLAUSE_NAMES = (None, "value", "gradient")  # indexed by predicate_clause_batch
 class SubdivisionReport:
     """Final subdivision plus worklist statistics.
 
-    Final box i has midpoint ``final_midpoints[i]`` and width
-    ``final_widths[i]``; ``final_clauses[i]`` records which predicate clause
-    ("value" or "gradient") accepted it.  ``per_depth_counts[k]`` counts the
-    boxes processed at depth k.  ``terminated`` is False when the max-depth
-    guard fired; the report then holds the partial state.
+    Final box i has midpoint ``final_midpoints[i]``, width ``final_widths[i]``
+    and clause code ``final_codes[i]``: 1 when the value clause accepted it,
+    2 for the gradient clause.  ``per_depth_counts[k]`` counts the boxes
+    processed at depth k.  ``terminated`` is False when the max-depth guard
+    fired; the report then holds the partial state.
     """
 
     final_midpoints: np.ndarray
     final_widths: np.ndarray
-    final_clauses: list
+    final_codes: np.ndarray
     processed_count: int
     max_depth_reached: int
     per_depth_counts: list
@@ -54,10 +54,9 @@ class SubdivisionReport:
         return len(self.final_widths)
 
     @property
-    def final_boxes(self) -> list:
-        """The final boxes as ``BoxN`` views, in report order."""
-        pairs = zip(self.final_midpoints.tolist(), self.final_widths.tolist())
-        return [BoxN(midpoint=tuple(m), width=w) for m, w in pairs]
+    def final_clauses(self) -> list:
+        """The clause names ("value" or "gradient") of the final boxes, in report order."""
+        return [_CLAUSE_NAMES[code] for code in self.final_codes.tolist()]
 
 
 def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
@@ -83,11 +82,11 @@ def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
         if passed.all() or len(counts) > max_depth:
             break
         midpoints, width = split_boxes(midpoints[~passed], width)
-    final_clauses = [_CLAUSE_NAMES[code] for code in np.concatenate(final_codes).tolist()]
     return SubdivisionReport(
-        np.concatenate(final_midpoints), np.concatenate(final_widths), final_clauses,
-        processed_count=sum(counts), max_depth_reached=len(counts) - 1,
-        per_depth_counts=counts, terminated=bool(passed.all()),
+        np.concatenate(final_midpoints), np.concatenate(final_widths),
+        np.concatenate(final_codes), processed_count=sum(counts),
+        max_depth_reached=len(counts) - 1, per_depth_counts=counts,
+        terminated=bool(passed.all()),
     )
 
 
@@ -102,8 +101,11 @@ def verify_output_boxes(
     A box verifies when the sampled values of f all share one strict sign, or
     when every pair of sampled gradient covectors has positive dot product.
     Returns the conjunction over boxes; a False return on a terminated report
-    is a soundness violation.
+    is a soundness violation.  One sample per box would verify vacuously, so
+    ``samples_per_box`` must be at least 2.
     """
+    if samples_per_box < 2:
+        raise ValueError(f"samples_per_box must be >= 2, got {samples_per_box}")
     rng = np.random.default_rng(seed)
     chunk = max(1, _VERIFY_CHUNK_POINTS // samples_per_box)
     for start in range(0, report.final_count, chunk):

@@ -6,8 +6,9 @@ import pytest
 
 from cubecond import experiments as exps
 from cubecond import univariate
-from cubecond.cli import DEFAULT_SEED, main
+from cubecond.cli import DEFAULT_SEED, _emit, main
 from cubecond.poly import load_polynomial
+from cubecond.pv import pv_subdivide
 from cubecond.univariate import OracleFailedError
 
 QUAD = {"n": 1, "terms": [{"alpha": [0], "c": -1.0}, {"alpha": [2], "c": 2.0}]}
@@ -69,6 +70,39 @@ def test_pv_line2d(tmp_path, capsys):
     assert code == 0
     assert out["final_count"] == 16
     assert out["terminated"] is True
+
+
+# (x^2 + y^2 - 1/2)^2: singular along a circle, so it mixes both clauses
+DOUBLED_CIRCLE = {"n": 2, "terms": [
+    {"alpha": a, "c": c} for a, c in
+    [([4, 0], 1.0), ([2, 2], 2.0), ([0, 4], 1.0), ([2, 0], -1.0), ([0, 2], -1.0), ([0, 0], 0.25)]
+]}
+
+
+def test_pv_writes_the_report_arrays(tmp_path, capsys):
+    code, out = run(capsys, ["pv", write(tmp_path, "d.json", DOUBLED_CIRCLE), "--max-depth", "8"])
+    report = pv_subdivide(load_polynomial(DOUBLED_CIRCLE), 8)
+    assert code == 0 and not out["terminated"]
+    assert out["final_boxes"] == [
+        {"m": m, "w": w}
+        for m, w in zip(report.final_midpoints.tolist(), report.final_widths.tolist())
+    ]
+    names = {1: "value", 2: "gradient"}
+    assert out["clauses"] == [names[code] for code in report.final_codes.tolist()]
+    assert set(out["clauses"]) == {"value", "gradient"}
+
+
+def test_emit_writes_non_finite_floats_in_dicts_as_strings(capsys):
+    _emit({"a": math.inf, "b": {"c": -math.inf, "d": {"e": math.nan}}, "f": [1.5]}, False)
+    assert capsys.readouterr().out == (
+        '{"a": "inf", "b": {"c": "-inf", "d": {"e": "nan"}}, "f": [1.5]}\n'
+    )
+
+
+def test_emit_refuses_a_non_finite_float_in_a_list(capsys):
+    with pytest.raises(ValueError):
+        _emit({"x": [math.inf]}, False)
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("name", ["circle", "line2d"])

@@ -52,6 +52,20 @@ def test_local_condition_singular_point_is_inf():
     assert math.isinf(local_condition(DOUBLE_ROOT, [0.5]))
 
 
+@pytest.mark.parametrize("coord", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_local_condition_rejects_non_finite_points(coord):
+    with pytest.raises(ValueError, match=re.escape(f"finite point, got [{coord}]")):
+        local_condition(QUAD, [coord])
+
+
+def test_kappa_batch_names_the_first_non_finite_row():
+    points = np.array([[0.0, 0.5], [0.25, 0.5], [0.5, math.inf], [math.nan, 0.0]])
+    line2 = new_sparse(2, [((1, 0), 1.0), ((0, 1), 1.0)])
+    with pytest.raises(ValueError, match=re.escape("got [0.5, inf]")):
+        kappa_batch(line2, points)
+    assert np.all(kappa_batch(line2, points[:2]) >= 1.0)
+
+
 def test_kappa_at_least_one_on_cube():
     rng = np.random.default_rng(20)
     for _ in range(60):

@@ -209,6 +209,28 @@ def test_separation_experiment_no_violations():
     assert rep.passed and rep.violations == 0
 
 
+@pytest.mark.parametrize(
+    "runner, cfg",
+    [
+        # a degree-100 model, which a separation config refuses
+        (exps.run_separation_experiment,
+         exps.ExperimentConfig(kind="tail", model=gaussian_model(((0,), (1,), (100,))), trials=2)),
+        # n = 2, which a descartes config refuses
+        (exps.run_descartes_experiment,
+         exps.ExperimentConfig(kind="tail", model=models.RandomModel(
+             n=2, support=((0, 0), (1, 0), (0, 1)), dist=GAUSS), trials=2)),
+    ],
+    ids=["separation-on-tail", "descartes-on-tail"],
+)
+def test_runner_refuses_a_config_of_another_kind(runner, cfg, monkeypatch):
+    def no_trials(worker, cfg):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(exps, "_map_trials", no_trials)
+    with pytest.raises(ValueError, match="tail config cannot run a (separation|descartes)"):
+        runner(cfg)
+
+
 SUP_D2 = ((0,), (1,), (2,))
 SUP_D64 = ((0,), (1,), (13,), (64,))
 SUP_D33 = ((0,), (1,), (5,), (17,), (33,))

@@ -51,8 +51,8 @@ def test_pv_linear_univariate():
     report = pv_subdivide(X, 10)
     assert report.terminated
     assert report.final_count == 2
-    assert sorted(b.midpoint[0] for b in report.final_boxes) == [-0.5, 0.5]
-    assert all(b.width == 1.0 for b in report.final_boxes)
+    assert sorted(report.final_midpoints[:, 0].tolist()) == [-0.5, 0.5]
+    assert report.final_widths.tolist() == [1.0, 1.0]
     assert report.per_depth_counts == [1, 2]
     assert report.processed_count == 3
 
@@ -61,7 +61,7 @@ def test_pv_linear_bivariate():
     report = pv_subdivide(LINE2, 10)
     assert report.terminated
     assert report.final_count == 16
-    assert all(b.width == 0.5 for b in report.final_boxes)
+    assert report.final_widths.tolist() == [0.5] * 16
     assert report.max_depth_reached == 2
     assert report.per_depth_counts == [1, 4, 16]
 
@@ -91,7 +91,7 @@ def test_pv_determinism():
     a = pv_subdivide(CIRCLE, 20)
     b = pv_subdivide(CIRCLE, 20)
     assert a.final_midpoints.tobytes() == b.final_midpoints.tobytes()
-    assert a.final_clauses == b.final_clauses
+    assert a.final_codes.tobytes() == b.final_codes.tobytes()
     assert a.per_depth_counts == b.per_depth_counts
 
 
@@ -115,7 +115,6 @@ def test_pv_matches_per_box_reference():
         assert report.final_midpoints.tobytes() == np.array(
             [b.midpoint for b in boxes]).reshape(-1, f.n).tobytes()
         assert report.final_widths.tolist() == [b.width for b in boxes]
-        assert report.final_boxes == boxes
         assert report.final_clauses == clauses
         assert report.per_depth_counts == counts
         assert report.processed_count == sum(counts)
@@ -130,7 +129,7 @@ def test_verify_output_boxes_rejects_corrupted_report():
     corrupted = SubdivisionReport(
         final_midpoints=np.zeros((1, 2)),
         final_widths=np.array([2.0]),
-        final_clauses=["value"],
+        final_codes=np.array([1]),
         processed_count=1,
         max_depth_reached=0,
         per_depth_counts=[1],
@@ -152,6 +151,13 @@ def test_verify_rejects_a_corrupted_box_at_chunk_edges():
         midpoints[index], widths[index] = 0.0, 2.0
         corrupted = dataclasses.replace(report, final_midpoints=midpoints, final_widths=widths)
         assert verify_output_boxes(CIRCLE, corrupted, samples, seed=3) is False, index
+
+
+@pytest.mark.parametrize("samples", [1, 0, -3])
+def test_verify_output_boxes_needs_two_samples_per_box(samples):
+    report = pv_subdivide(CIRCLE, 20)
+    with pytest.raises(ValueError, match=f"samples_per_box must be >= 2, got {samples}"):
+        verify_output_boxes(CIRCLE, report, samples)
 
 
 def test_verify_on_random_well_conditioned_draws():
