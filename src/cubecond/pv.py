@@ -17,7 +17,7 @@ import numpy as np
 
 from .condition import kappa_batch
 from .interval import predicate_clause_batch, sample_boxes, split_boxes
-from .poly import SparsePolynomial, evaluate_batch, gradient_batch, norm1
+from .poly import SparsePolynomial, _is_int, evaluate_batch, gradient_batch, norm1
 
 __all__ = [
     "SubdivisionReport",
@@ -67,8 +67,8 @@ def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
     """
     if norm1(f) == 0.0:
         raise ValueError("cannot subdivide for the zero polynomial")
-    if not 1 <= max_depth <= 50:
-        raise ValueError(f"max_depth must lie in [1, 50], got {max_depth}")
+    if not (_is_int(max_depth) and 1 <= max_depth <= 50):
+        raise ValueError(f"max_depth must be an integer in [1, 50], got {max_depth!r}")
     # each level's predicate evaluations run as a single vectorised batch
     midpoints, width = np.zeros((1, f.n)), 2.0
     final_midpoints, final_widths, final_codes, counts = [], [], [], []

@@ -1,14 +1,16 @@
 """Univariate real root isolation on [-1, 1] and separation machinery.
 
-The isolator is a bisection solver driven by coefficient sign variations:
-each interval [a, b] is mapped onto [0, inf) by the Moebius substitution
-(reverse the [a, b]-normalised coefficients, then shift by one) and the sign
-variation count v of the result bounds the number of roots in the open
-interval.  v = 0 discards the interval, v = 1 certifies exactly one simple
-root, v >= 2 bisects.  The root oracle finds all complex roots by
-simultaneous Aberth-Ehrlich iteration on the dense coefficient vector,
-started on the circles of the coefficients' Newton polygon; converged roots
-are frozen, and the result is cached per polynomial object.
+The isolator is a bisection solver driven by coefficient sign variations.
+A tree node [a, b] is its Moebius image V(x) = (1 + x)^D g(1 / (1 + x)) with
+g(t) = f(a + (b - a) t), which is the scaled Bernstein coefficients of f on
+[a, b] in reverse order; its sign variation count v bounds the number of
+roots in the open interval.  v = 0 discards the interval, v = 1 certifies
+exactly one simple root, v >= 2 bisects: the left child is V(1 + 2x), and
+reversing V mirrors the node, so the right child is the reversed left child
+of the reversed V.  The root oracle finds all complex roots by simultaneous
+Aberth-Ehrlich iteration on the dense coefficient vector, started on the
+circles of the coefficients' Newton polygon; converged roots are frozen, and
+the result is cached per polynomial object.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
-from .poly import SparsePolynomial, _horner, norm1, to_dense
+from .poly import SparsePolynomial, _horner, _is_int, norm1, to_dense
 
 __all__ = [
     "TreeStats",
@@ -76,8 +78,9 @@ class IsolationResult:
     endpoint of [-1, 1]) are listed in ``exact_roots`` instead.  ``complete``
     is False when the depth guard left some interval unresolved; those
     intervals are listed in ``unresolved``.  ``max_coefficient_bits`` is the
-    largest bit length of an integer coefficient of any tree node, which
-    sizes the exact arithmetic.
+    largest bit length of an integer coefficient of a node's Moebius image V
+    (the node's reversed scaled Bernstein coefficients), which sizes the
+    exact arithmetic of a split into V(1 + 2x) and its mirror.
     """
 
     intervals: list
@@ -168,9 +171,9 @@ def _int_strip_content(c: list[int]) -> list[int]:
     return [v >> twos for v in c]
 
 
-def _int_variation_count(c: list[int]) -> int:
-    """Exact sign variations of the [0, 1] -> [0, inf) Moebius image of p."""
-    return sign_variations(_int_shift_by_one(c[::-1]))
+def _int_left_image(image: list[int]) -> list[int]:
+    """V(1 + 2x), content stripped: the image of the left half of a node."""
+    return _int_strip_content([v << k for k, v in enumerate(_int_shift_by_one(image))])
 
 
 def _sign_change_endpoints(dense, lo, hi):
@@ -218,39 +221,39 @@ def descartes_isolate(f: SparsePolynomial, max_depth: int = 40) -> IsolationResu
     f : univariate SparsePolynomial, not identically zero, degree <= 512,
         square-free on [-1, 1] (otherwise the depth guard fires and the
         result is flagged incomplete)
-    max_depth : bisection depth guard, 1 <= max_depth <= 100
+    max_depth : bisection depth guard, an int with 1 <= max_depth <= 100
 
     The traversal is breadth-first with left children first, so tree
     statistics and output order are deterministic.
     """
     dense = _dense_univariate(f, "isolation requires a univariate polynomial",
                               "cannot isolate roots of the zero polynomial")
-    if not 1 <= max_depth <= 100:
-        raise ValueError(f"max_depth must lie in [1, 100], got {max_depth}")
+    if not (_is_int(max_depth) and 1 <= max_depth <= 100):
+        raise ValueError(f"max_depth must be an integer in [1, 100], got {max_depth!r}")
 
     result = IsolationResult(intervals=[], exact_roots=[], tree=TreeStats())
     if len(dense) == 1:
         result.tree.count(0)
         return result
 
-    # exact integer image of f, then of f(-1 + 2t): shift by -1 (mirror /
-    # shift-by-one / mirror), then scale the argument by two
+    # f in exact integers, then f(-1 + 2t): shift by -1 (mirror / shift-by-one
+    # / mirror), then scale the argument by two; the root node is its image
     ints = _dyadic_ints(dense)
     shifted = _int_mirror(_int_shift_by_one(_int_mirror(ints)))
-    root_coeffs = _int_strip_content([v << k for k, v in enumerate(shifted)])
-    if root_coeffs[0] == 0:
+    root = _int_strip_content([v << k for k, v in enumerate(shifted)])
+    root_image = _int_shift_by_one(root[::-1])
+    if root_image[-1] == 0:  # the ends of an image read f(lo) and f(hi)
         result.exact_roots.append(-1.0)
-    if sum(root_coeffs) == 0:
+    if root_image[0] == 0:
         result.exact_roots.append(1.0)
 
-    degree_index = len(root_coeffs) - 1
-    queue = deque([(root_coeffs, -1.0, 1.0, 0)])
+    queue = deque([(root_image, -1.0, 1.0, 0)])
     while queue:
-        coeffs, lo, hi, depth = queue.popleft()
+        image, lo, hi, depth = queue.popleft()
         result.tree.count(depth)
-        bits = max(max(coeffs), -min(coeffs)).bit_length()
+        bits = max(max(image), -min(image)).bit_length()
         result.max_coefficient_bits = max(result.max_coefficient_bits, bits)
-        v = _int_variation_count(coeffs)
+        v = sign_variations(image)
         if v == 0:
             continue
         if v == 1:
@@ -265,15 +268,12 @@ def descartes_isolate(f: SparsePolynomial, max_depth: int = 40) -> IsolationResu
             result.complete = False
             result.unresolved.append((lo, hi))
             continue
-        left = _int_strip_content(
-            [v_ << (degree_index - k) for k, v_ in enumerate(coeffs)]
-        )
-        right = _int_strip_content(_int_shift_by_one(left))
-        if right[0] == 0:
-            # the right child's constant term is (a power of two times) f(mid)
+        left = _int_left_image(image)
+        if left[0] == 0:
+            # the left child's constant term is (a power of two times) f(mid)
             result.exact_roots.append(mid)
         queue.append((left, lo, mid, depth + 1))
-        queue.append((right, mid, hi, depth + 1))
+        queue.append((_int_left_image(image[::-1])[::-1], mid, hi, depth + 1))
     result.intervals.sort()
     result.exact_roots.sort()
     return result

@@ -1,11 +1,13 @@
 """Shared test helpers: random sparse polynomials, formal coefficient math, the
-exclusion clause of a box read from the public enclosures and the full-grid
-scan of the n = 1 condition enclosure."""
+exclusion clause of a box read from the public enclosures, the full-grid
+scan of the n = 1 condition enclosure and the power-basis Descartes loop."""
 
 import math
+from collections import deque
 
 import numpy as np
 
+from cubecond import univariate
 from cubecond.interval import interval_f, interval_grad_norm
 from cubecond.poly import SparsePolynomial, _horner, new_sparse, norm1, to_dense
 
@@ -90,3 +92,45 @@ def reference_global_condition(f, grid_eps):
         return math.inf, math.inf, grid_eps
     slack = 1.0 / lower - f.degree * grid_eps
     return lower, (1.0 / slack if slack > 0.0 else math.inf), grid_eps
+
+
+def reference_descartes(f, max_depth):
+    """(intervals, exact_roots, per_depth, complete, unresolved) of the Descartes
+    tree with power-basis nodes: each node holds the integer coefficients of f
+    on [lo, hi] mapped to [0, 1], each visit counts the variations of a fresh
+    Moebius image, the left child scales the argument by 1/2 and the right
+    child shifts the left one by one."""
+    dense = to_dense(f)
+    if len(dense) == 1:
+        return [], [], [1], True, []
+    shift = univariate._int_shift_by_one
+    mirror, strip = univariate._int_mirror, univariate._int_strip_content
+    shifted = mirror(shift(mirror(univariate._dyadic_ints(dense))))
+    root = strip([v << k for k, v in enumerate(shifted)])
+    exact = [x for x, value in ((-1.0, root[0]), (1.0, sum(root))) if value == 0]
+    intervals, unresolved, per_depth, complete = [], [], [], True
+    queue = deque([(root, -1.0, 1.0, 0)])
+    while queue:
+        coeffs, lo, hi, depth = queue.popleft()
+        per_depth.extend([0] * (depth + 1 - len(per_depth)))
+        per_depth[depth] += 1
+        v = univariate.sign_variations(shift(coeffs[::-1]))
+        if v == 0:
+            continue
+        if v == 1:
+            endpoints = univariate._sign_change_endpoints(dense, lo, hi)
+            if endpoints is not None:
+                intervals.append(endpoints)
+                continue
+        mid = (lo + hi) / 2
+        if depth == max_depth or mid == lo or mid == hi:
+            complete = False
+            unresolved.append((lo, hi))
+            continue
+        left = strip([c << (len(coeffs) - 1 - k) for k, c in enumerate(coeffs)])
+        right = strip(shift(left))
+        if right[0] == 0:
+            exact.append(mid)
+        queue.append((left, lo, mid, depth + 1))
+        queue.append((right, mid, hi, depth + 1))
+    return sorted(intervals), sorted(exact), per_depth, complete, unresolved

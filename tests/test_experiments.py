@@ -196,7 +196,7 @@ def test_descartes_experiment_leaves_max_depth_to_the_engine():
     # a depth past the engine's guard fails with its message instead of running at 100
     m = gaussian_model(support=((0,), (1,), (13,), (64,)))
     cfg = exps.ExperimentConfig(kind="descartes", model=m, trials=2, seed=6, max_depth=101)
-    with pytest.raises(ValueError, match=r"max_depth must lie in \[1, 100\], got 101"):
+    with pytest.raises(ValueError, match=r"max_depth must be an integer in \[1, 100\], got 101"):
         exps.run_experiment(cfg)
 
 

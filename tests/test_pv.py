@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -64,6 +65,14 @@ def test_pv_linear_bivariate():
     assert report.final_widths.tolist() == [0.5] * 16
     assert report.max_depth_reached == 2
     assert report.per_depth_counts == [1, 4, 16]
+
+
+@pytest.mark.parametrize("max_depth", [2.5, 2.0, True, 0, 51])
+def test_pv_rejects_a_max_depth_that_is_not_an_integer_in_range(max_depth):
+    # the level count is compared with max_depth as a number, so 2.5 would act as 2
+    message = rf"max_depth must be an integer in \[1, 50\], got {re.escape(repr(max_depth))}$"
+    with pytest.raises(ValueError, match=message):
+        pv_subdivide(DOUBLE_ROOT, max_depth)
 
 
 def test_pv_singular_input_flagged():

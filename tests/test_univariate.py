@@ -1,6 +1,8 @@
 import gc
+import itertools
 import math
 import random
+import re
 import weakref
 
 import numpy as np
@@ -23,7 +25,7 @@ from cubecond.univariate import (
     sign_variations,
     tree_size_bound,
 )
-from helpers import random_poly
+from helpers import random_poly, reference_descartes
 
 X = new_sparse(1, [((1,), 1.0)])
 QUAD = new_sparse(1, [((2,), 2.0), ((0,), -1.0)])
@@ -37,6 +39,17 @@ def suite_draws(count):
         for dist in (models.Gaussian(), models.Uniform())
     ]
     return [models.sample(suite_models[i % 2], (2024, i // 2)) for i in range(count)]
+
+
+def eight_term_draws(degree, count, seed):
+    """Gaussian draws on supports {0, 1, five random interior exponents, degree}."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        inner = sorted(int(k) for k in rng.choice(np.arange(2, degree), 5, replace=False))
+        support = [(0,), (1,)] + [(k,) for k in inner] + [(degree,)]
+        draws.append(new_sparse(1, list(zip(support, rng.normal(size=8)))))
+    return draws
 
 
 def assert_residuals_meet_target(dense, roots, tol=1e-12):
@@ -149,6 +162,16 @@ def test_isolate_validation():
         descartes_isolate(new_sparse(2, [((0, 0), 1.0), ((1, 0), 1.0)]))
     with pytest.raises(ValueError):
         descartes_isolate(new_sparse(1, []))
+
+
+@pytest.mark.parametrize("max_depth", [2.5, 2.0, True, 0, 101])
+def test_isolate_rejects_a_max_depth_that_is_not_an_integer_in_range(max_depth):
+    # the guard stops a branch at depth == max_depth, which 2.5 never equals: on
+    # (X - 1/3)^2 the tree would run to depth 29 and report complete=True
+    f = new_sparse(1, [((0,), 1.0 / 9.0), ((1,), -2.0 / 3.0), ((2,), 1.0)])
+    message = rf"max_depth must be an integer in \[1, 100\], got {re.escape(repr(max_depth))}$"
+    with pytest.raises(ValueError, match=message):
+        descartes_isolate(f, max_depth=max_depth)
 
 
 def test_isolate_incomplete_for_double_root():
@@ -369,21 +392,59 @@ def test_accumulate_shift_matches_nested_loop_reference():
 
 
 def test_max_coefficient_bits_is_the_largest_node_coefficient(monkeypatch):
-    assert descartes_isolate(X).max_coefficient_bits == 2  # root node [-1, 2]
+    assert descartes_isolate(X).max_coefficient_bits == 1  # root image 1 - x
     assert descartes_isolate(new_sparse(1, [((0,), 3.0)])).max_coefficient_bits == 0
     nodes = []
-    count = univariate._int_variation_count
+    count = univariate.sign_variations
 
-    def recorded(coeffs):
-        nodes.append(coeffs)
-        return count(coeffs)
+    def recorded(image):
+        nodes.append(image)
+        return count(image)
 
-    monkeypatch.setattr(univariate, "_int_variation_count", recorded)
+    monkeypatch.setattr(univariate, "sign_variations", recorded)
     for f in suite_draws(6):
         nodes.clear()
         res = descartes_isolate(f, max_depth=60)
         assert len(nodes) == res.tree.nodes
         assert res.max_coefficient_bits == max(abs(v).bit_length() for c in nodes for v in c)
+
+
+def test_image_trees_match_the_power_basis_reference():
+    cases = [(f, 60) for f in suite_draws(80) + eight_term_draws(512, 3, 512)]
+    # linear factors, dyadic (exact roots at bisection points and at +-1) and
+    # not, each product also with its first factor doubled (depth guard)
+    roots = (-1.0, -0.75, -0.5, 0.0, 0.125, 0.5, 1.0, 1.0 / 3.0, -0.6)
+    for k in range(1, 5):
+        for combo in itertools.combinations(roots, k):
+            for factors in (combo, combo + combo[:1]):
+                dense = npp.polyfromroots(factors)
+                cases.append((new_sparse(1, [((j,), c) for j, c in enumerate(dense)]), 8))
+    trees = []
+    for f, max_depth in cases:
+        res = descartes_isolate(f, max_depth=max_depth)
+        trees.append((res.intervals, res.exact_roots, res.tree.per_depth, res.complete,
+                      res.unresolved))
+        assert trees[-1] == reference_descartes(f, max_depth)
+    assert {-1.0, 0.0, 0.125, 1.0} <= {r for tree in trees for r in tree[1]}
+    assert any(not tree[3] for tree in trees)
+
+
+def test_a_split_costs_two_exact_shifts(monkeypatch):
+    calls = []
+    shift = univariate._int_shift_by_one
+
+    def counted(c):
+        calls.append(1)
+        return shift(c)
+
+    monkeypatch.setattr(univariate, "_int_shift_by_one", counted)
+    internal_total = 0
+    for f in suite_draws(40):
+        calls.clear()
+        internal = (descartes_isolate(f, max_depth=60).tree.nodes - 1) // 2
+        internal_total += internal
+        assert len(calls) == 2 + 2 * internal  # the root map and root image, two per split
+    assert internal_total > 0
 
 
 def fixture_records(draws):
