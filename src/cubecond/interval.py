@@ -54,10 +54,13 @@ class BoxN:
 
 
 def sample_boxes(midpoints: np.ndarray, widths: np.ndarray, rng, count: int) -> np.ndarray:
-    """``count`` uniform points in each box, shape (N, count, n), from one draw that
-    consumes ``rng`` exactly as N consecutive draws of ``count`` points each."""
+    """``count`` uniform points m + (w/2) u in each box, shape (N, count, n), from one
+    draw that consumes ``rng`` exactly as N consecutive draws of ``count`` points each.
+    The result views memory that holds each coordinate of all points contiguously."""
     u = rng.uniform(-1.0, 1.0, size=(len(widths), count, midpoints.shape[1]))
-    return midpoints[:, None, :] + (widths / 2)[:, None, None] * u
+    coordinates = np.multiply(np.moveaxis(u, 2, 0), (widths / 2)[:, None], order="C")
+    coordinates += midpoints.T[:, :, None]
+    return coordinates.transpose(1, 2, 0)
 
 
 def _exclusion_radii(f: SparsePolynomial, half_w):

@@ -15,6 +15,8 @@ import functools
 import json
 import math
 import reprlib
+from itertools import accumulate
+from operator import add, iadd, imul, itemgetter, mul
 from dataclasses import MISSING, dataclass
 from typing import NamedTuple
 
@@ -86,35 +88,37 @@ class SparsePolynomial:
 class _KernelTerms(NamedTuple):
     """The terms of f (block 0) and of each d f / d x_i (block 1 + i), in support order.
 
-    Row r is coefficients[r] times the monomial prod_i T[rows[r, i]], where the
-    power table T of ``table_size`` powers holds x_i^k in row k * n + i.  Block b
-    spans rows ends[b] to ends[b + 1].  Block 1 + i has a row alpha_i * c *
-    x^(alpha - e_i) for each support term with alpha_i > 0, so no 0 * x^-1 term.
+    Row r is coefficients[r] times the product of x_i^k over the pairs (i, k)
+    of factors[r], which are in variable order and have k >= 1.  Block b spans
+    rows ends[b] to ends[b + 1].  Block 1 + i has a row alpha_i * c *
+    x^(alpha - e_i) for each support term with alpha_i > 0, so no 0 * x^-1
+    term.  top[i] is the largest power of x_i in any row.
     """
 
-    rows: np.ndarray
-    coefficients: np.ndarray
+    factors: tuple
+    coefficients: tuple
     ends: tuple
-    table_size: int
+    top: tuple
 
 
 def _build_kernel_terms(f: SparsePolynomial) -> _KernelTerms:
     # plain Python: polynomials are often built, evaluated once and dropped
-    m, n = f.exponents.shape
     exponents, coefficients = f.exponents.tolist(), f.coefficients.tolist()
-    rows = [k * n + i for alpha in exponents for i, k in enumerate(alpha)]
-    scaled, ends = list(coefficients), [0, m]
-    for i in range(n):
-        for alpha, c in zip(exponents, coefficients):
-            if alpha[i] > 0:
-                rows += [(k - (j == i)) * n + j for j, k in enumerate(alpha)]
-                scaled.append(c * alpha[i])
+    base = [tuple(filter(itemgetter(1), enumerate(alpha))) for alpha in exponents]
+    factors, scaled, ends = list(base), list(coefficients), [0, len(base)]
+    for i in range(f.n):
+        for row, alpha, c in zip(base, exponents, coefficients):
+            k = alpha[i]
+            if k > 0:  # row with x_i^k replaced by x_i^(k-1)
+                at = row.index((i, k))
+                factors.append(row[:at] + ((i, k - 1),) * (k > 1) + row[at + 1:])
+                scaled.append(c * k)
         ends.append(len(scaled))
     return _KernelTerms(
-        rows=np.array(rows, dtype=np.int64).reshape(-1, n),
-        coefficients=np.array(scaled, dtype=np.float64),
+        factors=tuple(factors),
+        coefficients=tuple(scaled),
         ends=tuple(ends),
-        table_size=max(map(max, exponents), default=0) + 1,
+        top=tuple(map(max, zip(*exponents))) or (0,) * f.n,
     )
 
 
@@ -173,80 +177,69 @@ def _as_points(f: SparsePolynomial, points) -> np.ndarray:
     return X
 
 
-# Points per kernel chunk: a chunk's power table holds at most this many float64
-# entries (points x (max exponent + 1) x n), which bounds the memory of a batch.
-_CHUNK_TABLE_ENTRIES = 2 ** 15
-# Below this many entries per row, one ufunc.accumulate call beats a call per row.
-_ACCUMULATE_ROW_ENTRIES = 128
+_CHUNK_POINTS = 2 ** 12  # points per pass of the kernel, which bounds its memory
 
 
-def _accumulate(ufunc, rows: np.ndarray) -> None:
-    """In place, row k becomes ufunc(row k - 1, row k) for k = 1, 2, ... in order.
+def _block_sums(terms: _KernelTerms, columns, first: int, last: int) -> list:
+    """The sums of term blocks ``first`` to ``last - 1`` at the point whose
+    coordinates are ``columns``: floats, or (N,) arrays for N points at once.
 
-    This is ufunc.accumulate along axis 0; both branches give the same bits.
+    The powers x_i^k = x_i^(k-1) * x_i are built up to top[i].  A term
+    multiplies its factors in variable order, then its coefficient, and a block
+    sums its terms in support order; an empty block is 0.0.  This is the order
+    of a power table, in which x_i^0 = 1.0 is a factor of every term and 1.0 a
+    factor of every coefficient, minus those exact multiplications by 1.0; the
+    order fixes the a-priori error bound (Higham 2002, ch. 3).
     """
-    if rows[0].size < _ACCUMULATE_ROW_ENTRIES:
-        ufunc.accumulate(rows, axis=0, out=rows)
-    else:
-        for k in range(1, len(rows)):
-            ufunc(rows[k - 1], rows[k], out=rows[k])
-
-
-def _monomials(f: SparsePolynomial, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The monomials of ``rows`` at the points X, shape (len(rows), N).
-
-    The power table holds x_i^k = x_i^(k-1) * x_i for k below the table size;
-    each monomial multiplies its factors from the table left to right.
-    """
-    table = np.empty((f._kernel_terms.table_size, f.n, X.shape[0]))
-    table[0] = 1.0
-    table[1:] = X.T
-    _accumulate(np.multiply, table)
-    table = table.reshape(-1, X.shape[0])
-    products = table[rows[:, 0]]
-    for i in range(1, f.n):
-        products *= table[rows[:, i]]
-    return products
+    powers = [[1.0, *accumulate([x] * top, mul)] for x, top in zip(columns, terms.top)]
+    sums = []
+    for block in range(first, last):
+        total, begin = 0.0, terms.ends[block]
+        for r in range(begin, terms.ends[block + 1]):
+            # in place only on what this call made: a product of two or more
+            # factors, and a sum of two or more terms
+            factors, c, term = terms.factors[r], terms.coefficients[r], 1.0
+            for n, (i, k) in enumerate(factors):
+                term = powers[i][k] if n == 0 else (mul if n == 1 else imul)(term, powers[i][k])
+            if c != 1.0:
+                term = (mul if len(factors) < 2 else imul)(term, c)
+            total = term if r == begin else (add if r == begin + 1 else iadd)(total, term)
+        sums.append(total)
+    return sums
 
 
 def _kernel(f: SparsePolynomial, points, first: int, last: int) -> np.ndarray:
     """Sums of the term blocks ``first`` to ``last - 1`` of ``f._kernel_terms`` at each
     row of ``points``, shape (N, last - first).
 
-    Each block is summed in support order, so a row's result is the same bits
-    whatever N, the chunk or the other rows are.
+    A row's result is the same bits whatever N, the chunk or the other rows
+    are; a one-row call runs on Python floats.
     """
     X = _as_points(f, points)
     terms = f._kernel_terms
-    start, stop = terms.ends[first], terms.ends[last]
-    rows, coefficients = terms.rows[start:stop], terms.coefficients[start:stop, None]
-    out = np.zeros((X.shape[0], last - first))
-    if start == stop:  # no terms: every block sums to 0
-        return out
-    step = max(1, _CHUNK_TABLE_ENTRIES // (terms.table_size * f.n))
+    if len(X) == 1:
+        return np.array([_block_sums(terms, X[0].tolist(), first, last)])
+    out = np.empty((len(X), last - first))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, X.shape[0], step):
-            products = _monomials(f, X[lo:lo + step], rows)
-            products *= coefficients
-            for block in range(first, last):
-                a, b = terms.ends[block] - start, terms.ends[block + 1] - start
-                if a < b:
-                    _accumulate(np.add, products[a:b])
-                    out[lo:lo + step, block - first] = products[b - 1]
+        for lo in range(0, len(X), _CHUNK_POINTS):
+            columns = X[lo:lo + _CHUNK_POINTS].T
+            for j, total in enumerate(_block_sums(terms, columns, first, last)):
+                out[lo:lo + _CHUNK_POINTS, j] = total
     return out
 
 
 def _monomial_matrix(f: SparsePolynomial, x) -> np.ndarray:
     """The monomials x^alpha (row 0) and their partial derivatives d/dx_i (row 1 + i)
     at one point x, one column per support term; shape (n + 1, m)."""
-    m = f.support_size
+    m, rows = f.support_size, len(f._kernel_terms.factors)
+    # every row as a block of its own with coefficient 1.0 is its monomial
+    unit = f._kernel_terms._replace(coefficients=(1.0,) * rows, ends=tuple(range(rows + 1)))
+    monomials = _block_sums(unit, _as_points(f, x)[0].tolist(), 0, rows)
     out = np.zeros((f.n + 1, m))
-    with np.errstate(over="ignore", invalid="ignore"):
-        monomials = _monomials(f, _as_points(f, x)[:1], f._kernel_terms.rows)[:, 0]
     out[0] = monomials[:m]
     # the derivative rows in kernel order: by variable, then in support order
-    variables, terms = np.nonzero(f.exponents.T)
-    out[1 + variables, terms] = f.exponents[terms, variables] * monomials[m:]
+    variables, columns = np.nonzero(f.exponents.T)
+    out[1 + variables, columns] = f.exponents[columns, variables] * np.array(monomials[m:])
     return out
 
 

@@ -104,8 +104,8 @@ def verify_output_boxes(
     is a soundness violation.  One sample per box would verify vacuously, so
     ``samples_per_box`` must be at least 2.
     """
-    if samples_per_box < 2:
-        raise ValueError(f"samples_per_box must be >= 2, got {samples_per_box}")
+    if not (_is_int(samples_per_box) and samples_per_box >= 2):
+        raise ValueError(f"samples_per_box must be an integer >= 2, got {samples_per_box!r}")
     rng = np.random.default_rng(seed)
     chunk = max(1, _VERIFY_CHUNK_POINTS // samples_per_box)
     for start in range(0, report.final_count, chunk):
@@ -132,8 +132,8 @@ def amortization_bound(f: SparsePolynomial, n_samples: int, seed: int = 0) -> fl
     """
     if norm1(f) == 0.0:
         raise ValueError("bound undefined for the zero polynomial")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if not (_is_int(n_samples) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     points = rng.uniform(-1.0, 1.0, size=(n_samples, f.n))
     kappas = kappa_batch(f, points)

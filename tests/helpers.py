@@ -1,6 +1,7 @@
 """Shared test helpers: random sparse polynomials, formal coefficient math, the
-exclusion clause of a box read from the public enclosures, the full-grid
-scan of the n = 1 condition enclosure and the power-basis Descartes loop."""
+evaluation kernel's order in plain Python, the exclusion clause of a box read
+from the public enclosures, the per-box verifier, the full-grid scan of the
+n = 1 condition enclosure and the power-basis Descartes loop."""
 
 import math
 from collections import deque
@@ -9,7 +10,16 @@ import numpy as np
 
 from cubecond import univariate
 from cubecond.interval import interval_f, interval_grad_norm
-from cubecond.poly import SparsePolynomial, _horner, new_sparse, norm1, to_dense
+from cubecond.poly import (
+    SparsePolynomial,
+    _horner,
+    evaluate_batch,
+    gradient_batch,
+    new_sparse,
+    norm1,
+    to_dense,
+)
+from cubecond.pv import _VERIFY_CHUNK_POINTS
 
 
 def random_support(rng, n, max_degree, m, include_simplex=False):
@@ -62,6 +72,64 @@ def directional_derivative(f: SparsePolynomial, v):
     from cubecond.poly import partial_derivative
 
     return lin_comb(f.n, [(float(v[i]), partial_derivative(f, i)) for i in range(f.n)])
+
+
+def reference_monomial(alpha, x):
+    """x^alpha at the point x in plain Python floats, in the order of a power
+    table: x_i^k = x_i^(k-1) * x_i from x_i^0 = 1.0, and the product of every
+    x_i^alpha_i, unit factors included, from 1.0 in variable order."""
+    product = 1.0
+    for xi, k in zip(x, alpha):
+        power = 1.0
+        for _ in range(k):
+            power = power * xi
+        product = product * power
+    return product
+
+
+def reference_kernel(f, x):
+    """(value, gradient) of f at the point x in plain Python floats, in the order
+    the evaluation kernel documents: each term is its monomial times its
+    coefficient, the derivative term of alpha with alpha_i > 0 is
+    x^(alpha - e_i) times alpha_i * c, and a block sums its terms in support
+    order from the first; an empty block is 0.0."""
+
+    def block(terms):
+        total = 0.0
+        for r, (alpha, c) in enumerate(terms):
+            term = reference_monomial(alpha, x) * c
+            total = total + term if r else term
+        return total
+
+    def lowered(alpha, i):
+        return tuple(a - (j == i) for j, a in enumerate(alpha))
+
+    terms = f.terms()
+    grad = [block([(lowered(alpha, i), c * alpha[i]) for alpha, c in terms if alpha[i] > 0])
+            for i in range(f.n)]
+    return block(terms), grad
+
+
+def reference_verify(f, report, samples_per_box, seed):
+    """The chunked output verifier in box-major arrays: each chunk of boxes draws
+    its (boxes, samples, n) points as m + (w/2) u, evaluate_batch evaluates them,
+    and the boxes whose values change sign get the per-box Gram check on their
+    gradient_batch covectors."""
+    rng = np.random.default_rng(seed)
+    chunk = max(1, _VERIFY_CHUNK_POINTS // samples_per_box)
+    for start in range(0, report.final_count, chunk):
+        boxes = slice(start, start + chunk)
+        midpoints, widths = report.final_midpoints[boxes], report.final_widths[boxes]
+        u = rng.uniform(-1.0, 1.0, size=(len(widths), samples_per_box, f.n))
+        points = midpoints[:, None, :] + (widths / 2)[:, None, None] * u
+        values = evaluate_batch(f, points.reshape(-1, f.n)).reshape(points.shape[:2])
+        one_sign = np.all(values > 0.0, axis=1) | np.all(values < 0.0, axis=1)
+        mixed = points[~one_sign]
+        grads = gradient_batch(f, mixed.reshape(-1, f.n)).reshape(mixed.shape)
+        for box_grads in grads:
+            if not np.min(box_grads @ box_grads.T) > 0.0:
+                return False
+    return True
 
 
 def reference_clause(f, box):

@@ -22,7 +22,14 @@ from cubecond.poly import (
     to_dense,
     value_and_gradient_batch,
 )
-from helpers import directional_derivative, lin_comb, poly_to_dict, random_poly
+from helpers import (
+    directional_derivative,
+    lin_comb,
+    poly_to_dict,
+    random_poly,
+    reference_kernel,
+    reference_monomial,
+)
 
 
 def test_new_sparse_basic():
@@ -89,9 +96,9 @@ def test_evaluate_overflow_propagates():
     assert math.isinf(evaluate(f, [10.0]))
 
 
-def _chunk_points(f):
-    """Points per chunk of the evaluation kernel for f."""
-    return max(1, poly._CHUNK_TABLE_ENTRIES // (f._kernel_terms.table_size * f.n))
+def _chunk_points():
+    """Points per chunk of the evaluation kernel."""
+    return poly._CHUNK_POINTS
 
 
 def test_batch_rows_match_one_row_calls_bit_for_bit():
@@ -99,7 +106,7 @@ def test_batch_rows_match_one_row_calls_bit_for_bit():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3):
         f = random_poly(rng, n, 8, 9)
-        chunk = _chunk_points(f)
+        chunk = _chunk_points()
         for count in (1, 7, chunk - 1, chunk + 3):
             X = rng.uniform(-1, 1, (count, n))
             values, grads = evaluate_batch(f, X), gradient_batch(f, X)
@@ -113,6 +120,47 @@ def test_batch_rows_match_one_row_calls_bit_for_bit():
             for r in sorted(row for row in rows if row < count):
                 assert evaluate_batch(f, X[r])[0] == values[r]
                 assert np.array_equal(gradient_batch(f, X[r])[0], grads[r])
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def test_kernel_matches_plain_python_order_bit_for_bit():
+    # the kernel's term walk against the documented power-table order, with
+    # zero and unit coefficients, signed zeros, +-1 and overflow to +-inf
+    rng = np.random.default_rng(16)
+    chunk = _chunk_points()
+    specials = [0.0, -0.0, 1.0, -1.0, 1e200, -1e200]
+    found = []
+    for n in (1, 2, 3, 4):
+        f = random_poly(rng, n, 5, min(8, math.comb(5 + n, n)))
+        coefficients = f.coefficients.copy()
+        coefficients[1::3], coefficients[2::4] = 0.0, 1.0
+        f = new_sparse(n, list(zip(f.exponents.tolist(), coefficients)))
+        X = rng.uniform(-1.5, 1.5, (chunk + 1, n))
+        special = rng.random((chunk + 1, n)) < 0.3
+        X[special] = rng.choice(specials, special.sum())
+        X[:len(specials)] = np.array(specials)[:, None]
+        expected = [reference_kernel(f, x) for x in X.tolist()]
+        values = [value for value, _ in expected]
+        grads = [grad for _, grad in expected]
+        found += values + sum(grads, [])
+        for count in (1, 2, chunk - 1, chunk, chunk + 1):
+            points = X[:count]
+            assert evaluate_batch(f, points).tobytes() == _bits(values[:count])
+            assert gradient_batch(f, points).tobytes() == _bits(grads[:count])
+            fused = value_and_gradient_batch(f, points)
+            assert fused[0].tobytes() == _bits(values[:count])
+            assert fused[1].tobytes() == _bits(grads[:count])
+        for x in X[:len(specials) + 4].tolist():
+            rows = [[reference_monomial(alpha, x) for alpha, _ in f.terms()]]
+            for i in range(n):
+                rows.append([alpha[i] * reference_monomial(
+                    [a - (j == i) for j, a in enumerate(alpha)], x) if alpha[i] else 0.0
+                    for alpha, _ in f.terms()])
+            assert poly._monomial_matrix(f, x).tobytes() == _bits(rows)
+    assert np.isinf(found).any() and np.isnan(found).any()
 
 
 def _exact_terms(f, x, var=None):

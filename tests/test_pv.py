@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import re
@@ -7,6 +8,8 @@ from collections import deque
 import numpy as np
 import pytest
 
+import helpers
+from cubecond import pv
 from cubecond.interval import BoxN
 from cubecond.poly import new_sparse
 from cubecond.pv import (
@@ -16,13 +19,14 @@ from cubecond.pv import (
     pv_subdivide,
     verify_output_boxes,
 )
-from helpers import random_poly, reference_clause
+from helpers import random_poly, reference_clause, reference_verify
 
 X = new_sparse(1, [((1,), 1.0)])
 LINE2 = new_sparse(2, [((1, 0), 1.0), ((0, 1), 1.0)])
 DOUBLE_ROOT = new_sparse(1, [((0,), 0.25), ((1,), -1.0), ((2,), 1.0)])
 CIRCLE = new_sparse(2, [((2, 0), 1.0), ((0, 2), 1.0), ((0, 0), -0.25)])
 # CIRCLE squared: singular along the whole circle
+SPHERE = new_sparse(3, [((2, 0, 0), 1.0), ((0, 2, 0), 1.0), ((0, 0, 2), 1.0), ((0, 0, 0), -0.5)])
 DOUBLED_CIRCLE = new_sparse(2, [((4, 0), 1.0), ((2, 2), 2.0), ((0, 4), 1.0),
                                 ((2, 0), -0.5), ((0, 2), -0.5), ((0, 0), 0.0625)])
 
@@ -147,26 +151,75 @@ def test_verify_output_boxes_rejects_corrupted_report():
     assert verify_output_boxes(CIRCLE, corrupted, 128) is False
 
 
-def test_verify_rejects_a_corrupted_box_at_chunk_edges():
+def _record_kernel_calls(monkeypatch, module) -> list:
+    """Wrap the evaluate_batch and gradient_batch that ``module`` calls so that each
+    call appends its name, the shape and a digest of the bytes of its points."""
+    calls = []
+    for name in ("evaluate_batch", "gradient_batch"):
+        def record(f, points, kernel=getattr(module, name), name=name):
+            points = np.ascontiguousarray(points)
+            calls.append((name, points.shape, hashlib.sha256(points.tobytes()).hexdigest()))
+            return kernel(f, points)
+        monkeypatch.setattr(module, name, record)
+    return calls
+
+
+def _check_against_reference(f, report, samples, seed, library, reference):
+    """verify_output_boxes and the per-box reference give the same verdict from
+    the same kernel calls on the same sample points."""
+    library.clear()
+    reference.clear()
+    verdict = verify_output_boxes(f, report, samples, seed)
+    assert verdict is reference_verify(f, report, samples, seed)
+    assert library == reference and library
+    return verdict
+
+
+def test_verifier_matches_per_box_reference(monkeypatch):
+    library = _record_kernel_calls(monkeypatch, pv)
+    reference = _record_kernel_calls(monkeypatch, helpers)
+    rng = np.random.default_rng(42)
+    draws = [random_poly(rng, n, 4, 5, include_simplex=True) for n in (1, 1, 2, 2, 3, 3)]
+    for f in [X, CIRCLE, LINE2, SPHERE] + draws:
+        report = pv_subdivide(f, 6 + 4 * (f.n < 3))
+        assert report.terminated
+        for samples in (2, 3, 128):
+            assert _check_against_reference(f, report, samples, 7, library, reference) is True
+
+
+def test_verify_rejects_a_corrupted_box_at_chunk_edges(monkeypatch):
+    # every chunk edge, each checked against the per-box reference
+    library = _record_kernel_calls(monkeypatch, pv)
+    reference = _record_kernel_calls(monkeypatch, helpers)
     samples = 128
     chunk = _VERIFY_CHUNK_POINTS // samples
     report = pv_subdivide(CIRCLE, 20)
     count = report.final_count
     assert count > 2 * chunk and count % chunk != 0
     assert verify_output_boxes(CIRCLE, report, samples, seed=3) is True
-    for index in (0, chunk - 1, chunk, count - 1):
+    edges = {0, count - 1} | {k * chunk + d for k in range(1, count // chunk + 1) for d in (-1, 0)}
+    for index in sorted(edges):
         midpoints = report.final_midpoints.copy()
         widths = report.final_widths.copy()
         midpoints[index], widths[index] = 0.0, 2.0
         corrupted = dataclasses.replace(report, final_midpoints=midpoints, final_widths=widths)
-        assert verify_output_boxes(CIRCLE, corrupted, samples, seed=3) is False, index
+        verdict = _check_against_reference(CIRCLE, corrupted, samples, 3, library, reference)
+        assert verdict is False, index
 
 
-@pytest.mark.parametrize("samples", [1, 0, -3])
+@pytest.mark.parametrize("samples", [1, 0, -3, 64.0, True, "64"])
 def test_verify_output_boxes_needs_two_samples_per_box(samples):
     report = pv_subdivide(CIRCLE, 20)
-    with pytest.raises(ValueError, match=f"samples_per_box must be >= 2, got {samples}"):
+    message = re.escape(f"samples_per_box must be an integer >= 2, got {samples!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
         verify_output_boxes(CIRCLE, report, samples)
+
+
+@pytest.mark.parametrize("count", [0, -1, 100.0, True, "100"])
+def test_amortization_bound_needs_an_integer_sample_count(count):
+    message = re.escape(f"n_samples must be an integer >= 1, got {count!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        amortization_bound(CIRCLE, count)
 
 
 def test_verify_on_random_well_conditioned_draws():
