@@ -15,9 +15,9 @@ import functools
 import json
 import math
 import reprlib
+from dataclasses import MISSING, dataclass
 from itertools import accumulate
 from operator import add, iadd, imul, itemgetter, mul
-from dataclasses import MISSING, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -238,8 +238,8 @@ def _monomial_matrix(f: SparsePolynomial, x) -> np.ndarray:
     out = np.zeros((f.n + 1, m))
     out[0] = monomials[:m]
     # the derivative rows in kernel order: by variable, then in support order
-    variables, columns = np.nonzero(f.exponents.T)
-    out[1 + variables, columns] = f.exponents[columns, variables] * np.array(monomials[m:])
+    variables, terms = np.nonzero(f.exponents.T)
+    out[1 + variables, terms] = f.exponents[terms, variables] * np.array(monomials[m:])
     return out
 
 

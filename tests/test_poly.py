@@ -134,14 +134,19 @@ def test_kernel_matches_plain_python_order_bit_for_bit():
     specials = [0.0, -0.0, 1.0, -1.0, 1e200, -1e200]
     found = []
     for n in (1, 2, 3, 4):
-        f = random_poly(rng, n, 5, min(8, math.comb(5 + n, n)))
-        coefficients = f.coefficients.copy()
-        coefficients[1::3], coefficients[2::4] = 0.0, 1.0
-        f = new_sparse(n, list(zip(f.exponents.tolist(), coefficients)))
+        # first a bare x_0 with coefficient 1.0, whose block sum may not run in
+        # place on the points, then a term in every variable
+        first, every = (1,) + (0,) * (n - 1), (2,) * n
+        drawn = random_poly(rng, n, 5, min(7, math.comb(5 + n, n))).terms()
+        terms = [(first, 1.0), (every, 0.7)] + [
+            (alpha, 0.0 if r % 3 == 1 else 1.0 if r % 4 == 2 else c)
+            for r, (alpha, c) in enumerate(drawn) if alpha not in (first, every)]
+        f = new_sparse(n, terms)
         X = rng.uniform(-1.5, 1.5, (chunk + 1, n))
         special = rng.random((chunk + 1, n)) < 0.3
         X[special] = rng.choice(specials, special.sum())
         X[:len(specials)] = np.array(specials)[:, None]
+        given = X.copy()
         expected = [reference_kernel(f, x) for x in X.tolist()]
         values = [value for value, _ in expected]
         grads = [grad for _, grad in expected]
@@ -153,6 +158,7 @@ def test_kernel_matches_plain_python_order_bit_for_bit():
             fused = value_and_gradient_batch(f, points)
             assert fused[0].tobytes() == _bits(values[:count])
             assert fused[1].tobytes() == _bits(grads[:count])
+            assert X.tobytes() == given.tobytes()
         for x in X[:len(specials) + 4].tolist():
             rows = [[reference_monomial(alpha, x) for alpha, _ in f.terms()]]
             for i in range(n):
