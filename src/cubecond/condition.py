@@ -25,6 +25,7 @@ import numpy as np
 from .poly import (
     SparsePolynomial,
     _as_points,
+    _derivative,
     _horner,
     _monomial_matrix,
     evaluate,
@@ -89,13 +90,19 @@ def local_condition(f: SparsePolynomial, x) -> float:
     return float(kappa_batch(f, x)[0])
 
 
-def kappa_batch(f: SparsePolynomial, points) -> np.ndarray:
-    """Vectorised kappa(f, x) over rows of ``points``, which must be finite."""
-    nf = _check_nonzero(f)
+def _finite_points(f: SparsePolynomial, points) -> np.ndarray:
+    """``points`` as rows of shape (N, n), each of which must be finite."""
     X = _as_points(f, points)
     if not np.isfinite(X).all():  # flat check first: a per-row one is slow for small n
         bad = X[~np.isfinite(X).all(axis=1)]
         raise ValueError(f"kappa needs a finite point, got {bad[0].tolist()}")
+    return X
+
+
+def kappa_batch(f: SparsePolynomial, points) -> np.ndarray:
+    """Vectorised kappa(f, x) over rows of ``points``, which must be finite."""
+    nf = _check_nonzero(f)
+    X = _finite_points(f, points)
     values, grads = value_and_gradient_batch(f, X)
     return _kappas(nf, np.maximum(np.abs(values), np.abs(grads).sum(axis=1) / f.degree))
 
@@ -150,7 +157,7 @@ def _univariate_grid_max(f: SparsePolynomial, axes: np.ndarray) -> tuple[float, 
     """
     d = f.degree
     dense = to_dense(f)
-    deriv = np.polynomial.polynomial.polyder(dense)
+    deriv = _derivative(dense)
     # cells of radius about 1/(16 d), as the Taylor terms scale with d r, and of
     # at least 65 points, so that the two passes over the centres stay cheap
     half = max(32, (axes.size - 1) // (32 * d))
@@ -163,7 +170,7 @@ def _univariate_grid_max(f: SparsePolynomial, axes: np.ndarray) -> tuple[float, 
     with np.errstate(all="ignore"):  # an overflow here only keeps every cell live
         norm_f, norm_d = float(np.abs(dense).sum()), float(np.abs(deriv).sum())
         # Higham's gamma_k = k u / (1 - k u) at k = 4d + 16 units of roundoff: Horner's
-        # 2d, the rounding of polyder's coefficients, of the sums here and of the
+        # 2d, the rounding of the derivative's coefficients, of the sums here and of the
         # bound itself; the last term is Horner's underflow
         units = 4 * d + 16
         gamma = units * 2.0 ** -53 / (1.0 - units * 2.0 ** -53)
@@ -238,7 +245,7 @@ def gamma_bound(f: SparsePolynomial, x) -> float:
     EstimateInapplicableError.
     """
     nf = _check_nonzero(f)
-    value, grad = value_and_gradient_batch(f, x)
+    value, grad = value_and_gradient_batch(f, _finite_points(f, x))
     fx = abs(float(value[0]))
     gx = float(np.abs(grad[0]).sum())
     if not fx < gx / f.degree:
@@ -259,6 +266,7 @@ def gamma_exact_univariate(f: SparsePolynomial, x: float) -> float:
     if f.n != 1:
         raise ValueError("exact gamma is implemented for univariate polynomials only")
     _check_nonzero(f)
+    _finite_points(f, x)
     deriv = partial_derivative(f, 0)
     f1 = evaluate(deriv, x)
     if f1 == 0.0:
@@ -269,8 +277,7 @@ def gamma_exact_univariate(f: SparsePolynomial, x: float) -> float:
         raw = partial_derivative(taylor, 0)
         taylor = new_sparse(1, [(alpha, c / k) for alpha, c in raw.terms()])
         tk = abs(evaluate(taylor, x))
-        if tk > 0.0:
-            best = max(best, (tk / abs(f1)) ** (1.0 / (k - 1)))
+        best = max(best, (tk / abs(f1)) ** (1.0 / (k - 1)))
     return best
 
 
@@ -292,7 +299,7 @@ def dist1_to_sigma_x(f: SparsePolynomial, x) -> float:
     (support sizes here are small).
     """
     _check_nonzero(f)
-    A, b = _constraint_matrix(f, x)
+    A, b = _constraint_matrix(f, _finite_points(f, x))
     b_norm = float(np.abs(b).sum())
     if b_norm == 0.0:
         return 0.0
@@ -322,6 +329,4 @@ def local_size_bound(f: SparsePolynomial, x) -> float:
     accounting.
     """
     kappa = local_condition(f, x)
-    if math.isinf(kappa):
-        return 0.0
     return (f.degree * math.sqrt(2 * f.n) * kappa) ** (-f.n)

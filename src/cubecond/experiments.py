@@ -70,6 +70,7 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        models._check_seed(self.seed)  # the rule of every trial's stream, before the first
         # the tail bound is proved only on the cube and for t >= e; -1 <= nan is False
         if self.x0 is not None and (len(self.x0) != n or not all(-1 <= v <= 1 for v in self.x0)):
             raise ValueError(f"field 'x0' must be a point of [-1, 1]^{n}")

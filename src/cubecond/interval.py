@@ -45,8 +45,8 @@ class BoxN:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError(f"box width must be positive, got {self.width}")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError(f"box width must be positive and finite, got {self.width}")
 
     def sample(self, rng, count: int) -> np.ndarray:
         """Uniform sample of ``count`` points inside the box, shape (count, n)."""

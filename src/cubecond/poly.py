@@ -153,12 +153,8 @@ def new_sparse(n, terms) -> SparsePolynomial:
         else:
             merged[alpha] = c
             order.append(alpha)
-    if order:
-        exponents = np.array(order, dtype=np.int64).reshape(len(order), n)
-        coefficients = np.array([merged[a] for a in order], dtype=np.float64)
-    else:
-        exponents = np.zeros((0, n), dtype=np.int64)
-        coefficients = np.zeros(0, dtype=np.float64)
+    exponents = np.array(order, dtype=np.int64).reshape(len(order), n)
+    coefficients = np.array([merged[a] for a in order], dtype=np.float64)
     return SparsePolynomial(n, exponents, coefficients, _degree_of(exponents, coefficients))
 
 
@@ -318,6 +314,12 @@ def to_dense(f: SparsePolynomial) -> np.ndarray:
         if c != 0.0:
             dense[int(alpha)] += c
     return dense
+
+
+def _derivative(dense: np.ndarray) -> np.ndarray:
+    """The derivative's ascending coefficients: the products k * c_k of numpy's
+    ``polyder``, and c_0 * 0.0 for a constant."""
+    return dense[1:] * np.arange(1, dense.size) if dense.size > 1 else dense[:1] * 0.0
 
 
 def _horner(dense, x):

@@ -147,8 +147,6 @@ class WeibullSymmetric:
         return signs * magnitude
 
     def density_bound(self) -> float:
-        if self.p == 1.0:
-            return 1.0 / (2.0 * self.scale)
         q = (self.p - 1.0) / self.p
         return (self.p / (2.0 * self.scale)) * q ** q * math.exp(-q)
 
@@ -224,14 +222,19 @@ class ModelConstants:
     L: float
 
 
+def _check_seed(seed) -> None:
+    """The seed rule: an int, or a tuple of ints such as (base_seed, trial_index), none negative."""
+    if min(seed if isinstance(seed, tuple) else (seed,)) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def trial_rng(seed) -> np.random.Generator:
     """Counter-based stream: trial i of base seed s is the stream of seed (s, i).
 
     Streams for distinct trials are independent and order-free, so parallel
     experiment workers reproduce the single-worker draws exactly.
     """
-    if min(seed if isinstance(seed, tuple) else (seed,)) < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 

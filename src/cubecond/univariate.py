@@ -23,9 +23,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
-from .poly import SparsePolynomial, _horner, _is_int, norm1, to_dense
+from .poly import SparsePolynomial, _derivative, _horner, _is_int, norm1, to_dense
 
 __all__ = [
     "TreeStats",
@@ -232,10 +231,6 @@ def descartes_isolate(f: SparsePolynomial, max_depth: int = 40) -> IsolationResu
         raise ValueError(f"max_depth must be an integer in [1, 100], got {max_depth!r}")
 
     result = IsolationResult(intervals=[], exact_roots=[], tree=TreeStats())
-    if len(dense) == 1:
-        result.tree.count(0)
-        return result
-
     # f in exact integers, then f(-1 + 2t): shift by -1 (mirror / shift-by-one
     # / mirror), then scale the argument by two; the root node is its image
     ints = _dyadic_ints(dense)
@@ -349,7 +344,7 @@ def _aberth(dense, max_sweeps: int = 1000) -> tuple[np.ndarray, int]:
 
     rng = np.random.default_rng(123456789)
     z, radii = _newton_polygon_starts(c, rng)
-    deriv = npp.polyder(c)
+    deriv = _derivative(c)
     active = np.arange(degree)
     for sweep in range(max_sweeps):
         # a root whose residual meets the target is frozen; it still repels
@@ -380,7 +375,7 @@ def _aberth(dense, max_sweeps: int = 1000) -> tuple[np.ndarray, int]:
 
 def _classify_real(dense, roots):
     """Split the oracle output into polished real roots and complex roots."""
-    deriv = npp.polyder(dense)
+    deriv = _derivative(dense)
     reals = []
     complexes = []
     for z in roots:
@@ -405,8 +400,6 @@ def _classify_real(dense, roots):
 
 
 def _min_pairwise(values) -> float:
-    if len(values) < 2:
-        return math.inf
     best = math.inf
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
@@ -435,11 +428,8 @@ def _oracle_entry(f: SparsePolynomial) -> _OracleRoots:
     if cached is None:
         dense = _dense_univariate(f, "the root oracle requires a univariate polynomial",
                                   "the zero polynomial has no root set")
-        if len(dense) == 1:
-            reals, complexes, sweeps = np.zeros(0), np.zeros(0, dtype=np.complex128), 0
-        else:
-            roots, sweeps = _aberth(dense)
-            reals, complexes = _classify_real(dense, roots)
+        roots, sweeps = _aberth(dense)
+        reals, complexes = _classify_real(dense, roots)
         reals.setflags(write=False)
         complexes.setflags(write=False)
         cached = _ROOT_CACHE[f] = _OracleRoots(reals, complexes, sweeps)
@@ -472,7 +462,7 @@ def separation_oracle(f: SparsePolynomial, eps: float) -> SeparationEstimate:
     """
     _check_eps(eps)
     reals, complexes, sweeps = _oracle_entry(f)
-    reals_in_cube = reals[np.abs(reals) <= 1.0] if len(reals) else reals
+    reals_in_cube = reals[np.abs(reals) <= 1.0]
     delta = _min_pairwise(list(reals_in_cube))
     near = [complex(r, 0.0) for r in reals if _distance_to_interval(complex(r, 0.0)) <= eps]
     near.extend(z for z in complexes if _distance_to_interval(z) <= eps)
@@ -495,8 +485,6 @@ def tree_size_bound(f: SparsePolynomial, kappa_upper: float) -> float:
     """
     if kappa_upper < 1.0:
         raise ValueError("kappa_upper must be >= 1")
-    if math.isinf(kappa_upper):
-        return math.inf
     return TREE_SIZE_CONSTANT * f.support_size * (
         math.log2(kappa_upper) + math.log2(f.degree) + 1.0
     )
@@ -506,8 +494,6 @@ def separation_lower_bound(f: SparsePolynomial, kappa_upper: float) -> float:
     """Lower bound 2*sqrt(2) / (d * sqrt(kappa_upper)) on the real separation."""
     if kappa_upper < 1.0:
         raise ValueError("kappa_upper must be >= 1")
-    if math.isinf(kappa_upper):
-        return 0.0
     return 2.0 * math.sqrt(2.0) / (f.degree * math.sqrt(kappa_upper))
 
 
@@ -534,7 +520,7 @@ def js_condition_bound(M_size: int, d: int, norm1_f: float, kappa: float) -> flo
         raise ValueError("all arguments must be positive")
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    if math.isinf(kappa):
+    if math.isinf(kappa):  # at d = 1 the formula reads log2(1)**3 * inf = nan
         return math.inf
     return (
         float(M_size) ** 12

@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 from cubecond import experiments as exps
+from cubecond import random as models
 from cubecond import univariate
 from cubecond.cli import DEFAULT_SEED, _emit, main
 from cubecond.poly import load_polynomial
@@ -245,6 +246,20 @@ def test_negative_seed_is_one_error_line_naming_the_seed(tmp_path, capsys, monke
     assert code == 1 and out is None
     assert len(run.err.splitlines()) == 1
     assert run.err.startswith("error: seed must be a non-negative integer")
+
+
+@pytest.mark.parametrize("route", ["config", "--seed", "CUBECOND_SEED"])
+def test_experiment_negative_seed_fails_before_any_trial(tmp_path, capsys, monkeypatch, route):
+    monkeypatch.setattr(models, "sample", lambda *args: pytest.fail("a trial started"))
+    monkeypatch.setenv("CUBECOND_SEED", "-1" if route == "CUBECOND_SEED" else "4")
+    cfg = {"experiment": "tail", "model": MODEL, "trials": 2}
+    if route == "config":
+        cfg["seed"] = -1
+    argv = ["experiment", write(tmp_path, "cfg.json", cfg), "--out", str(tmp_path / "o")]
+    code, out = run(capsys, argv + (["--seed", "-1"] if route == "--seed" else []))
+    assert code == 1 and out is None
+    assert run.err.endswith("seed must be a non-negative integer, got -1\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_experiment_workers_flag_reaches_the_run(tmp_path, capsys, monkeypatch):

@@ -58,6 +58,22 @@ def test_local_condition_rejects_non_finite_points(coord):
         local_condition(QUAD, [coord])
 
 
+@pytest.mark.parametrize("coord", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, x: kappa_batch(f, [[x]]),
+        lambda f, x: gamma_bound(f, [x]),
+        lambda f, x: gamma_exact_univariate(f, x),
+        lambda f, x: dist1_to_sigma_x(f, [x]),
+    ],
+    ids=["kappa_batch", "gamma_bound", "gamma_exact_univariate", "dist1_to_sigma_x"],
+)
+def test_point_functions_share_the_finite_point_rule(call, coord):
+    with pytest.raises(ValueError, match=re.escape(f"kappa needs a finite point, got [{coord}]")):
+        call(QUAD, coord)
+
+
 def test_kappa_batch_names_the_first_non_finite_row():
     points = np.array([[0.0, 0.5], [0.25, 0.5], [0.5, math.inf], [math.nan, 0.0]])
     line2 = new_sparse(2, [((1, 0), 1.0), ((0, 1), 1.0)])
@@ -291,6 +307,10 @@ def test_gamma_bound_examples():
 def test_gamma_exact_examples():
     assert gamma_exact_univariate(X, 0.7) == 0.0
     assert gamma_exact_univariate(new_sparse(1, [((2,), 1.0)]), 1.0) == 0.5
+    # Taylor terms that vanish at x leave the maximum to the others
+    assert gamma_exact_univariate(new_sparse(1, [((1,), 1.0), ((4,), 1.0)]), 0.0) == 1.0
+    assert gamma_exact_univariate(new_sparse(1, [((1,), 1.0), ((3,), 2.0)]), 0.0) == 2.0 ** 0.5
+    assert gamma_exact_univariate(new_sparse(1, [((1,), 1.0), ((2,), 0.0)]), 0.3) == 0.0
     with pytest.raises(ValueError):
         gamma_exact_univariate(new_sparse(1, [((2,), 1.0)]), 0.0)  # f'(0) = 0
 
@@ -383,6 +403,9 @@ def test_condition_number_sandwich_tight_constant_at_origin():
 def test_local_size_bound_examples():
     assert local_size_bound(X, [0.0]) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
     assert local_size_bound(DOUBLE_ROOT, [0.5]) == 0.0
+    for n in (2, 3):  # kappa = inf at a singular zero, so (d sqrt(2n) kappa)^-n = 0
+        sphere = new_sparse(n, [(tuple(2 * (j == i) for j in range(n)), 1.0) for i in range(n)])
+        assert local_size_bound(sphere, [0.0] * n) == 0.0
 
 
 def _dyadic_boxes(n, max_depth):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -79,6 +80,18 @@ D65_MODEL = {"n": 1, "support": [[0], [1], [65]], "dist": {"kind": "gaussian"}}
 def test_config_loader_names_offending_field(fields, needle):
     with pytest.raises(ValueError, match=needle):
         exps.load_config({**TAIL_CONFIG, **fields})
+
+
+def test_config_rejects_a_negative_seed():
+    # the rule of trial_rng, checked when the config is built and so before any trial
+    message = "seed must be a non-negative integer, got -1$"
+    with pytest.raises(ValueError, match=message):
+        exps.ExperimentConfig(kind="tail", model=gaussian_model(), seed=-1)
+    with pytest.raises(ValueError, match="experiment config: " + message):
+        exps.load_config({**TAIL_CONFIG, "seed": -1})
+    cfg = exps.ExperimentConfig(kind="tail", model=gaussian_model(), seed=0)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(cfg, seed=-1)
 
 
 @pytest.mark.parametrize("x0", [(3.0,), (float("nan"),), (0.1, 0.2)])

@@ -27,6 +27,12 @@ def random_box(rng, n):
     return BoxN(midpoint=tuple(mid), width=width)
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+def test_box_width_must_be_positive_and_finite(width):
+    with pytest.raises(ValueError, match=f"box width must be positive and finite, got {width}$"):
+        BoxN((0.0,), width)
+
+
 def test_interval_f_examples():
     iv = interval_f(X, CUBE1)
     assert (iv.lo, iv.hi) == (-1.0, 1.0)

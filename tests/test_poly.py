@@ -50,6 +50,12 @@ def test_new_sparse_zero_polynomial_degree_clamp():
     assert f.degree == 1
     assert norm1(f) == 0.0
     assert evaluate(f, [0.3]) == 0.0
+    for n in (1, 2, 3):
+        empty = new_sparse(n, [])
+        assert empty.exponents.shape == (0, n) and empty.exponents.dtype == np.int64
+        assert empty.coefficients.shape == (0,) and empty.coefficients.dtype == np.float64
+        assert (empty.support_size, empty.degree, empty.terms()) == (0, 1, [])
+        assert evaluate(empty, [0.5] * n) == 0.0
 
 
 def test_new_sparse_rejects_bad_exponents():

@@ -110,6 +110,8 @@ def test_weibull_constants_and_sampling():
     w = models.WeibullSymmetric(p=1.0, scale=2.0)
     assert w.tail_constant(1.0) == 2.0
     assert w.density_bound() == 0.25
+    for scale in (1.0, 3.0, 0.1):  # at p = 1 the density bound is 1 / (2 scale)
+        assert models.WeibullSymmetric(p=1.0, scale=scale).density_bound() == 1.0 / (2.0 * scale)
     rng = np.random.default_rng(0)
     draws = w.draw(rng, 200000)
     # survival of |x| at t: exp(-t/2)

@@ -214,6 +214,7 @@ def test_tree_size_bound_values():
     f2 = new_sparse(1, [((0,), 1.0), ((1,), 1.0)])
     assert tree_size_bound(f2, 1.0) == 16.0
     assert math.isinf(tree_size_bound(f2, math.inf))
+    assert tree_size_bound(f3, math.inf) == math.inf
 
 
 def test_tree_size_bound_holds_on_random_draws():
@@ -230,6 +231,7 @@ def test_separation_lower_bound_values():
         2.0 * math.sqrt(2.0) / (2.0 * math.sqrt(4.1)), rel=1e-12
     )
     assert separation_lower_bound(QUAD, math.inf) == 0.0
+    assert separation_lower_bound(X, math.inf) == 0.0
     # the bound is indeed below the true separation sqrt(2)
     assert separation_lower_bound(QUAD, 4.1) < math.sqrt(2.0)
 
@@ -265,6 +267,24 @@ def test_separation_oracle_rejects_eps_outside_zero_to_inf(eps):
 def test_separation_oracle_single_root():
     est = separation_oracle(X, 0.01)
     assert math.isinf(est.delta) and math.isinf(est.delta_eps)
+    assert univariate._min_pairwise([]) == univariate._min_pairwise([0.5]) == math.inf
+
+
+@pytest.mark.parametrize("c", [3.0, -0.5, 1e-300, 5e-324, 1e300])
+@pytest.mark.parametrize("zero_terms", [(), (((4,), 0.0),)], ids=["bare", "zero-padded"])
+def test_constants_have_no_roots_and_one_node(c, zero_terms):
+    f = new_sparse(1, [((0,), c), *zero_terms])
+    reals, complexes = oracle_roots(f)
+    assert reals.dtype == np.float64 and reals.shape == (0,) and not reals.flags.writeable
+    assert complexes.dtype == np.complex128 and complexes.shape == (0,)
+    for eps in (1e-3, 0.1, 2.0):
+        assert separation_oracle(f, eps) == univariate.SeparationEstimate(
+            math.inf, math.inf, eps, sweeps=0
+        )
+    res = descartes_isolate(f)
+    assert (res.intervals, res.exact_roots, res.unresolved) == ([], [], [])
+    assert res.complete and res.root_count == 0
+    assert (res.tree.nodes, res.tree.depth, res.tree.per_depth) == (1, 0, [1])
 
 
 def test_separation_oracle_complex_pair_outside_strip():
@@ -393,7 +413,8 @@ def test_accumulate_shift_matches_nested_loop_reference():
 
 def test_max_coefficient_bits_is_the_largest_node_coefficient(monkeypatch):
     assert descartes_isolate(X).max_coefficient_bits == 1  # root image 1 - x
-    assert descartes_isolate(new_sparse(1, [((0,), 3.0)])).max_coefficient_bits == 0
+    # a constant is one node whose image is its odd part: 3 has two bits
+    assert descartes_isolate(new_sparse(1, [((0,), 3.0)])).max_coefficient_bits == 2
     nodes = []
     count = univariate.sign_variations
 
@@ -545,6 +566,9 @@ def test_js_bounds_monotone():
         3.0 ** 12 * math.log2(64) ** 3 * max(2.0 ** 2, math.log2(10.0) ** 3),
         rel=1e-12,
     )
+    assert js_condition_bound(3, 64, 4.0, math.inf) == math.inf
+    # at d = 1 the formula reads log2(1)**3 * inf = nan; an infinite kappa stays inf
+    assert js_condition_bound(2, 1, 4.0, math.inf) == math.inf
 
 
 def test_mignotte_style_stress_instance():
