@@ -57,8 +57,12 @@ def sample_boxes(midpoints: np.ndarray, widths: np.ndarray, rng, count: int) -> 
     """``count`` uniform points m + (w/2) u in each box, shape (N, count, n), from one
     draw that consumes ``rng`` exactly as N consecutive draws of ``count`` points each.
     The result views memory that holds each coordinate of all points contiguously."""
-    u = rng.uniform(-1.0, 1.0, size=(len(widths), count, midpoints.shape[1]))
-    coordinates = np.multiply(np.moveaxis(u, 2, 0), (widths / 2)[:, None], order="C")
+    v = rng.random(size=(len(widths), count, midpoints.shape[1]))
+    coordinates = np.subtract(np.moveaxis(v, 2, 0), 0.5, order="C")
+    # uniform(-1, 1) draws u = -1 + 2v from the same stream.  Doubling is exact, so
+    # (w/2) u equals (2 (w/2)) (v - 1/2), which is w (v - 1/2) unless halving w
+    # rounds (an odd subnormal width)
+    coordinates *= (widths / 2 * 2)[:, None]
     coordinates += midpoints.T[:, :, None]
     return coordinates.transpose(1, 2, 0)
 

@@ -26,7 +26,7 @@ __all__ = [
     "amortization_bound",
 ]
 
-_VERIFY_CHUNK_POINTS = 2 ** 13  # sample points per evaluation in verify_output_boxes
+_VERIFY_CHUNK_POINTS = 2 ** 14  # sample points per kernel call in verify_output_boxes
 _CLAUSE_NAMES = (None, "value", "gradient")  # indexed by predicate_clause_batch codes
 
 
@@ -108,19 +108,55 @@ def verify_output_boxes(
         raise ValueError(f"samples_per_box must be an integer >= 2, got {samples_per_box!r}")
     rng = np.random.default_rng(seed)
     chunk = max(1, _VERIFY_CHUNK_POINTS // samples_per_box)
+    # the sample points of sign-changing boxes wait here until they fill a chunk
+    mixed, mixed_boxes = [], 0
     for start in range(0, report.final_count, chunk):
         boxes = slice(start, start + chunk)
         points = sample_boxes(
             report.final_midpoints[boxes], report.final_widths[boxes], rng, samples_per_box
         )
         values = evaluate_batch(f, points.reshape(-1, f.n)).reshape(points.shape[:2])
-        one_sign = np.all(values > 0.0, axis=1) | np.all(values < 0.0, axis=1)
-        mixed = points[~one_sign]
-        grads = gradient_batch(f, mixed.reshape(-1, f.n)).reshape(mixed.shape)
-        for box_grads in grads:
-            if not np.min(box_grads @ box_grads.T) > 0.0:
-                return False
+        one_sign = (values.min(axis=1) > 0.0) | (values.max(axis=1) < 0.0)
+        mixed.append(points[~one_sign])
+        mixed_boxes += len(mixed[-1])
+        if mixed_boxes >= chunk or start + chunk >= report.final_count:
+            if mixed_boxes:
+                buffered = np.concatenate(mixed)
+                grads = gradient_batch(f, buffered.reshape(-1, f.n)).reshape(buffered.shape)
+                if not _gradients_agree(grads):
+                    return False
+            mixed, mixed_boxes = [], 0
     return True
+
+
+def _gradient_cone(grads: np.ndarray) -> np.ndarray:
+    """Which boxes of sampled gradients ``grads`` (M, s, n) the cone certificate
+    proves to pass the Gram check, as an (M,) bool array.
+
+    A box is certified when every computed g_i . g_0 > 0 with (g_i . g_0)^2 >=
+    (3/4)^2 |g_i|^2 |g_0|^2, and every computed |g_i|^2 lies in [2^-500, 2^500].
+    Each g_i then lies within acos(3/4) = 41.4 degrees of g_0, up to rounding, so
+    every pair is within 82.9 degrees and has g_i . g_j >= (2 (3/4)^2 - 1)
+    |g_i||g_j| = |g_i||g_j| / 8.  Any floating-point dot product of length n
+    errs by at most gamma_n |g_i||g_j| + n 2^-1074 (Higham 2002, ch. 3); the norm
+    range bounds the underflow term by n 2^-574 |g_i||g_j| and keeps every
+    product finite, so BLAS computes each g_i . g_j positive.  NaN, infinite,
+    zero, tiny and huge gradients fail a comparison and go to the Gram check.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = (grads * grads[:, :1]).sum(axis=2)
+        squares = (grads * grads).sum(axis=2)
+        inside = (dots > 0.0) & (dots * dots >= 0.5625 * squares * squares[:, :1])
+    in_range = (squares >= 2.0 ** -500) & (squares <= 2.0 ** 500)
+    return (inside & in_range).all(axis=1)
+
+
+def _gradients_agree(grads: np.ndarray) -> bool:
+    """Whether every pair of sampled gradients in each box of ``grads`` (M, s, n)
+    has a positive dot product: the cone certificate decides the easy boxes and
+    the Gram matrix the others."""
+    uncertified = grads[~_gradient_cone(grads)]
+    return all(np.min(box_grads @ box_grads.T) > 0.0 for box_grads in uncertified)
 
 
 def amortization_bound(f: SparsePolynomial, n_samples: int, seed: int = 0) -> float:

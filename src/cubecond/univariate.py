@@ -515,15 +515,14 @@ def eps_separation_lower_bound(f: SparsePolynomial, kappa_upper: float, eps: flo
 
 
 def js_condition_bound(M_size: int, d: int, norm1_f: float, kappa: float) -> float:
-    """Condition-based variant |M|^12 * log2(d)^3 * max(log2(norm1)^2, log2(kappa)^3)."""
+    """Condition-based variant |M|^12 * log2(d)^3 * max(log2(norm1)^2, log2(kappa)^3),
+    with each log factor read as at least 1, so a linear input gets a bound above 0."""
     if M_size <= 0 or d <= 0 or norm1_f <= 0:
         raise ValueError("all arguments must be positive")
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
-    if math.isinf(kappa):  # at d = 1 the formula reads log2(1)**3 * inf = nan
-        return math.inf
     return (
         float(M_size) ** 12
-        * math.log2(d) ** 3
-        * max(math.log2(norm1_f) ** 2, math.log2(kappa) ** 3)
+        * max(1.0, math.log2(d)) ** 3
+        * max(1.0, math.log2(norm1_f) ** 2, math.log2(kappa) ** 3)
     )

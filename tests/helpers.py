@@ -112,11 +112,13 @@ def reference_kernel(f, x):
 
 def reference_verify(f, report, samples_per_box, seed):
     """The chunked output verifier in box-major arrays: each chunk of boxes draws
-    its (boxes, samples, n) points as m + (w/2) u, evaluate_batch evaluates them,
-    and the boxes whose values change sign get the per-box Gram check on their
-    gradient_batch covectors."""
+    its (boxes, samples, n) points as m + (w/2) u and evaluate_batch evaluates
+    them.  The points of the boxes whose values change sign collect in a list;
+    whenever it holds a chunk's worth of boxes, and after the last chunk, one
+    gradient_batch call takes them all and each box gets the Gram check."""
     rng = np.random.default_rng(seed)
     chunk = max(1, _VERIFY_CHUNK_POINTS // samples_per_box)
+    mixed = []
     for start in range(0, report.final_count, chunk):
         boxes = slice(start, start + chunk)
         midpoints, widths = report.final_midpoints[boxes], report.final_widths[boxes]
@@ -124,11 +126,14 @@ def reference_verify(f, report, samples_per_box, seed):
         points = midpoints[:, None, :] + (widths / 2)[:, None, None] * u
         values = evaluate_batch(f, points.reshape(-1, f.n)).reshape(points.shape[:2])
         one_sign = np.all(values > 0.0, axis=1) | np.all(values < 0.0, axis=1)
-        mixed = points[~one_sign]
-        grads = gradient_batch(f, mixed.reshape(-1, f.n)).reshape(mixed.shape)
-        for box_grads in grads:
-            if not np.min(box_grads @ box_grads.T) > 0.0:
-                return False
+        mixed.extend(points[~one_sign])
+        if mixed and (len(mixed) >= chunk or start + chunk >= report.final_count):
+            points = np.array(mixed)
+            grads = gradient_batch(f, points.reshape(-1, f.n)).reshape(points.shape)
+            for box_grads in grads:
+                if not np.min(box_grads @ box_grads.T) > 0.0:
+                    return False
+            mixed = []
     return True
 
 

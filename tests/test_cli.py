@@ -148,6 +148,13 @@ def test_isolate_with_oracle(tmp_path, capsys):
     assert out["complete"] is True
 
 
+def test_isolate_bounds_a_linear_input_above_zero(tmp_path, capsys):
+    linear = {"n": 1, "terms": [{"alpha": [0], "c": 0.5}, {"alpha": [1], "c": 2.0}]}
+    code, out = run(capsys, ["isolate", write(tmp_path, "l.json", linear)])
+    assert code == 0
+    assert out["bounds"]["js_condition"] >= 2.0 ** 12 * math.log2(2.5) ** 2
+
+
 @pytest.mark.parametrize(
     "eps, flags",
     [

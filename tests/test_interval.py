@@ -211,8 +211,12 @@ def test_widths_stay_exact_dyadic_to_depth_50():
 
 def test_sample_boxes_matches_consecutive_box_draws():
     rng = np.random.default_rng(15)
+    # tiny widths on a zero midpoint keep every product bit: 2^-49, the smallest
+    # normal double, and an odd subnormal width, whose halving rounds
+    tiny = [BoxN((0.0,) * 3, w) for w in (2.0 ** -49, 2.0 ** -1022, 3 * 2.0 ** -1074)]
     for n in (1, 2, 3):
         boxes = [random_box(rng, n) for _ in range(7)]
+        boxes[1:4] = [BoxN(b.midpoint[:n], b.width) for b in tiny]
         seed = int(rng.integers(2**31))
         batch = sample_boxes(np.array([b.midpoint for b in boxes]),
                              np.array([b.width for b in boxes]),

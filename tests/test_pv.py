@@ -151,6 +151,16 @@ def test_verify_output_boxes_rejects_corrupted_report():
     assert verify_output_boxes(CIRCLE, corrupted, 128) is False
 
 
+def test_verify_gives_zero_values_no_strict_sign():
+    # a zero-width box at a double root: every sample reads 0.0 (or -0.0), so the
+    # box goes to the gradient check, whose zero gradients fail it
+    report = SubdivisionReport(np.zeros((1, 1)), np.array([0.0]), np.array([1]), 1, 0, [1], True)
+    for sign in (1.0, -1.0):
+        square = new_sparse(1, [((2,), sign)])
+        assert verify_output_boxes(square, report, 8) is False
+        assert reference_verify(square, report, 8, 0) is False
+
+
 def _record_kernel_calls(monkeypatch, module) -> list:
     """Wrap the evaluate_batch and gradient_batch that ``module`` calls so that each
     call appends its name, the shape and a digest of the bytes of its points."""
@@ -205,6 +215,128 @@ def test_verify_rejects_a_corrupted_box_at_chunk_edges(monkeypatch):
         corrupted = dataclasses.replace(report, final_midpoints=midpoints, final_widths=widths)
         verdict = _check_against_reference(CIRCLE, corrupted, samples, 3, library, reference)
         assert verdict is False, index
+
+
+def test_verify_flushes_buffered_mixed_boxes(monkeypatch):
+    # small boxes on the circle change sign and pass the cone certificate; every
+    # third box lies off it, so the buffer of sign-changing boxes fills across chunks
+    library = _record_kernel_calls(monkeypatch, pv)
+    reference = _record_kernel_calls(monkeypatch, helpers)
+    cones = []
+    monkeypatch.setattr(pv, "_gradient_cone",
+                        lambda grads, cone=pv._gradient_cone: cones.append(cone(grads)) or cones[-1])
+    samples = 128
+    chunk = _VERIFY_CHUNK_POINTS // samples
+    count = 5 * chunk + chunk // 2
+    angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    radii = np.where(np.arange(count) % 3 == 2, 0.8, 0.5)
+    report = SubdivisionReport(
+        final_midpoints=radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)]),
+        final_widths=np.full(count, 2.0 ** -12),
+        final_codes=np.full(count, 2),
+        processed_count=count,
+        max_depth_reached=12,
+        per_depth_counts=[count],
+        terminated=True,
+    )
+    assert _check_against_reference(CIRCLE, report, samples, 5, library, reference) is True
+    flushes = [shape[0] for name, shape, _ in library if name == "gradient_batch"]
+    mixed = np.count_nonzero(radii == 0.5)
+    assert sum(flushes) == mixed * samples and mixed > 3 * chunk
+    assert len(flushes) > 2 and min(flushes[:-1]) >= chunk * samples
+    assert all(cone.all() for cone in cones)
+    edges = {0, count - 1} | {k * chunk + d for k in range(1, count // chunk + 1) for d in (-1, 0)}
+    for index in sorted(edges):
+        midpoints = report.final_midpoints.copy()
+        widths = report.final_widths.copy()
+        midpoints[index], widths[index] = 0.0, 2.0
+        corrupted = dataclasses.replace(report, final_midpoints=midpoints, final_widths=widths)
+        verdict = _check_against_reference(CIRCLE, corrupted, samples, 5, library, reference)
+        assert verdict is False, index
+
+
+def _fan(rng, n, angles, radii):
+    """Gradients at the given angles from a random unit vector a, in the plane of a
+    and a random unit vector b orthogonal to it (b = 0 at n = 1), shape (s, n)."""
+    a, b = np.linalg.qr(rng.standard_normal((n, 2)))[0].T if n > 1 else (np.ones(1), np.zeros(1))
+    angles = np.asarray(angles)[:, None]
+    return np.asarray(radii)[:, None] * (np.cos(angles) * a + np.sin(angles) * b)
+
+
+def _gradient_cases(rng, n, s):
+    """(gradients (s, n), whether the cone certificate decides them) of boxes at
+    the edges of the certificate."""
+
+    def fan(edge, radii=None):
+        angles = [0.0, edge, -edge] + list(rng.uniform(-edge, edge, s))
+        return _fan(rng, n, angles[:s], rng.uniform(0.5, 2.0, s) if radii is None else radii)
+
+    cases = [(fan(0.0), True)]
+    if n > 1:
+        # just inside and just outside 41.4 degrees from g_0: pairs span 82.8 degrees
+        cases.append((fan(math.acos(0.75 + 1e-9)), True))
+        cases.append((fan(math.acos(0.75 - 1e-9)), False))
+        # pairs just below and just above 90 degrees apart
+        for edge in (math.pi / 4 - 1e-7, math.pi / 4 + 1e-7):
+            cases.append((fan(edge) if s > 2 else _fan(rng, n, [0.0, 2 * edge], [1.0, 1.0]), False))
+    # a gradient that points the other way, a zero gradient, a NaN or infinite entry
+    for value in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        broken = fan(0.0)
+        if math.isfinite(value):
+            broken[-1] *= value
+        else:
+            broken[-1, -1] = value
+        cases.append((broken, False))
+    # |g|^2 at and beyond 2^-500 and 2^500, then far into underflow and overflow
+    for exponent in (-250, 250, -251, 251, -530, -600, 400, 520):
+        axis = np.zeros((s, n))
+        axis[:, 0] = 2.0 ** exponent
+        cases.append((axis, abs(exponent) == 250))
+        if abs(exponent) > 250:
+            cases.append((fan(0.0, rng.uniform(1.0, 2.0, s)) * 2.0 ** exponent, False))
+    return cases
+
+
+def _gram_check(grads):
+    with np.errstate(all="ignore"):
+        return bool(np.min(grads @ grads.T) > 0.0)
+
+
+@pytest.mark.parametrize("s", [2, 128])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gradient_cone_agrees_with_the_gram_check(n, s):
+    cases = _gradient_cases(np.random.default_rng(10 * n + s), n, s)
+    if n > 1:  # the pairs just below and just above 90 degrees
+        assert [_gram_check(grads) for grads, _ in cases[3:5]] == [True, False]
+    with np.errstate(all="ignore"):
+        for k, (grads, certified) in enumerate(cases):
+            assert bool(pv._gradient_cone(grads[None])[0]) is certified, k
+            assert pv._gradients_agree(grads[None]) is _gram_check(grads), k
+            assert _gram_check(grads) or not certified, k
+        stacked = np.stack([grads for grads, _ in cases])
+        assert pv._gradient_cone(stacked).tolist() == [certified for _, certified in cases]
+        assert pv._gradients_agree(stacked) is False
+        easy = stacked[[certified for _, certified in cases]]
+        assert pv._gradients_agree(easy) is True
+
+
+def test_gradient_cone_certifies_only_what_the_gram_check_passes():
+    # random fans from tight to wide, at scales across the whole exponent range
+    rng = np.random.default_rng(19)
+    certified = 0
+    with np.errstate(all="ignore"):
+        for n in (1, 2, 3):
+            for _ in range(400):
+                s = int(rng.integers(2, 20))
+                edge = rng.uniform(0.0, 1.6)
+                angles = (rng.uniform(-edge, edge, s) if n > 1
+                          else rng.choice([0.0, np.pi], s, p=[0.95, 0.05]))
+                grads = _fan(rng, n, angles, 2.0 ** rng.uniform(-260, 260, s))
+                cone = bool(pv._gradient_cone(grads[None])[0])
+                assert _gram_check(grads) or not cone
+                assert pv._gradients_agree(grads[None]) is _gram_check(grads)
+                certified += cone
+    assert 100 < certified < 1100
 
 
 @pytest.mark.parametrize("samples", [1, 0, -3, 64.0, True, "64"])

@@ -567,8 +567,15 @@ def test_js_bounds_monotone():
         rel=1e-12,
     )
     assert js_condition_bound(3, 64, 4.0, math.inf) == math.inf
-    # at d = 1 the formula reads log2(1)**3 * inf = nan; an infinite kappa stays inf
+    # at d = 1 the degree factor reads 1, so an infinite kappa stays inf
     assert js_condition_bound(2, 1, 4.0, math.inf) == math.inf
+
+
+def test_js_condition_bound_of_a_linear_input_is_positive():
+    # each log factor reads as at least 1, so log2(d) = 0 at d = 1 no longer zeroes it
+    assert js_condition_bound(1, 1, 1.0, 1.0) == 1.0  # f = x: norm1 = kappa = 1
+    # 2x + 0.5: norm1 = 2.5 and kappa = 2.5 / 2, so the norm factor wins
+    assert js_condition_bound(2, 1, 2.5, 1.25) == 2.0 ** 12 * math.log2(2.5) ** 2
 
 
 def test_mignotte_style_stress_instance():
