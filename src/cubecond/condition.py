@@ -49,7 +49,7 @@ __all__ = [
     "local_size_bound",
 ]
 
-# Cap on grid points x support size x n for global_condition.  It bounds the
+# Cap on grid points x _grid_terms(f) for global_condition.  It bounds the
 # work of one enclosure, not its memory: the grid is evaluated one slab at a time.
 GRID_WORK_CAP = 2 ** 24
 
@@ -112,11 +112,18 @@ def _kappas(nf: float, denom: np.ndarray) -> np.ndarray:
     return np.divide(nf, denom, out=np.full_like(denom, np.inf), where=denom > 0.0)
 
 
+def _grid_terms(f: SparsePolynomial) -> int:
+    """The terms one grid point costs: at n = 1 the scan runs Horner over the
+    degree + 1 dense coefficients; at n >= 2 the kernel's work is counted as
+    support size x n."""
+    return f.degree + 1 if f.n == 1 else f.support_size * f.n
+
+
 def _finest_grid_eps(f: SparsePolynomial):
     """The smallest grid_eps of the form 1/k whose grid fits under GRID_WORK_CAP, or None."""
     # grids under the cap have at most `most` points per axis; eps = 1/(most - 2)
     # gives at most that many, with one to spare for the rounding of 1/eps
-    most = math.floor((GRID_WORK_CAP / (f.support_size * f.n)) ** (1.0 / f.n))
+    most = math.floor((GRID_WORK_CAP / _grid_terms(f)) ** (1.0 / f.n))
     return 1.0 / (most - 2) if most > 3 else None
 
 
@@ -124,11 +131,11 @@ def _grid_axes(f: SparsePolynomial, grid_eps: float) -> np.ndarray:
     # ceil(1/eps)+1 evenly spaced points give covering radius <= eps on [-1, 1]
     points_per_axis = math.ceil(1.0 / grid_eps) + 1
     points = points_per_axis ** f.n
-    if points * f.support_size * f.n > GRID_WORK_CAP:
+    if points * _grid_terms(f) > GRID_WORK_CAP:
         finest = _finest_grid_eps(f)
         raise ValueError(
-            f"grid_eps={grid_eps} needs {points} grid points; {points} x {f.support_size} "
-            f"terms x n={f.n} exceeds the cap of {GRID_WORK_CAP}, "
+            f"grid_eps={grid_eps} needs {points} grid points; {points} x {_grid_terms(f)} "
+            f"terms per point exceeds the cap of {GRID_WORK_CAP}, "
             + (f"grid_eps >= 1/{round(1 / finest)} fits" if finest else "no grid_eps fits")
         )
     return np.linspace(-1.0, 1.0, points_per_axis)

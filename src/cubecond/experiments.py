@@ -78,10 +78,6 @@ class ExperimentConfig:
             raise ValueError(f"field 't_grid' entries must be >= e, got {self.t_grid}")
         if not all(k in (1, 2, 3) for k in self.k_list):
             raise ValueError(f"field 'k_list' entries must lie in {{1, 2, 3}}, got {self.k_list}")
-        if kind == "pv" and (n > 2 or d > 16):
-            raise ValueError(
-                f"field 'model' of kind pv needs n <= 2, degree <= 16, got n = {n}, degree {d}"
-            )
         if kind in ("descartes", "separation") and n != 1:
             raise ValueError(f"field 'model' of kind {kind} must be univariate, got n = {n}")
         if kind == "separation" and d > 64:

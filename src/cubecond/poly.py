@@ -16,7 +16,7 @@ import json
 import math
 import reprlib
 from dataclasses import MISSING, dataclass
-from itertools import accumulate
+from itertools import accumulate, compress, count, repeat
 from operator import add, iadd, imul, itemgetter, mul
 from typing import NamedTuple
 
@@ -92,13 +92,14 @@ class _KernelTerms(NamedTuple):
     of factors[r], which are in variable order and have k >= 1.  Block b spans
     rows ends[b] to ends[b + 1].  Block 1 + i has a row alpha_i * c *
     x^(alpha - e_i) for each support term with alpha_i > 0, so no 0 * x^-1
-    term.  top[i] is the largest power of x_i in any row.
+    term.  reads[i][k - 1] is 1 when some row reads x_i^k, up to the largest
+    such k.
     """
 
     factors: tuple
     coefficients: tuple
     ends: tuple
-    top: tuple
+    reads: tuple
 
 
 def _build_kernel_terms(f: SparsePolynomial) -> _KernelTerms:
@@ -114,11 +115,14 @@ def _build_kernel_terms(f: SparsePolynomial) -> _KernelTerms:
                 factors.append(row[:at] + ((i, k - 1),) * (k > 1) + row[at + 1:])
                 scaled.append(c * k)
         ends.append(len(scaled))
+    reads = [set(column) for column in zip(*exponents)]
+    for read in reads:  # the rows read x_i^a and x_i^(a - 1) for each exponent a > 0
+        read.update([a - 1 for a in read])
     return _KernelTerms(
         factors=tuple(factors),
         coefficients=tuple(scaled),
         ends=tuple(ends),
-        top=tuple(map(max, zip(*exponents))) or (0,) * f.n,
+        reads=tuple(bytes(map(read.__contains__, range(1, max(read) + 1))) for read in reads),
     )
 
 
@@ -180,14 +184,16 @@ def _block_sums(terms: _KernelTerms, columns, first: int, last: int) -> list:
     """The sums of term blocks ``first`` to ``last - 1`` at the point whose
     coordinates are ``columns``: floats, or (N,) arrays for N points at once.
 
-    The powers x_i^k = x_i^(k-1) * x_i are built up to top[i].  A term
-    multiplies its factors in variable order, then its coefficient, and a block
-    sums its terms in support order; an empty block is 0.0.  This is the order
-    of a power table, in which x_i^0 = 1.0 is a factor of every term and 1.0 a
-    factor of every coefficient, minus those exact multiplications by 1.0; the
-    order fixes the a-priori error bound (Higham 2002, ch. 3).
+    The powers x_i^k = x_i^(k-1) * x_i are built up to the last one that
+    reads[i] marks, and only the marked ones are kept.  A term multiplies its
+    factors in variable order, then its coefficient, and a block sums its terms
+    in support order; an empty block is 0.0.  This is the order of a power
+    table, in which x_i^0 = 1.0 is a factor of every term and 1.0 a factor of
+    every coefficient, minus those exact multiplications by 1.0; the order
+    fixes the a-priori error bound (Higham 2002, ch. 3).
     """
-    powers = [[1.0, *accumulate([x] * top, mul)] for x, top in zip(columns, terms.top)]
+    powers = [dict(compress(zip(count(1), accumulate(repeat(x, len(read)), mul)), read))
+              for x, read in zip(columns, terms.reads)]
     sums = []
     for block in range(first, last):
         total, begin = 0.0, terms.ends[block]

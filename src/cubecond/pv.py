@@ -5,7 +5,7 @@ output, otherwise its 2^n children are enqueued.  The worklist is FIFO and
 children are enqueued in lexicographic coordinate order, so reports are
 bit-for-bit reproducible.  It is held one depth at a time, as an (N, n)
 midpoint array and the width all those boxes share.  Singular inputs never
-terminate, which the max-depth guard converts into a flagged partial report.
+terminate, which the depth guard and box budget turn into a flagged report.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "amortization_bound",
 ]
 
+MAX_BOXES = 2 ** 20  # processed boxes per subdivision; bounds its time and memory
 _VERIFY_CHUNK_POINTS = 2 ** 14  # sample points per kernel call in verify_output_boxes
 _CLAUSE_NAMES = (None, "value", "gradient")  # indexed by predicate_clause_batch codes
 
@@ -38,7 +39,8 @@ class SubdivisionReport:
     and clause code ``final_codes[i]``: 1 when the value clause accepted it,
     2 for the gradient clause.  ``per_depth_counts[k]`` counts the boxes
     processed at depth k.  ``terminated`` is False when the max-depth guard
-    fired; the report then holds the partial state.
+    or the box budget fired; the report then holds the partial state, and
+    ``max_depth_reached`` below the max depth tells a budget stop.
     """
 
     final_midpoints: np.ndarray
@@ -63,7 +65,8 @@ def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
     """Subdivide the unit cube until every box passes the exclusion predicate.
 
     Stops early with ``terminated=False`` as soon as a failing box at depth
-    ``max_depth`` would have to be split further.
+    ``max_depth`` would have to be split further, or the next split would take
+    the processed count past ``MAX_BOXES``.
     """
     if norm1(f) == 0.0:
         raise ValueError("cannot subdivide for the zero polynomial")
@@ -79,7 +82,8 @@ def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
         final_codes.append(codes[passed])
         final_midpoints.append(midpoints[passed])
         final_widths.append(np.full(np.count_nonzero(passed), width))
-        if passed.all() or len(counts) > max_depth:
+        children = np.count_nonzero(~passed) << f.n
+        if not children or len(counts) > max_depth or sum(counts) + children > MAX_BOXES:
             break
         midpoints, width = split_boxes(midpoints[~passed], width)
     return SubdivisionReport(

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -9,7 +12,7 @@ from cubecond import random as models
 from cubecond import univariate
 from cubecond.cli import DEFAULT_SEED, _emit, main
 from cubecond.poly import load_polynomial
-from cubecond.pv import pv_subdivide
+from cubecond.pv import MAX_BOXES, pv_subdivide
 from cubecond.univariate import OracleFailedError
 
 QUAD = {"n": 1, "terms": [{"alpha": [0], "c": -1.0}, {"alpha": [2], "c": 2.0}]}
@@ -91,6 +94,25 @@ def test_pv_writes_the_report_arrays(tmp_path, capsys):
     names = {1: "value", 2: "gradient"}
     assert out["clauses"] == [names[code] for code in report.final_codes.tolist()]
     assert set(out["clauses"]) == {"value", "gradient"}
+
+
+def test_pv_ends_flagged_within_the_box_budget_at_default_flags(tmp_path):
+    # a child process writes the output, about 230 MB of JSON, to a file; only its
+    # end is read back, the sorted keys from "final_count" on
+    out = tmp_path / "out.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    argv = [sys.executable, "-m", "cubecond.cli", "pv", write(tmp_path, "d.json", DOUBLED_CIRCLE)]
+    with open(out, "w") as fh:
+        proc = subprocess.run(argv, stdout=fh, stderr=subprocess.PIPE, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(out, "rb") as fh:
+        fh.seek(-4096, os.SEEK_END)
+        end = fh.read().decode()
+    counters = json.loads("{" + end[end.index('"final_count"'):])
+    assert counters["terminated"] is False
+    assert counters["max_depth_reached"] < 30 and counters["processed"] <= MAX_BOXES
 
 
 def test_emit_writes_non_finite_floats_in_dicts_as_strings(capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,19 @@ def test_global_condition_grid_cap(n, degree, eps):
     k = int(re.search(r"grid_eps >= 1/(\d+) fits", str(exc.value)).group(1))
     assert (math.ceil(1.0 / (1.0 / k)) + 1) ** n * f.support_size * n <= GRID_WORK_CAP
     assert (k + 3) ** n * f.support_size * n > GRID_WORK_CAP  # and is not far off
+
+
+def test_global_condition_charges_the_dense_length_at_n1():
+    # two terms, but the n = 1 scan runs Horner over 10^8 + 1 dense coefficients
+    f = new_sparse(1, [((10 ** 8,), 1.0), ((0,), -0.5)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="no grid_eps fits"):
+            global_condition(f, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_global_condition_scan_inside_enclosure():

@@ -74,7 +74,6 @@ D65_MODEL = {"n": 1, "support": [[0], [1], [65]], "dist": {"kind": "gaussian"}}
         ({"experiment": "descartes", "model": N2_MODEL}, "experiment config: field 'model'"),
         ({"experiment": "separation", "model": N2_MODEL}, "experiment config: field 'model'"),
         ({"experiment": "separation", "model": D65_MODEL}, "experiment config: field 'model'"),
-        ({"experiment": "pv", "model": N3_MODEL}, "experiment config: field 'model'"),
     ],
 )
 def test_config_loader_names_offending_field(fields, needle):
@@ -190,6 +189,15 @@ def test_pv_experiment_flags_truncated_runs():
     rep = exps.run_pv_experiment(cfg)
     assert rep.flagged and not rep.passed
     assert rep.excluded > 4
+
+
+def test_pv_experiment_takes_an_n3_model():
+    # pv_subdivide's box budget bounds every draw, so the pv kind has no n or degree rule
+    cfg = exps.load_config({"experiment": "pv", "model": N3_MODEL, "trials": 2, "max_depth": 2})
+    draws = [models.sample(cfg.model, (cfg.seed, i)) for i in range(cfg.trials)]
+    terminated = [pv_subdivide(f, cfg.max_depth).terminated for f in draws]
+    rep = exps.run_pv_experiment(cfg)
+    assert rep.excluded == terminated.count(False) == 1
 
 
 def test_descartes_experiment_passes():

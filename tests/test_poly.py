@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,21 @@ def test_kernel_edge_cases():
     x = 1.0 - 2.0 ** -20
     h = new_sparse(1, [((10 ** 5,), 1.0)])
     assert abs(evaluate(h, [x]) / math.pow(x, 10 ** 5) - 1.0) <= 10 ** 5 * 2.0 ** -53
+
+
+def test_kernel_keeps_only_the_powers_its_terms_read():
+    # the chain x^k = x^(k-1) * x runs up to 2^14, but a power no term reads is
+    # dropped at once: all of them for 64 rows would take 2^14 x 64 x 8 B = 8 MB
+    f = new_sparse(1, [((2 ** 14,), 1.0), ((1,), 1.0)])
+    X = np.linspace(-1.0, 1.0, 64).reshape(-1, 1)
+    f._kernel_terms  # built outside the measurement
+    tracemalloc.start()
+    try:
+        value_and_gradient_batch(f, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 17
 
 
 def test_gradient_examples():

@@ -84,6 +84,17 @@ def test_pv_singular_input_flagged():
     assert not report.terminated
 
 
+def test_pv_budget_stops_a_runaway_subdivision():
+    # (x^2 + y^2 - 1/2)^2 doubles its level count at each depth, far past 2^20 by depth 30
+    f = new_sparse(2, [((4, 0), 1.0), ((2, 2), 2.0), ((0, 4), 1.0),
+                       ((2, 0), -1.0), ((0, 2), -1.0), ((0, 0), 0.25)])
+    report = pv_subdivide(f, 30)
+    assert not report.terminated and report.max_depth_reached < 30
+    assert report.processed_count == sum(report.per_depth_counts) <= pv.MAX_BOXES
+    assert all(count % 4 == 0 for count in report.per_depth_counts[1:])
+    assert len(report.per_depth_counts) == report.max_depth_reached + 1
+
+
 def test_pv_input_validation():
     with pytest.raises(ValueError):
         pv_subdivide(new_sparse(1, []), 10)
