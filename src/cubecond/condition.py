@@ -115,8 +115,11 @@ def _kappas(nf: float, denom: np.ndarray) -> np.ndarray:
 def _grid_terms(f: SparsePolynomial) -> int:
     """The terms one grid point costs: at n = 1 the scan runs Horner over the
     degree + 1 dense coefficients; at n >= 2 the kernel's work is counted as
-    support size x n."""
-    return f.degree + 1 if f.n == 1 else f.support_size * f.n
+    the larger of support size x n and its power chain, the sum over the
+    variables of the top exponent."""
+    if f.n == 1:
+        return f.degree + 1
+    return max(f.support_size * f.n, int(f.exponents.max(axis=0, initial=0).sum()))
 
 
 def _finest_grid_eps(f: SparsePolynomial):

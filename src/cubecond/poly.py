@@ -137,8 +137,8 @@ def new_sparse(n, terms) -> SparsePolynomial:
     """Build a canonical polynomial from (exponent vector, coefficient) pairs.
 
     Duplicate exponent vectors are merged by summing their coefficients.
-    Exponents must be nonnegative integers of length ``n`` and coefficients
-    finite.  An empty term list gives the zero polynomial.
+    Exponents must be nonnegative integers of length ``n`` whose sum fits an
+    int64, and coefficients finite.  An empty term list gives the zero polynomial.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -150,6 +150,8 @@ def new_sparse(n, terms) -> SparsePolynomial:
             raise ValueError(f"terms[{idx}].alpha {alpha} has length {len(alpha)}, expected n={n}")
         if any(a < 0 for a in alpha):
             raise ValueError(f"terms[{idx}].alpha {alpha} has a negative entry")
+        if sum(alpha) > 2 ** 63 - 1:
+            raise ValueError(f"terms[{idx}].alpha {alpha} has a degree above 2^63 - 1")
         if not math.isfinite(c):
             raise ValueError(f"terms[{idx}].c must be finite, got {c}")
         if alpha in merged:

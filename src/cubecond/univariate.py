@@ -4,12 +4,17 @@ The isolator is a bisection solver driven by coefficient sign variations.
 A tree node [a, b] is its Moebius image V(x) = (1 + x)^D g(1 / (1 + x)) with
 g(t) = f(a + (b - a) t), which is the scaled Bernstein coefficients of f on
 [a, b] in reverse order; its sign variation count v bounds the number of
-roots in the open interval.  v = 0 discards the interval, v = 1 certifies
-exactly one simple root, v >= 2 bisects: the left child is V(1 + 2x), and
-reversing V mirrors the node, so the right child is the reversed left child
-of the reversed V.  The root oracle finds all complex roots by simultaneous
-Aberth-Ehrlich iteration on the dense coefficient vector, started on the
-circles of the coefficients' Newton polygon; converged roots are frozen, and
+roots in the open interval.  The ends of V are f(b) (constant term) and
+f(a) (leading term), each times a power of two.  v = 0 discards the
+interval; v = 1 with both ends nonzero certifies exactly one simple root and
+a strict sign change f(a) f(b) < 0; any other node is bisected: the left
+child is V(1 + 2x), and reversing V mirrors the node, so the right child is
+the reversed left child of the reversed V.  A zero end is a root on a
+bisection point (or on -1 or 1), reported exactly.  Every decision reads
+the exact integer coefficients; the isolator evaluates nothing in floats.
+The root oracle finds all complex roots by simultaneous Aberth-Ehrlich
+iteration on the dense coefficient vector, started on the circles of the
+coefficients' Newton polygon; converged roots are frozen, and
 the result is cached per polynomial object.
 """
 
@@ -72,9 +77,10 @@ class TreeStats:
 class IsolationResult:
     """Isolating intervals, exact bisection-point roots and tree statistics.
 
-    Every reported (lo, hi) carries exactly one simple root and satisfies
-    f(lo) * f(hi) < 0.  Roots hit exactly by a bisection point (or by an
-    endpoint of [-1, 1]) are listed in ``exact_roots`` instead.  ``complete``
+    Every reported (lo, hi) is a tree node: it carries exactly one simple root
+    in its interior, and f(lo) * f(hi) < 0 holds exactly for the dyadic
+    coefficients and endpoints.  Roots hit exactly by a bisection point (or
+    by an endpoint of [-1, 1]) are listed in ``exact_roots`` instead.  ``complete``
     is False when the depth guard left some interval unresolved; those
     intervals are listed in ``unresolved``.  ``max_coefficient_bits`` is the
     largest bit length of an integer coefficient of a node's Moebius image V
@@ -175,31 +181,6 @@ def _int_left_image(image: list[int]) -> list[int]:
     return _int_strip_content([v << k for k, v in enumerate(_int_shift_by_one(image))])
 
 
-def _sign_change_endpoints(dense, lo, hi):
-    """Endpoints (possibly nudged inward past exact roots) with f(lo)f(hi) < 0.
-
-    A single simple root in the open interval keeps a fixed sign just inside
-    each endpoint, so a geometric shrink finds valid endpoints quickly.
-    Returns None when no strict sign change can be exhibited (the caller
-    treats the variation count as noise and keeps bisecting).
-    """
-    width = hi - lo
-    lo_candidates = [lo] + [lo + width * 2.0 ** -j for j in (20, 14, 8, 4, 2)]
-    hi_candidates = [hi] + [hi - width * 2.0 ** -j for j in (20, 14, 8, 4, 2)]
-    for a in lo_candidates:
-        fa = _horner(dense, a)
-        if fa == 0.0:
-            continue
-        for b in hi_candidates:
-            fb = _horner(dense, b)
-            if fb == 0.0:
-                continue
-            if fa * fb < 0.0:
-                return a, b
-            break  # same sign persists toward hi; shrink lo further instead
-    return None
-
-
 def _dense_univariate(f: SparsePolynomial, not_univariate: str, zero: str) -> np.ndarray:
     """Dense coefficients of a nonzero univariate f of degree <= MAX_DENSE_DEGREE."""
     if f.n != 1:
@@ -251,13 +232,10 @@ def descartes_isolate(f: SparsePolynomial, max_depth: int = 40) -> IsolationResu
         v = sign_variations(image)
         if v == 0:
             continue
-        if v == 1:
-            endpoints = _sign_change_endpoints(dense, lo, hi)
-            if endpoints is not None:
-                result.intervals.append(endpoints)
-                continue
-            # the unique root hugs an endpoint closer than the nudge scale;
-            # keep bisecting until the relative gap is exhibitable
+        if v == 1 and image[0] and image[-1]:
+            # one variation between nonzero ends: f(hi) and f(lo) differ in sign
+            result.intervals.append((lo, hi))
+            continue
         mid = (lo + hi) / 2
         if depth == max_depth or mid == lo or mid == hi:
             result.complete = False

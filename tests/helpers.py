@@ -190,11 +190,9 @@ def reference_descartes(f, max_depth):
         v = univariate.sign_variations(shift(coeffs[::-1]))
         if v == 0:
             continue
-        if v == 1:
-            endpoints = univariate._sign_change_endpoints(dense, lo, hi)
-            if endpoints is not None:
-                intervals.append(endpoints)
-                continue
+        if v == 1 and coeffs[0] and sum(coeffs):  # f(lo) and f(hi) both nonzero
+            intervals.append((lo, hi))
+            continue
         mid = (lo + hi) / 2
         if depth == max_depth or mid == lo or mid == hi:
             complete = False

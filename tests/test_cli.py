@@ -177,6 +177,15 @@ def test_isolate_bounds_a_linear_input_above_zero(tmp_path, capsys):
     assert out["bounds"]["js_condition"] >= 2.0 ** 12 * math.log2(2.5) ** 2
 
 
+def test_isolate_prints_roots_on_bisection_points_exactly(tmp_path, capsys):
+    # x^3 - x/4: the roots -1/2, 0 and 1/2 are all bisection points of [-1, 1]
+    cubic = {"n": 1, "terms": [{"alpha": [3], "c": 1.0}, {"alpha": [1], "c": -0.25}]}
+    code, out = run(capsys, ["isolate", write(tmp_path, "c.json", cubic)])
+    assert code == 0
+    assert out["exact_roots"] == [-0.5, 0.0, 0.5]
+    assert out["intervals"] == [] and out["complete"] is True
+
+
 @pytest.mark.parametrize(
     "eps, flags",
     [
@@ -344,6 +353,9 @@ def test_malformed_json_names_field(tmp_path, capsys):
         ("pv", "nan.json", {**QUAD, "terms": [{"alpha": [0], "c": math.nan}]}, "'terms[0].c'"),
         ("isolate", "inf.json", {**QUAD, "terms": [{"alpha": [0], "c": math.inf}]},
          "'terms[0].c'"),
+        # an exponent past int64 would overflow the exponent array
+        ("pv", "huge.json", {**QUAD, "terms": [{"alpha": [10 ** 20], "c": 1.0}]},
+         "terms[0].alpha"),
     ],
 )
 def test_malformed_field_type_is_one_error_line(tmp_path, capsys, command, name, obj, field):

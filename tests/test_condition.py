@@ -193,6 +193,17 @@ def test_global_condition_charges_the_dense_length_at_n1():
     assert peak < 2 ** 20
 
 
+def test_global_condition_charges_the_power_chain_at_n2():
+    # three terms, but each point builds x^k for k up to 4 * 10^6: 9 points
+    # x 4 * 10^6 + 1 chain steps exceed the cap before anything is evaluated
+    f = new_sparse(2, [((4 * 10 ** 6, 0), 1.0), ((0, 1), 1.0), ((0, 0), -0.5)])
+    with pytest.raises(ValueError, match=r"needs 9 grid points; 9 x 4000001 terms"):
+        global_condition(f, 0.5)
+    # a top exponent of 2 * 10^4 still fits: 121 points x 20001
+    g = new_sparse(2, [((20000, 0), 1.0), ((0, 1), 1.0), ((0, 0), -0.5)])
+    assert global_condition(g, 0.1).points_evaluated == 121
+
+
 def test_global_condition_scan_inside_enclosure():
     rng = np.random.default_rng(24)
     for _ in range(10):

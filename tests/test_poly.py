@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -64,6 +65,22 @@ def test_new_sparse_rejects_bad_exponents():
         new_sparse(2, [((0,), 1.0)])
     with pytest.raises(ValueError):
         new_sparse(1, [((-1,), 1.0)])
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        # each entry fits int64, but the degree would wrap around to a small number
+        pytest.param((2 ** 62, 2 ** 62), id="degree-wraps"),
+        # the entry itself overflows the int64 exponent array
+        pytest.param((10 ** 20, 0), id="entry-overflows"),
+    ],
+)
+def test_new_sparse_rejects_a_degree_past_int64(alpha):
+    with pytest.raises(ValueError, match=re.escape(f"terms[0].alpha {alpha} has a degree above")):
+        new_sparse(2, [(alpha, 1.0), ((0, 0), -0.5)])
+    # the largest degree an int64 holds is still accepted
+    assert new_sparse(2, [((2 ** 62, 2 ** 62 - 1), 1.0)]).degree == 2 ** 63 - 1
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])

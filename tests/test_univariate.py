@@ -4,6 +4,7 @@ import math
 import random
 import re
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,29 +114,23 @@ def test_isolate_close_rational_roots():
 
 
 def test_isolate_exact_bisection_roots():
-    # x^3 - x/4 has roots -1/2, 0, 1/2; the first bisection hits 0 exactly
-    # and the outer roots are isolated with one sign-changing interval each
+    # x^3 - x/4 has roots -1/2, 0, 1/2: the first bisection hits 0 exactly, and
+    # the nodes [-1, 0] and [0, 1] have a zero end, so they split and hit -+1/2
     f = new_sparse(1, [((3,), 1.0), ((1,), -0.25)])
     res = descartes_isolate(f)
     assert res.complete
-    assert res.exact_roots == [0.0]
-    assert len(res.intervals) == 2
-    (a1, b1), (a2, b2) = res.intervals
-    assert a1 <= -0.5 <= b1 and a2 <= 0.5 <= b2
-    dense = to_dense(f)
-    for lo, hi in res.intervals:
-        assert npp.polyval(lo, dense) * npp.polyval(hi, dense) < 0.0
+    assert res.exact_roots == [-0.5, 0.0, 0.5]
+    assert res.intervals == []
 
-    # (x - 1/4)(x - 1/2)(x - 3/4): the second-level bisection hits 1/2
+    # (x - 1/4)(x - 1/2)(x - 3/4): the second-level bisection hits 1/2, and the
+    # nodes next to it split until 1/4 and 3/4 are bisection points too
     g = new_sparse(
         1, [((3,), 1.0), ((2,), -1.5), ((1,), 0.6875), ((0,), -0.09375)]
     )
     res_g = descartes_isolate(g)
     assert res_g.complete
-    assert res_g.exact_roots == [0.5]
-    assert len(res_g.intervals) == 2
-    (a1, b1), (a2, b2) = res_g.intervals
-    assert a1 <= 0.25 <= b1 and a2 <= 0.75 <= b2
+    assert res_g.exact_roots == [0.25, 0.5, 0.75]
+    assert res_g.intervals == []
 
 
 def test_isolate_endpoint_roots():
@@ -430,16 +425,22 @@ def test_max_coefficient_bits_is_the_largest_node_coefficient(monkeypatch):
         assert res.max_coefficient_bits == max(abs(v).bit_length() for c in nodes for v in c)
 
 
-def test_image_trees_match_the_power_basis_reference():
-    cases = [(f, 60) for f in suite_draws(80) + eight_term_draws(512, 3, 512)]
-    # linear factors, dyadic (exact roots at bisection points and at +-1) and
-    # not, each product also with its first factor doubled (depth guard)
+def root_products():
+    """Products of linear factors, dyadic (exact roots at bisection points and at
+    +-1) and not, each also with its first factor doubled (depth guard)."""
     roots = (-1.0, -0.75, -0.5, 0.0, 0.125, 0.5, 1.0, 1.0 / 3.0, -0.6)
+    products = []
     for k in range(1, 5):
         for combo in itertools.combinations(roots, k):
             for factors in (combo, combo + combo[:1]):
                 dense = npp.polyfromroots(factors)
-                cases.append((new_sparse(1, [((j,), c) for j, c in enumerate(dense)]), 8))
+                products.append(new_sparse(1, [((j,), c) for j, c in enumerate(dense)]))
+    return products
+
+
+def test_image_trees_match_the_power_basis_reference():
+    cases = [(f, 60) for f in suite_draws(80) + eight_term_draws(512, 3, 512)]
+    cases += [(f, 8) for f in root_products()]
     trees = []
     for f, max_depth in cases:
         res = descartes_isolate(f, max_depth=max_depth)
@@ -448,6 +449,23 @@ def test_image_trees_match_the_power_basis_reference():
         assert trees[-1] == reference_descartes(f, max_depth)
     assert {-1.0, 0.0, 0.125, 1.0} <= {r for tree in trees for r in tree[1]}
     assert any(not tree[3] for tree in trees)
+
+
+def exact_value(f, x):
+    """f(x) as a Fraction: float coefficients and points are dyadic rationals."""
+    x = Fraction(x)
+    return sum(Fraction(c) * x ** alpha[0] for alpha, c in f.terms())
+
+
+def test_every_interval_has_a_strict_sign_change_in_exact_arithmetic():
+    cases = [(f, 60) for f in suite_draws(200) + eight_term_draws(512, 8, 512)]
+    cases += [(f, 8) for f in root_products()]
+    intervals = 0
+    for f, max_depth in cases:
+        for lo, hi in descartes_isolate(f, max_depth=max_depth).intervals:
+            assert exact_value(f, lo) * exact_value(f, hi) < 0
+            intervals += 1
+    assert intervals > 200
 
 
 def test_a_split_costs_two_exact_shifts(monkeypatch):
