@@ -25,8 +25,11 @@ import numpy as np
 from .poly import (
     SparsePolynomial,
     _as_points,
+    _build_kernel_terms,
+    _degrees,
     _derivative,
     _horner,
+    _kernel_rows,
     _monomial_matrix,
     evaluate,
     new_sparse,
@@ -78,10 +81,13 @@ class GlobalConditionEnclosure:
     points_evaluated: int
 
 
+_ZERO_POLYNOMIAL = "condition number of the zero polynomial is undefined"
+
+
 def _check_nonzero(f: SparsePolynomial) -> float:
     nf = norm1(f)
     if nf == 0.0:
-        raise ValueError("condition number of the zero polynomial is undefined")
+        raise ValueError(_ZERO_POLYNOMIAL)
     return nf
 
 
@@ -107,8 +113,20 @@ def kappa_batch(f: SparsePolynomial, points) -> np.ndarray:
     return _kappas(nf, np.maximum(np.abs(values), np.abs(grads).sum(axis=1) / f.degree))
 
 
-def _kappas(nf: float, denom: np.ndarray) -> np.ndarray:
-    """kappa = nf / denom per denominator, math.inf where denom is not positive."""
+def _kappa_rows(support, C: np.ndarray, x) -> np.ndarray:
+    """kappa(f_t, x) at one finite point x for each row of C, the coefficients of a
+    polynomial f_t on ``support``, with the bits of ``local_condition(f_t, x)``."""
+    nf = np.abs(C).sum(axis=1)  # per row, the bits of norm1
+    if not nf.all():
+        raise ValueError(_ZERO_POLYNOMIAL)
+    exponents = np.array(support, dtype=np.int64)
+    sums = _kernel_rows(_build_kernel_terms(exponents), [float(v) for v in x], C)
+    denom = np.abs(sums[:, 1:]).sum(axis=1) / _degrees(exponents, C)
+    return _kappas(nf, np.maximum(np.abs(sums[:, 0]), denom))
+
+
+def _kappas(nf, denom: np.ndarray) -> np.ndarray:
+    """kappa = nf / denom per denominator (nf one norm or one per row), inf where denom <= 0."""
     return np.divide(nf, denom, out=np.full_like(denom, np.inf), where=denom > 0.0)
 
 

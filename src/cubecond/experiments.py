@@ -4,9 +4,13 @@ Every experiment draws ``trials`` polynomials from a model using per-trial
 substreams of a single base seed, computes a statistic per draw with one of
 the deterministic engines, and pairs empirical aggregates with the matching
 theoretical bound.  Pass criteria use one-sided 3-sigma Monte Carlo slack.
-Reports are reproducible byte-for-byte from (config, seed); multi-worker
-runs produce the same rows because trials carry their own streams and rows
-are emitted in trial order.
+Trials run in chunks of consecutive indices, one worker call per chunk, and
+several workers share out the chunks.  A tail chunk is drawn into one
+coefficient matrix and its kappa values come from one kernel pass over the
+shared support; the other kinds loop over their chunk.  Reports are
+reproducible byte-for-byte from (config, seed), whatever the chunks and
+workers: every trial carries its own stream, the kernel pass gives each
+trial the bits of its own polynomial, and rows are emitted in trial order.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import random as models
-from .condition import global_condition, local_condition
+from .condition import _kappa_rows, global_condition
 from .poly import _build, _field, _is_int, _is_number, _list_of, _read_json_object
 from .pv import SubdivisionReport, pv_subdivide
 from .univariate import (
@@ -112,18 +117,31 @@ def _stat_row(trial, seed, name, value, bound="", ok=""):
     return dict(zip(_COLUMNS, (trial, seed, name, value, bound, ok)))
 
 
-def _map_trials(worker, cfg: ExperimentConfig):
-    indices = range(cfg.trials)
+_CHUNK_TRIALS = 2 ** 12  # trials per worker call at most, which bounds the memory of a call
+
+
+def _map_trials(worker, cfg: ExperimentConfig) -> list:
+    """The outcomes of all trials in order; ``worker((cfg, chunk))`` returns those of
+    the trial indices in the range ``chunk``.  Several workers share chunks of about
+    an eighth of a worker's share each."""
+    share = cfg.trials if cfg.workers == 1 else max(1, cfg.trials // (cfg.workers * 8))
+    size = min(_CHUNK_TRIALS, share)
+    tasks = [(cfg, range(lo, min(lo + size, cfg.trials))) for lo in range(0, cfg.trials, size)]
     if cfg.workers == 1:
-        return [worker((cfg, i)) for i in indices]
+        return [outcome for task in tasks for outcome in worker(task)]
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        chunk = max(1, cfg.trials // (cfg.workers * 8))
-        return list(pool.map(worker, [(cfg, i) for i in indices], chunksize=chunk))
+        return [outcome for chunk in pool.map(worker, tasks) for outcome in chunk]
+
+
+def _each_trial(trial, args) -> list:
+    """A chunk worker for a kind whose ``trial((cfg, i))`` runs one trial."""
+    cfg, chunk = args
+    return [trial((cfg, i)) for i in chunk]
 
 
 # --- the harness every kind shares ------------------------------------------
-# A trial worker returns its statistic, or None for an excluded trial; a
-# summarizer writes the rows and aggregates of the report from those outcomes.
+# A worker returns the statistic of each trial of its chunk, or None for an excluded
+# trial; a summarizer writes the rows and aggregates of the report from those outcomes.
 
 def _run(kind, cfg: ExperimentConfig, worker, summarize) -> ExperimentReport:
     if cfg.kind != kind:
@@ -172,10 +190,11 @@ def _mean_check(report, cfg, name, values, bound, **extra) -> None:
 
 # --- tail experiment -------------------------------------------------------
 
-def _tail_trial(args):
-    cfg, i = args
-    f = models.sample(cfg.model, (cfg.seed, i))
-    return local_condition(f, cfg.x0 if cfg.x0 is not None else (0.0,) * cfg.model.n)
+def _tail_trials(args):
+    cfg, chunk = args
+    coefficients = models.sample_batch(cfg.model, [(cfg.seed, i) for i in chunk])
+    x0 = cfg.x0 if cfg.x0 is not None else (0.0,) * cfg.model.n
+    return _kappa_rows(cfg.model.support, coefficients, x0).tolist()
 
 
 def _tail_summary(report, cfg, outcomes):
@@ -195,7 +214,7 @@ def _tail_summary(report, cfg, outcomes):
 
 def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Empirical survival of kappa(f, x0) against the local tail bound."""
-    return _run("tail", cfg, _tail_trial, _tail_summary)
+    return _run("tail", cfg, _tail_trials, _tail_summary)
 
 
 # --- subdivision box count experiment --------------------------------------
@@ -217,7 +236,7 @@ def _pv_summary(report, cfg, outcomes):
 
 def run_pv_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Mean terminated box count against the expected-box-count bound."""
-    return _run("pv", cfg, _pv_trial, _pv_summary)
+    return _run("pv", cfg, partial(_each_trial, _pv_trial), _pv_summary)
 
 
 # --- isolation tree size experiment ----------------------------------------
@@ -241,7 +260,7 @@ def _descartes_summary(report, cfg, outcomes):
 
 def run_descartes_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Empirical tree-size moments against the moment bound, per k in k_list."""
-    return _run("descartes", cfg, _descartes_trial, _descartes_summary)
+    return _run("descartes", cfg, partial(_each_trial, _descartes_trial), _descartes_summary)
 
 
 # --- separation experiment --------------------------------------------------
@@ -280,7 +299,7 @@ def _separation_summary(report, cfg, outcomes):
 
 def run_separation_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Oracle-computed separations against their condition-based lower bounds."""
-    return _run("separation", cfg, _separation_trial, _separation_summary)
+    return _run("separation", cfg, partial(_each_trial, _separation_trial), _separation_summary)
 
 
 _RUNNERS = {

@@ -69,7 +69,13 @@ class SparsePolynomial:
     @functools.cached_property
     def _kernel_terms(self) -> "_KernelTerms":
         """The terms of f and of each partial derivative, as the evaluation kernel reads them."""
-        return _build_kernel_terms(self)
+        return _build_kernel_terms(self.exponents)
+
+    @functools.cached_property
+    def _kernel_coefficients(self) -> tuple:
+        """The coefficient of each kernel row: c[column] * multiplier."""
+        terms, c = self._kernel_terms, self.coefficients.tolist()
+        return tuple(map(mul, map(c.__getitem__, terms.columns), terms.multipliers))
 
     def terms(self):
         """Return the support as a list of (exponent tuple, coefficient)."""
@@ -88,49 +94,51 @@ class SparsePolynomial:
 class _KernelTerms(NamedTuple):
     """The terms of f (block 0) and of each d f / d x_i (block 1 + i), in support order.
 
-    Row r is coefficients[r] times the product of x_i^k over the pairs (i, k)
-    of factors[r], which are in variable order and have k >= 1.  Block b spans
-    rows ends[b] to ends[b + 1].  Block 1 + i has a row alpha_i * c *
-    x^(alpha - e_i) for each support term with alpha_i > 0, so no 0 * x^-1
-    term.  reads[i][k - 1] is 1 when some row reads x_i^k, up to the largest
-    such k.
+    Row r is c[columns[r]] * multipliers[r] times the product of x_i^k over the
+    pairs (i, k) of factors[r], which are in variable order and have k >= 1; all
+    but c depends on the support only.  Block b spans rows ends[b] to ends[b + 1].
+    Block 1 + i has a row alpha_i * c * x^(alpha - e_i) for each support term with
+    alpha_i > 0, so no 0 * x^-1 term.  reads[i][k - 1] is 1 when some row reads
+    x_i^k, up to the largest such k.
     """
 
     factors: tuple
-    coefficients: tuple
     ends: tuple
     reads: tuple
+    columns: tuple
+    multipliers: tuple
 
 
-def _build_kernel_terms(f: SparsePolynomial) -> _KernelTerms:
+def _build_kernel_terms(exponents: np.ndarray) -> _KernelTerms:
     # plain Python: polynomials are often built, evaluated once and dropped
-    exponents, coefficients = f.exponents.tolist(), f.coefficients.tolist()
+    n, exponents = exponents.shape[1], exponents.tolist()
     base = [tuple(filter(itemgetter(1), enumerate(alpha))) for alpha in exponents]
-    factors, scaled, ends = list(base), list(coefficients), [0, len(base)]
-    for i in range(f.n):
-        for row, alpha, c in zip(base, exponents, coefficients):
+    factors, columns, multipliers = list(base), list(range(len(base))), [1] * len(base)
+    ends = [0, len(base)]
+    for i in range(n):
+        for col, (row, alpha) in enumerate(zip(base, exponents)):
             k = alpha[i]
             if k > 0:  # row with x_i^k replaced by x_i^(k-1)
                 at = row.index((i, k))
                 factors.append(row[:at] + ((i, k - 1),) * (k > 1) + row[at + 1:])
-                scaled.append(c * k)
-        ends.append(len(scaled))
+                columns.append(col)
+                multipliers.append(k)
+        ends.append(len(factors))
     reads = [set(column) for column in zip(*exponents)]
     for read in reads:  # the rows read x_i^a and x_i^(a - 1) for each exponent a > 0
         read.update([a - 1 for a in read])
     return _KernelTerms(
         factors=tuple(factors),
-        coefficients=tuple(scaled),
         ends=tuple(ends),
         reads=tuple(bytes(map(read.__contains__, range(1, max(read) + 1))) for read in reads),
+        columns=tuple(columns),
+        multipliers=tuple(multipliers),
     )
 
 
-def _degree_of(exponents, coefficients) -> int:
-    nz = coefficients != 0.0
-    if not nz.any():
-        return 1
-    return max(1, int(exponents[nz].sum(axis=1).max()))
+def _degrees(exponents: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Each coefficient row's degree: the largest |alpha|_1 of its nonzero terms, at least 1."""
+    return np.maximum(np.where(C != 0.0, exponents.sum(axis=1), 0).max(axis=-1, initial=0), 1)
 
 
 def new_sparse(n, terms) -> SparsePolynomial:
@@ -161,7 +169,7 @@ def new_sparse(n, terms) -> SparsePolynomial:
             order.append(alpha)
     exponents = np.array(order, dtype=np.int64).reshape(len(order), n)
     coefficients = np.array([merged[a] for a in order], dtype=np.float64)
-    return SparsePolynomial(n, exponents, coefficients, _degree_of(exponents, coefficients))
+    return SparsePolynomial(n, exponents, coefficients, int(_degrees(exponents, coefficients)))
 
 
 def norm1(f: SparsePolynomial) -> float:
@@ -182,9 +190,10 @@ def _as_points(f: SparsePolynomial, points) -> np.ndarray:
 _CHUNK_POINTS = 2 ** 12  # points per pass of the kernel, which bounds its memory
 
 
-def _block_sums(terms: _KernelTerms, columns, first: int, last: int) -> list:
-    """The sums of term blocks ``first`` to ``last - 1`` at the point whose
-    coordinates are ``columns``: floats, or (N,) arrays for N points at once.
+def _block_sums(terms: _KernelTerms, coefficients, ends, columns) -> list:
+    """The sums of the term blocks bounded by ``ends``, row r with coefficient
+    ``coefficients[r]``, at the point whose coordinates are ``columns``: floats,
+    or (N,) arrays for N points at once.
 
     The powers x_i^k = x_i^(k-1) * x_i are built up to the last one that
     reads[i] marks, and only the marked ones are kept.  A term multiplies its
@@ -197,12 +206,12 @@ def _block_sums(terms: _KernelTerms, columns, first: int, last: int) -> list:
     powers = [dict(compress(zip(count(1), accumulate(repeat(x, len(read)), mul)), read))
               for x, read in zip(columns, terms.reads)]
     sums = []
-    for block in range(first, last):
-        total, begin = 0.0, terms.ends[block]
-        for r in range(begin, terms.ends[block + 1]):
+    for begin, end in zip(ends, ends[1:]):
+        total = 0.0
+        for r in range(begin, end):
             # in place only on what this call made: a product of two or more
             # factors, and a sum of two or more terms
-            factors, c, term = terms.factors[r], terms.coefficients[r], 1.0
+            factors, c, term = terms.factors[r], coefficients[r], 1.0
             for n, (i, k) in enumerate(factors):
                 term = powers[i][k] if n == 0 else (mul if n == 1 else imul)(term, powers[i][k])
             if c != 1.0:
@@ -210,6 +219,11 @@ def _block_sums(terms: _KernelTerms, columns, first: int, last: int) -> list:
             total = term if r == begin else (add if r == begin + 1 else iadd)(total, term)
         sums.append(total)
     return sums
+
+
+def _row_monomials(terms: _KernelTerms, x: list) -> list:
+    """Each kernel row's monomial at the one point x: a block per row, coefficients 1.0."""
+    return _block_sums(terms, (1.0,) * len(terms.factors), range(len(terms.factors) + 1), x)
 
 
 def _kernel(f: SparsePolynomial, points, first: int, last: int) -> np.ndarray:
@@ -220,30 +234,46 @@ def _kernel(f: SparsePolynomial, points, first: int, last: int) -> np.ndarray:
     are; a one-row call runs on Python floats.
     """
     X = _as_points(f, points)
-    terms = f._kernel_terms
+    terms, coefficients = f._kernel_terms, f._kernel_coefficients
+    ends = terms.ends[first:last + 1]
     if len(X) == 1:
-        return np.array([_block_sums(terms, X[0].tolist(), first, last)])
+        return np.array([_block_sums(terms, coefficients, ends, X[0].tolist())])
     out = np.empty((len(X), last - first))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(X), _CHUNK_POINTS):
             columns = X[lo:lo + _CHUNK_POINTS].T
-            for j, total in enumerate(_block_sums(terms, columns, first, last)):
+            for j, total in enumerate(_block_sums(terms, coefficients, ends, columns)):
                 out[lo:lo + _CHUNK_POINTS, j] = total
+    return out
+
+
+def _kernel_rows(terms: _KernelTerms, x: list, C: np.ndarray) -> np.ndarray:
+    """Every block sum at the one point x for each row of C, the coefficients of a
+    polynomial on the support of ``terms``; shape (T, n + 1).
+
+    A term is its monomial, made once, times (C[:, column] * multiplier), and a
+    block sums its terms in support order: the one-row walk's operations in its
+    order, plus a product by a coefficient of 1.0, which is exact.  So row t has
+    the bits of ``value_and_gradient_batch`` on its own polynomial.
+    """
+    monomials, out = _row_monomials(terms, x), np.zeros((len(C), len(terms.ends) - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block, (begin, end) in enumerate(zip(terms.ends, terms.ends[1:])):
+            for r in range(begin, end):
+                term = C[:, terms.columns[r]] * terms.multipliers[r]
+                term *= monomials[r]
+                out[:, block] = term if r == begin else out[:, block] + term
     return out
 
 
 def _monomial_matrix(f: SparsePolynomial, x) -> np.ndarray:
     """The monomials x^alpha (row 0) and their partial derivatives d/dx_i (row 1 + i)
     at one point x, one column per support term; shape (n + 1, m)."""
-    m, rows = f.support_size, len(f._kernel_terms.factors)
-    # every row as a block of its own with coefficient 1.0 is its monomial
-    unit = f._kernel_terms._replace(coefficients=(1.0,) * rows, ends=tuple(range(rows + 1)))
-    monomials = _block_sums(unit, _as_points(f, x)[0].tolist(), 0, rows)
-    out = np.zeros((f.n + 1, m))
-    out[0] = monomials[:m]
-    # the derivative rows in kernel order: by variable, then in support order
-    variables, terms = np.nonzero(f.exponents.T)
-    out[1 + variables, terms] = f.exponents[terms, variables] * np.array(monomials[m:])
+    terms = f._kernel_terms
+    monomials = _row_monomials(terms, _as_points(f, x)[0].tolist())
+    out = np.zeros((f.n + 1, f.support_size))
+    blocks = np.repeat(np.arange(f.n + 1), np.diff(terms.ends))
+    out[blocks, list(terms.columns)] = np.multiply(terms.multipliers, monomials)
     return out
 
 

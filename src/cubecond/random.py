@@ -35,6 +35,7 @@ __all__ = [
     "ModelConstants",
     "BoxCountBound",
     "sample",
+    "sample_batch",
     "trial_rng",
     "model_constants",
     "smoothed_model",
@@ -238,6 +239,19 @@ def trial_rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
+def sample_batch(model: RandomModel, seeds) -> np.ndarray:
+    """One draw per seed, as the rows of a (T, m) coefficient array; row t comes from
+    the stream ``trial_rng(seeds[t])`` alone.  Every seed is checked before the first draw."""
+    m, seeds = model.support_size, list(seeds)
+    for seed in seeds:
+        _check_seed(seed)
+    draws = np.empty((len(seeds), m))
+    for row, seed in zip(draws, seeds):
+        row[:] = model.dist.draw(trial_rng(seed), m)
+    draws *= model.scale
+    return draws if model.offsets is None else draws + np.asarray(model.offsets)
+
+
 def sample(model: RandomModel, seed) -> SparsePolynomial:
     """One draw from the model; deterministic in ``seed``.
 
@@ -245,12 +259,7 @@ def sample(model: RandomModel, seed) -> SparsePolynomial:
     returned polynomial keeps the full support, including any coefficients
     that happen to be zero.
     """
-    rng = trial_rng(seed)
-    coeffs = np.asarray(model.dist.draw(rng, model.support_size), dtype=np.float64)
-    coeffs = coeffs * model.scale
-    if model.offsets is not None:
-        coeffs = coeffs + np.asarray(model.offsets)
-    return new_sparse(model.n, zip(model.support, coeffs))
+    return new_sparse(model.n, zip(model.support, sample_batch(model, [seed])[0]))
 
 
 def model_constants(model: RandomModel) -> ModelConstants:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -223,6 +224,16 @@ def test_sample_deterministic_and_env_seed(tmp_path, capsys, monkeypatch):
     assert out3 == out1
 
 
+@pytest.mark.parametrize(
+    "seed, digest", [(0, "a3ba2b48e7df931e"), (7, "9f2020829a243b1a"), (2024, "999a9a2a1b7b1bc9")]
+)
+def test_sample_stdout_on_the_demo_model_keeps_its_bytes(capsys, seed, digest):
+    # digests of the stdout of the per-draw sampler that sample_batch replaced
+    model = str(ROOT / "demos" / "data" / "gaussian_d5.json")
+    assert main(["sample", model, "--seed", str(seed)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
 def test_experiment_runs_and_writes_csv(tmp_path, capsys):
     cfg = {
         "experiment": "tail",
@@ -289,6 +300,7 @@ def test_negative_seed_is_one_error_line_naming_the_seed(tmp_path, capsys, monke
 @pytest.mark.parametrize("route", ["config", "--seed", "CUBECOND_SEED"])
 def test_experiment_negative_seed_fails_before_any_trial(tmp_path, capsys, monkeypatch, route):
     monkeypatch.setattr(models, "sample", lambda *args: pytest.fail("a trial started"))
+    monkeypatch.setattr(models, "sample_batch", lambda *args: pytest.fail("a trial started"))
     monkeypatch.setenv("CUBECOND_SEED", "-1" if route == "CUBECOND_SEED" else "4")
     cfg = {"experiment": "tail", "model": MODEL, "trials": 2}
     if route == "config":

@@ -11,6 +11,7 @@ from cubecond import random as models
 from cubecond.condition import (
     GRID_WORK_CAP,
     EstimateInapplicableError,
+    _kappa_rows,
     dist1_to_sigma_x,
     gamma_bound,
     gamma_exact_univariate,
@@ -51,6 +52,71 @@ def test_local_condition_rejects_zero_polynomial():
 
 def test_local_condition_singular_point_is_inf():
     assert math.isinf(local_condition(DOUBLE_ROOT, [0.5]))
+
+
+SUP_D5 = ((0,), (1,), (5,))
+CUBIC2 = tuple((i, j) for i in range(4) for j in range(4 - i))  # m = 10
+SPARSE3 = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0), (0, 2, 2), (1, 1, 1),
+           (3, 0, 0), (0, 0, 4), (1, 0, 2))  # m = 10
+# model and x0 of each case; the supports with m >= 9 take numpy's pairwise sum in norm1
+BATCHED_KAPPA_CASES = {
+    "gaussian-n1-origin": (models.RandomModel(1, SUP_D5, models.Gaussian()), (0.0,)),
+    "uniform-n1-interior": (models.RandomModel(1, SUP_D5, models.Uniform()), (-0.7,)),
+    # no subgaussian K: the tail kind reads tail_bound_local_p
+    "weibull-p1.5-corner": (
+        models.RandomModel(1, SUP_D5, models.WeibullSymmetric(1.5), p=1.5), (1.0,)
+    ),
+    "smoothed-n2-interior": (
+        models.smoothed_model(
+            new_sparse(2, [((0, 0), -0.5), ((2, 1), 1.0)]), 0.2,
+            models.RandomModel(2, CUBIC2, models.Gaussian()),
+        ),
+        (0.25, -0.5),
+    ),
+    "gaussian-n2-m10-corner": (models.RandomModel(2, CUBIC2, models.Gaussian()), (-1.0, 1.0)),
+    "uniform-n3-m10-interior": (
+        models.RandomModel(3, SPARSE3, models.Uniform()), (0.3, -0.6, 0.9)
+    ),
+    "gaussian-n3-m10-corner": (models.RandomModel(3, SPARSE3, models.Gaussian()), (1.0, -1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCHED_KAPPA_CASES))
+def test_batched_kappa_has_the_bits_of_local_condition(case):
+    model, x0 = BATCHED_KAPPA_CASES[case]
+    assert math.isinf(models.model_constants(model).K) == case.startswith("weibull")
+    seeds = [(31, i) for i in range(2000)]
+    batch = _kappa_rows(model.support, models.sample_batch(model, seeds), x0)
+    one = np.array([local_condition(models.sample(model, seed), x0) for seed in seeds])
+    assert np.array_equal(batch.view(np.int64), one.view(np.int64))
+
+
+def test_batched_kappa_on_rows_with_exact_zeros():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(400, len(CUBIC2)))
+    rows[rng.random(rows.shape) < 0.5] = 0.0
+    rows[::7, :] *= rng.random((1, len(CUBIC2))) < 0.3  # mostly zero rows, some -0.0
+    rows[:4] = 0.0
+    rows[0, 0] = 2.0  # a constant: degree clamped to 1
+    rows[1, 3] = 1.0  # y^3 alone, singular at the origin
+    rows[2, [1, 4]] = [-1.0, 1.0]  # degree 1 although the support has degree 3
+    rows[3, 9] = 0.5  # x^3
+    rows = rows[np.abs(rows).sum(axis=1) > 0]
+    degrees = [new_sparse(2, zip(CUBIC2, row)).degree for row in rows]
+    assert {1, 2, 3} <= set(degrees)
+    for x0 in ((0.0, 0.0), (0.5, -0.25), (1.0, -1.0), (-1.0, -1.0)):
+        batch = _kappa_rows(CUBIC2, rows, x0)
+        one = np.array([local_condition(new_sparse(2, zip(CUBIC2, row)), x0) for row in rows])
+        assert np.array_equal(batch.view(np.int64), one.view(np.int64))
+    assert math.isinf(_kappa_rows(CUBIC2, rows[1:2], (0.0, 0.0))[0])
+
+
+def test_batched_kappa_refuses_a_zero_row_as_local_condition_does():
+    rows = np.array([[1.0, 0.5, 0.25], [0.0, -0.0, 0.0]])
+    with pytest.raises(ValueError) as expected:
+        local_condition(new_sparse(1, zip(SUP_D5, rows[1])), (0.0,))
+    with pytest.raises(ValueError, match=f"^{expected.value}$"):
+        _kappa_rows(SUP_D5, rows, (0.0,))
 
 
 @pytest.mark.parametrize("coord", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

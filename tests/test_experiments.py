@@ -321,23 +321,41 @@ def test_csv_bytes_match_golden(tmp_path, golden):
 
 MULTI_WORKER_CONFIGS = {
     "tail": {"kind": "tail", "model": gaussian_model(), "trials": 60, "seed": 9},
+    # 61 trials split into chunks of 3 at two workers and of 2 at three, the last one short
+    "tail_61": {
+        "kind": "tail", "model": models.RandomModel(n=1, support=SUP_D5, dist=UNIF),
+        "trials": 61, "seed": 4, "x0": (-0.7,),
+    },
     "pv": GOLDEN_CONFIGS["pv_seed5"],
     "descartes": GOLDEN_CONFIGS["descartes_incomplete_seed6"],
     "separation": GOLDEN_CONFIGS["separation_seed7"],
 }
 
 
-@pytest.mark.parametrize("kind", list(MULTI_WORKER_CONFIGS))
-def test_multi_worker_runs_match_single_worker(kind):
-    one, two = (
-        exps.run_experiment(exps.ExperimentConfig(**MULTI_WORKER_CONFIGS[kind], workers=workers))
-        for workers in (1, 2)
-    )
+def _same_reports(one, two):
     assert one.rows == two.rows
     assert one.summary == two.summary
     assert (one.violations, one.excluded, one.flagged, one.passed) == (
         two.violations, two.excluded, two.flagged, two.passed
     )
+
+
+@pytest.mark.parametrize("kind", list(MULTI_WORKER_CONFIGS))
+def test_multi_worker_runs_match_single_worker(kind):
+    one, *more = (
+        exps.run_experiment(exps.ExperimentConfig(**MULTI_WORKER_CONFIGS[kind], workers=workers))
+        for workers in ((1, 2, 3) if kind == "tail_61" else (1, 2))
+    )
+    for other in more:
+        _same_reports(one, other)
+
+
+@pytest.mark.parametrize("size", [1, 8, 60, 61, 62])
+def test_tail_rows_do_not_depend_on_the_chunk_size(monkeypatch, size):
+    cfg = exps.ExperimentConfig(**MULTI_WORKER_CONFIGS["tail_61"])
+    whole = exps.run_experiment(cfg)
+    monkeypatch.setattr(exps, "_CHUNK_TRIALS", size)
+    _same_reports(whole, exps.run_experiment(cfg))
 
 
 def test_separation_counts_failed_trial_checks(monkeypatch):

@@ -193,6 +193,32 @@ def test_kernel_matches_plain_python_order_bit_for_bit():
     assert np.isinf(found).any() and np.isnan(found).any()
 
 
+def test_coefficient_rows_have_the_bits_of_one_polynomial_each():
+    # one pass over a matrix of coefficient rows against a polynomial per row, with
+    # zero, unit and signed-zero coefficients, points off the cube and overflow to +-inf
+    rng = np.random.default_rng(22)
+    found = []
+    for n in (1, 2, 3):
+        support = [alpha for alpha, _ in random_poly(rng, n, 5, min(9, math.comb(5 + n, n))).terms()]
+        C = rng.normal(size=(200, len(support))) * 10.0 ** rng.integers(-3, 4, (200, len(support)))
+        special = rng.random(C.shape)
+        C[special < 0.2] = 0.0
+        C[(special >= 0.2) & (special < 0.3)] = 1.0
+        C[(special >= 0.3) & (special < 0.35)] = -0.0
+        C[:2] = [[1e300], [-1e300]]
+        terms = poly._build_kernel_terms(np.array(support, dtype=np.int64))
+        points = [[0.0] * n, [-0.0] * n, [1.0] * n, [-1.0] * n,
+                  rng.uniform(-1, 1, n).tolist(), rng.uniform(-400, 400, n).tolist()]
+        for x in points:
+            out = poly._kernel_rows(terms, x, C)
+            found.append(out)
+            for t, row in enumerate(C):
+                value, grad = value_and_gradient_batch(new_sparse(n, zip(support, row)), x)
+                assert out[t].tobytes() == np.append(value, grad).tobytes()
+    found = np.concatenate([out.ravel() for out in found])
+    assert np.isinf(found).any() and np.isnan(found).any()
+
+
 def _exact_terms(f, x, var=None):
     """(sum t, sum |t|) over the terms t of f, or of d f / d x_var, at x in exact rationals."""
     total, size = Fraction(0), Fraction(0)

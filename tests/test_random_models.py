@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -38,6 +39,67 @@ def test_sampling_is_deterministic_and_keeps_support():
     assert np.array_equal(a.coefficients, b.coefficients)
     assert not np.array_equal(a.coefficients, c.coefficients)
     assert a.terms()[0][0] == (0,) and a.support_size == 3
+
+
+def _reference_draw(model, seed):
+    """The coefficients of one draw, as a loop over the draw steps: the reference of sample."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    coeffs = np.asarray(model.dist.draw(rng, model.support_size), dtype=np.float64) * model.scale
+    return coeffs + np.asarray(model.offsets) if model.offsets is not None else coeffs
+
+
+def _bytes_of(rows):
+    return b"".join(np.asarray(r, dtype=np.float64).tobytes() for r in rows)
+
+
+def _digest(rows):
+    return hashlib.sha256(_bytes_of(rows)).hexdigest()[:16]
+
+
+SUITE_SUPPORT = ((0,), (1,), (5,), (13,), (27,), (41,), (54,), (64,))
+SMOOTHED = models.smoothed_model(
+    new_sparse(2, [((0, 0), 0.5), ((2, 1), -1.25)]),
+    0.1,
+    models.RandomModel(n=2, support=((0, 0), (1, 0), (0, 1), (2, 1)), dist=GAUSS),
+)
+WEIBULL = models.RandomModel(
+    n=1, support=SUP_D5, dist=models.WeibullSymmetric(1.5, 2.0), p=1.5
+)  # two draws from each stream: the magnitudes, then the signs
+
+
+@pytest.mark.parametrize(
+    "models_of, seeds, digest",
+    [
+        # the criteria 06/07 fixture draws, alternating a Gaussian and a uniform model
+        ([models.RandomModel(n=1, support=SUITE_SUPPORT, dist=dist) for dist in (GAUSS, UNIF)],
+         [(2024, i // 2) for i in range(200)], "033e760b43a4151f"),
+        ([SMOOTHED], [(3, i) for i in range(50)], "db7a5422fe11d240"),
+        ([WEIBULL], [(8, i) for i in range(50)], "1122de50c0c80ca8"),
+    ],
+    ids=["suite", "smoothed", "weibull"],
+)
+def test_sample_is_the_one_row_call_of_sample_batch(models_of, seeds, digest):
+    # the digests were taken from the per-draw sampler that sample_batch replaced
+    per_draw = [
+        models.sample(models_of[t % len(models_of)], seed).coefficients
+        for t, seed in enumerate(seeds)
+    ]
+    assert _digest(per_draw) == digest
+    for k, model in enumerate(models_of):
+        own = seeds[k::len(models_of)]
+        batch = models.sample_batch(model, own)
+        assert batch.shape == (len(own), model.support_size)
+        assert batch.tobytes() == _bytes_of(per_draw[k::len(models_of)])
+        assert batch.tobytes() == _bytes_of(_reference_draw(model, seed) for seed in own)
+    assert SMOOTHED.offsets == (0.5, 0.0, 0.0, -1.25) and SMOOTHED.scale == 0.1 * 1.75
+
+
+def test_sample_batch_checks_every_seed_before_the_first_draw(monkeypatch):
+    monkeypatch.setattr(models, "trial_rng", lambda seed: pytest.fail("a draw started"))
+    with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got \(1, -2\)$"):
+        models.sample_batch(gaussian_model(), [(1, 0), (1, 1), (1, -2)])
+    with pytest.raises(ValueError, match="got -1$"):
+        models.sample(gaussian_model(), -1)
 
 
 def test_uniform_draws_are_bounded():
