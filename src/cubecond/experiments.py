@@ -4,13 +4,11 @@ Every experiment draws ``trials`` polynomials from a model using per-trial
 substreams of a single base seed, computes a statistic per draw with one of
 the deterministic engines, and pairs empirical aggregates with the matching
 theoretical bound.  Pass criteria use one-sided 3-sigma Monte Carlo slack.
-Trials run in chunks of consecutive indices, one worker call per chunk, and
-several workers share out the chunks.  A tail chunk is drawn into one
-coefficient matrix and its kappa values come from one kernel pass over the
-shared support; the other kinds loop over their chunk.  Reports are
+A worker call runs a chunk of consecutive trials; a tail chunk is one
+coefficient matrix and one kernel pass over the shared support.  Reports are
 reproducible byte-for-byte from (config, seed), whatever the chunks and
-workers: every trial carries its own stream, the kernel pass gives each
-trial the bits of its own polynomial, and rows are emitted in trial order.
+workers: trials carry their own streams, the kernel pass gives each trial the
+bits of its own polynomial, and rows are emitted in trial order.
 """
 
 from __future__ import annotations
@@ -122,8 +120,7 @@ _CHUNK_TRIALS = 2 ** 12  # trials per worker call at most, which bounds the memo
 
 def _map_trials(worker, cfg: ExperimentConfig) -> list:
     """The outcomes of all trials in order; ``worker((cfg, chunk))`` returns those of
-    the trial indices in the range ``chunk``.  Several workers share chunks of about
-    an eighth of a worker's share each."""
+    the trial indices in ``chunk``.  With several workers a chunk is 1/8 of a share."""
     share = cfg.trials if cfg.workers == 1 else max(1, cfg.trials // (cfg.workers * 8))
     size = min(_CHUNK_TRIALS, share)
     tasks = [(cfg, range(lo, min(lo + size, cfg.trials))) for lo in range(0, cfg.trials, size)]

@@ -249,13 +249,10 @@ def _kernel(f: SparsePolynomial, points, first: int, last: int) -> np.ndarray:
 
 def _kernel_rows(terms: _KernelTerms, x: list, C: np.ndarray) -> np.ndarray:
     """Every block sum at the one point x for each row of C, the coefficients of a
-    polynomial on the support of ``terms``; shape (T, n + 1).
-
-    A term is its monomial, made once, times (C[:, column] * multiplier), and a
-    block sums its terms in support order: the one-row walk's operations in its
-    order, plus a product by a coefficient of 1.0, which is exact.  So row t has
-    the bits of ``value_and_gradient_batch`` on its own polynomial.
-    """
+    polynomial on the support of ``terms``; shape (T, n + 1).  A term is its monomial,
+    made once, times (C[:, column] * multiplier), summed in support order: the one-row
+    walk's operations in its order plus exact products by 1.0, so row t has the bits
+    of ``value_and_gradient_batch`` on its own polynomial."""
     monomials, out = _row_monomials(terms, x), np.zeros((len(C), len(terms.ends) - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for block, (begin, end) in enumerate(zip(terms.ends, terms.ends[1:])):
