@@ -91,7 +91,6 @@ def test_sample_is_the_one_row_call_of_sample_batch(models_of, seeds, digest):
         assert batch.shape == (len(own), model.support_size)
         assert batch.tobytes() == _bytes_of(per_draw[k::len(models_of)])
         assert batch.tobytes() == _bytes_of(_reference_draw(model, seed) for seed in own)
-    assert SMOOTHED.offsets == (0.5, 0.0, 0.0, -1.25) and SMOOTHED.scale == 0.1 * 1.75
 
 
 def test_sample_batch_checks_every_seed_before_the_first_draw(monkeypatch):
