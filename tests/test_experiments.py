@@ -319,6 +319,14 @@ def test_csv_bytes_match_golden(tmp_path, golden):
     assert (rep.flagged, rep.passed) == (flagged, not flagged)
 
 
+@pytest.mark.parametrize("golden", [name for name in GOLDEN_CONFIGS if name.startswith("tail")])
+def test_tail_csv_bytes_match_golden_at_two_workers(tmp_path, golden):
+    rep = exps.run_experiment(exps.ExperimentConfig(**GOLDEN_CONFIGS[golden], workers=2))
+    out = tmp_path / "report.csv"
+    exps.emit_csv(rep, out)
+    assert out.read_bytes() == open(os.path.join(GOLDEN, f"{golden}.csv"), "rb").read()
+
+
 MULTI_WORKER_CONFIGS = {
     "tail": {"kind": "tail", "model": gaussian_model(), "trials": 60, "seed": 9},
     # 61 trials split into chunks of 3 at two workers and of 2 at three, the last one short
