@@ -25,11 +25,11 @@ import numpy as np
 from .poly import (
     SparsePolynomial,
     _as_points,
+    _block_sums,
     _build_kernel_terms,
     _degrees,
     _derivative,
     _horner,
-    _kernel_rows,
     _monomial_matrix,
     evaluate,
     new_sparse,
@@ -55,6 +55,8 @@ __all__ = [
 # Cap on grid points x _grid_terms(f) for global_condition.  It bounds the
 # work of one enclosure, not its memory: the grid is evaluated one slab at a time.
 GRID_WORK_CAP = 2 ** 24
+# Cap on the column subsets dist1_to_sigma_x solves, one least-squares call each.
+SUBSET_CAP = 2 ** 16
 
 
 class EstimateInapplicableError(ValueError):
@@ -120,7 +122,10 @@ def _kappa_rows(support, C: np.ndarray, x) -> np.ndarray:
     if not nf.all():
         raise ValueError(_ZERO_POLYNOMIAL)
     exponents = np.array(support, dtype=np.int64)
-    sums = _kernel_rows(_build_kernel_terms(exponents), [float(v) for v in x], C)
+    terms = _build_kernel_terms(exponents)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = _block_sums(terms, terms.row_coefficients(C.T), terms.ends, [float(v) for v in x])
+    sums = np.stack(np.broadcast_arrays(*blocks), axis=1)  # an empty block is 0.0
     denom = np.abs(sums[:, 1:]).sum(axis=1) / _degrees(exponents, C)
     return _kappas(nf, np.maximum(np.abs(sums[:, 0]), denom))
 
@@ -323,18 +328,22 @@ def dist1_to_sigma_x(f: SparsePolynomial, x) -> float:
     minimum of this linear program is attained at a basic solution whose
     support has at most n+1 exponents with independent constraint columns,
     so all column subsets of size <= n+1 are enumerated and solved by least
-    squares with a consistency check; no external solver is involved
-    (support sizes here are small).
+    squares with a consistency check; no external solver is involved.  A support
+    with more than SUBSET_CAP such subsets is refused before the first solve.
     """
     _check_nonzero(f)
+    m = f.support_size
+    sizes = range(1, min(f.n + 1, m) + 1)
+    subsets = sum(math.comb(m, size) for size in sizes)
+    if subsets > SUBSET_CAP:
+        raise ValueError(f"{subsets} column subsets of {m} terms exceed the cap of {SUBSET_CAP}")
     A, b = _constraint_matrix(f, _finite_points(f, x))
     b_norm = float(np.abs(b).sum())
     if b_norm == 0.0:
         return 0.0
-    rows, m = A.shape
     scale = float(np.abs(A).max()) + b_norm
     best = math.inf
-    for size in range(1, min(rows, m) + 1):
+    for size in sizes:
         for subset in itertools.combinations(range(m), size):
             sub = A[:, subset]
             delta = np.linalg.lstsq(sub, b, rcond=None)[0]

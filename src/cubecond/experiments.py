@@ -4,9 +4,9 @@ Every experiment draws ``trials`` polynomials from a model using per-trial
 substreams of a single base seed, computes a statistic per draw with one of
 the deterministic engines, and pairs empirical aggregates with the matching
 theoretical bound.  Pass criteria use one-sided 3-sigma Monte Carlo slack.
-A worker call runs a chunk of consecutive trials; a tail chunk is one
-coefficient matrix and one kernel pass over the shared support.  Reports are
-reproducible byte-for-byte from (config, seed), whatever the chunks and
+A worker call runs a chunk of consecutive trials, drawn as one coefficient
+matrix; a tail chunk is then one kernel pass over the shared support.  Reports
+are reproducible byte-for-byte from (config, seed), whatever the chunks and
 workers: trials carry their own streams, the kernel pass gives each trial the
 bits of its own polynomial, and rows are emitted in trial order.
 """
@@ -14,6 +14,7 @@ bits of its own polynomial, and rows are emitted in trial order.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import random as models
 from .condition import _kappa_rows, global_condition
-from .poly import _build, _field, _is_int, _is_number, _list_of, _read_json_object
+from .poly import _build, _field, _is_int, _is_number, _list_of, _read_json_object, new_sparse
 from .pv import SubdivisionReport, pv_subdivide
 from .univariate import (
     OracleFailedError,
@@ -119,21 +120,28 @@ _CHUNK_TRIALS = 2 ** 12  # trials per worker call at most, which bounds the memo
 
 
 def _map_trials(worker, cfg: ExperimentConfig) -> list:
-    """The outcomes of all trials in order; ``worker((cfg, chunk))`` returns those of
-    the trial indices in ``chunk``.  With several workers a chunk is 1/8 of a share."""
+    """The outcomes of all trials in order; ``worker(cfg, C)`` returns those of a chunk
+    of trials whose draws are the rows of C.  With several workers a chunk is 1/8 of a
+    share, and the pool has no more processes than chunks or cores."""
     share = cfg.trials if cfg.workers == 1 else max(1, cfg.trials // (cfg.workers * 8))
     size = min(_CHUNK_TRIALS, share)
     tasks = [(cfg, range(lo, min(lo + size, cfg.trials))) for lo in range(0, cfg.trials, size)]
+    run = partial(_draw_chunk, worker)
     if cfg.workers == 1:
-        return [outcome for task in tasks for outcome in worker(task)]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return [outcome for chunk in pool.map(worker, tasks) for outcome in chunk]
+        return [outcome for task in tasks for outcome in run(task)]
+    with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks), os.cpu_count() or 1)) as pool:
+        return [outcome for chunk in pool.map(run, tasks) for outcome in chunk]
 
 
-def _each_trial(trial, args) -> list:
-    """A chunk worker for a kind whose ``trial((cfg, i))`` runs one trial."""
-    cfg, chunk = args
-    return [trial((cfg, i)) for i in chunk]
+def _draw_chunk(worker, task) -> list:
+    """``worker(cfg, C)`` on the draws of the trials in the chunk, each from its own stream."""
+    cfg, chunk = task
+    return worker(cfg, models.sample_batch(cfg.model, [(cfg.seed, i) for i in chunk]))
+
+
+def _each_trial(trial, cfg, C) -> list:
+    """A chunk worker for a kind whose ``trial(cfg, f)`` runs one trial on its draw f."""
+    return [trial(cfg, new_sparse(cfg.model.n, zip(cfg.model.support, row))) for row in C]
 
 
 # --- the harness every kind shares ------------------------------------------
@@ -187,11 +195,9 @@ def _mean_check(report, cfg, name, values, bound, **extra) -> None:
 
 # --- tail experiment -------------------------------------------------------
 
-def _tail_trials(args):
-    cfg, chunk = args
-    coefficients = models.sample_batch(cfg.model, [(cfg.seed, i) for i in chunk])
+def _tail_trials(cfg, C):
     x0 = cfg.x0 if cfg.x0 is not None else (0.0,) * cfg.model.n
-    return _kappa_rows(cfg.model.support, coefficients, x0).tolist()
+    return _kappa_rows(cfg.model.support, C, x0).tolist()
 
 
 def _tail_summary(report, cfg, outcomes):
@@ -216,9 +222,8 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 # --- subdivision box count experiment --------------------------------------
 
-def _pv_trial(args):
-    cfg, i = args
-    rep = pv_subdivide(models.sample(cfg.model, (cfg.seed, i)), cfg.max_depth)
+def _pv_trial(cfg, f):
+    rep = pv_subdivide(f, cfg.max_depth)
     return rep.final_count if rep.terminated else None
 
 
@@ -238,9 +243,7 @@ def run_pv_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 # --- isolation tree size experiment ----------------------------------------
 
-def _descartes_trial(args):
-    cfg, i = args
-    f = models.sample(cfg.model, (cfg.seed, i))
+def _descartes_trial(cfg, f):
     res = descartes_isolate(f, max_depth=cfg.max_depth)
     return res.tree.nodes if res.complete else None
 
@@ -262,9 +265,7 @@ def run_descartes_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 # --- separation experiment --------------------------------------------------
 
-def _separation_trial(args):
-    cfg, i = args
-    f = models.sample(cfg.model, (cfg.seed, i))
+def _separation_trial(cfg, f):
     kappa_upper = global_condition(f, cfg.grid_eps).upper
     finite = math.isfinite(kappa_upper)
     eps = min(cfg.eps, 0.5 / (math.e * f.degree * kappa_upper)) if finite else cfg.eps

@@ -73,9 +73,8 @@ class SparsePolynomial:
 
     @functools.cached_property
     def _kernel_coefficients(self) -> tuple:
-        """The coefficient of each kernel row: c[column] * multiplier."""
-        terms, c = self._kernel_terms, self.coefficients.tolist()
-        return tuple(map(mul, map(c.__getitem__, terms.columns), terms.multipliers))
+        """The coefficient of each kernel row, as floats."""
+        return tuple(self._kernel_terms.row_coefficients(self.coefficients.tolist()))
 
     def terms(self):
         """Return the support as a list of (exponent tuple, coefficient)."""
@@ -107,6 +106,12 @@ class _KernelTerms(NamedTuple):
     reads: tuple
     columns: tuple
     multipliers: tuple
+
+    def row_coefficients(self, c):
+        """Each row's coefficient c[column] * multiplier in row order, made as it is read,
+        for the coefficients c of a polynomial (floats) or of T polynomials (the
+        transpose of a (T, m) matrix, which gives (T,) arrays)."""
+        return map(mul, map(c.__getitem__, self.columns), self.multipliers)
 
 
 def _build_kernel_terms(exponents: np.ndarray) -> _KernelTerms:
@@ -191,9 +196,11 @@ _CHUNK_POINTS = 2 ** 12  # points per pass of the kernel, which bounds its memor
 
 
 def _block_sums(terms: _KernelTerms, coefficients, ends, columns) -> list:
-    """The sums of the term blocks bounded by ``ends``, row r with coefficient
-    ``coefficients[r]``, at the point whose coordinates are ``columns``: floats,
-    or (N,) arrays for N points at once.
+    """The sums of the term blocks bounded by ``ends`` at the point whose coordinates
+    are ``columns``; the rows from ends[0] on take their coefficients from the
+    iterable ``coefficients`` in turn.  Either the coordinates are (N,) arrays, for
+    N points at once, or the coefficients are (T,) arrays, for T polynomials on the
+    support at once; the rest are floats.
 
     The powers x_i^k = x_i^(k-1) * x_i are built up to the last one that
     reads[i] marks, and only the marked ones are kept.  A term multiplies its
@@ -205,25 +212,21 @@ def _block_sums(terms: _KernelTerms, coefficients, ends, columns) -> list:
     """
     powers = [dict(compress(zip(count(1), accumulate(repeat(x, len(read)), mul)), read))
               for x, read in zip(columns, terms.reads)]
-    sums = []
+    sums, coefficients = [], iter(coefficients)
     for begin, end in zip(ends, ends[1:]):
         total = 0.0
-        for r in range(begin, end):
+        # zip asks the range first, so it takes no coefficient past the block
+        for r, c in zip(range(begin, end), coefficients):
             # in place only on what this call made: a product of two or more
             # factors, and a sum of two or more terms
-            factors, c, term = terms.factors[r], coefficients[r], 1.0
+            factors, term = terms.factors[r], 1.0
             for n, (i, k) in enumerate(factors):
                 term = powers[i][k] if n == 0 else (mul if n == 1 else imul)(term, powers[i][k])
-            if c != 1.0:
+            if not (isinstance(c, float) and c == 1.0):
                 term = (mul if len(factors) < 2 else imul)(term, c)
             total = term if r == begin else (add if r == begin + 1 else iadd)(total, term)
         sums.append(total)
     return sums
-
-
-def _row_monomials(terms: _KernelTerms, x: list) -> list:
-    """Each kernel row's monomial at the one point x: a block per row, coefficients 1.0."""
-    return _block_sums(terms, (1.0,) * len(terms.factors), range(len(terms.factors) + 1), x)
 
 
 def _kernel(f: SparsePolynomial, points, first: int, last: int) -> np.ndarray:
@@ -234,8 +237,9 @@ def _kernel(f: SparsePolynomial, points, first: int, last: int) -> np.ndarray:
     are; a one-row call runs on Python floats.
     """
     X = _as_points(f, points)
-    terms, coefficients = f._kernel_terms, f._kernel_coefficients
+    terms = f._kernel_terms
     ends = terms.ends[first:last + 1]
+    coefficients = f._kernel_coefficients[ends[0]:]
     if len(X) == 1:
         return np.array([_block_sums(terms, coefficients, ends, X[0].tolist())])
     out = np.empty((len(X), last - first))
@@ -247,30 +251,14 @@ def _kernel(f: SparsePolynomial, points, first: int, last: int) -> np.ndarray:
     return out
 
 
-def _kernel_rows(terms: _KernelTerms, x: list, C: np.ndarray) -> np.ndarray:
-    """Every block sum at the one point x for each row of C, the coefficients of a
-    polynomial on the support of ``terms``; shape (T, n + 1).  A term is its monomial,
-    made once, times (C[:, column] * multiplier), summed in support order: the one-row
-    walk's operations in its order plus exact products by 1.0, so row t has the bits
-    of ``value_and_gradient_batch`` on its own polynomial."""
-    monomials, out = _row_monomials(terms, x), np.zeros((len(C), len(terms.ends) - 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for block, (begin, end) in enumerate(zip(terms.ends, terms.ends[1:])):
-            for r in range(begin, end):
-                term = C[:, terms.columns[r]] * terms.multipliers[r]
-                term *= monomials[r]
-                out[:, block] = term if r == begin else out[:, block] + term
-    return out
-
-
 def _monomial_matrix(f: SparsePolynomial, x) -> np.ndarray:
     """The monomials x^alpha (row 0) and their partial derivatives d/dx_i (row 1 + i)
     at one point x, one column per support term; shape (n + 1, m)."""
     terms = f._kernel_terms
-    monomials = _row_monomials(terms, _as_points(f, x)[0].tolist())
+    each_row = range(len(terms.factors) + 1)  # one block per kernel row
+    rows = _block_sums(terms, terms.multipliers, each_row, _as_points(f, x)[0].tolist())
     out = np.zeros((f.n + 1, f.support_size))
-    blocks = np.repeat(np.arange(f.n + 1), np.diff(terms.ends))
-    out[blocks, list(terms.columns)] = np.multiply(terms.multipliers, monomials)
+    out[np.repeat(np.arange(f.n + 1), np.diff(terms.ends)), list(terms.columns)] = rows
     return out
 
 

@@ -1,8 +1,10 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export, and every
+private name has a reader in the package, so no code is kept for its own unit test."""
 
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -35,3 +37,39 @@ def test_package_imports_resolve():
     for module, name in imported:
         source = importlib.import_module(f"cubecond.{module}")
         assert getattr(cubecond, name) is getattr(source, name)
+
+
+def _private_definitions(statement):
+    """The private names a module-level statement defines (no dunder names)."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(pathlib.Path(cubecond.__file__).parent.glob("*.py"))}
+    reads = [
+        (file, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for file, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    ]
+    orphans = [
+        f"{file}:{name}"
+        for file, tree in trees.items()
+        for statement in tree.body
+        for name in _private_definitions(statement)
+        # a read inside the definition itself does not count
+        if not any(read == name and not (where == file and statement.lineno <= line
+                                         <= statement.end_lineno)
+                   for where, line, read in reads)
+    ]
+    assert orphans == []

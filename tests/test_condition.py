@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
+from cubecond import condition
 from cubecond import random as models
 from cubecond.condition import (
     GRID_WORK_CAP,
@@ -443,6 +444,21 @@ def test_gamma_exact_below_gamma_bound_near_roots():
 def test_dist1_examples():
     assert dist1_to_sigma_x(QUAD3, [0.0]) == pytest.approx(1.0, rel=1e-12)
     assert dist1_to_sigma_x(DOUBLE_ROOT, [0.5]) == 0.0
+
+
+def test_dist1_refuses_a_support_past_the_subset_cap(monkeypatch):
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: pytest.fail("a solve ran"))
+    # 40 terms at n = 3: 40 + 780 + 9880 + 91390 subsets of size <= 4
+    support = [alpha for alpha in itertools.product(range(6), repeat=3) if sum(alpha) <= 5][:40]
+    with pytest.raises(ValueError, match="102090 column subsets .* cap of 65536"):
+        dist1_to_sigma_x(new_sparse(3, [(alpha, 1.0) for alpha in support]), [0.1, 0.2, 0.3])
+    monkeypatch.undo()
+    # QUAD3 has 3 + 3 subsets of size <= 2: the cap is inclusive
+    monkeypatch.setattr(condition, "SUBSET_CAP", 5)
+    with pytest.raises(ValueError, match="6 column subsets"):
+        dist1_to_sigma_x(QUAD3, [0.0])
+    monkeypatch.setattr(condition, "SUBSET_CAP", 6)
+    assert dist1_to_sigma_x(QUAD3, [0.0]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_dist1_zeroing_the_polynomial_is_always_feasible():

@@ -358,6 +358,43 @@ def test_multi_worker_runs_match_single_worker(kind):
         _same_reports(one, other)
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its process count and maps in this process."""
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "trials, workers, cpus, processes",
+    [
+        (3, 50, 64, 3),  # 3 chunks of one trial
+        (61, 3, 64, 3),  # chunks of 2 trials
+        (1000, 50, 4, 4),  # 500 chunks of 2 trials
+        (61, 3, None, 1),  # an unknown core count counts as one
+    ],
+    ids=["chunks", "workers", "cores", "unknown-cores"],
+)
+def test_pool_has_no_more_processes_than_chunks_or_cores(monkeypatch, trials, workers, cpus,
+                                                          processes):
+    model = models.RandomModel(n=1, support=SUP_D5, dist=UNIF)
+    cfg = exps.ExperimentConfig(kind="tail", model=model, trials=trials, seed=4, workers=workers)
+    monkeypatch.setattr(exps, "ProcessPoolExecutor", type("Pool", (_SerialPool,), {"sizes": []}))
+    monkeypatch.setattr(exps.os, "cpu_count", lambda: cpus)
+    report = exps.run_experiment(cfg)
+    assert exps.ProcessPoolExecutor.sizes == [processes]
+    _same_reports(report, exps.run_experiment(dataclasses.replace(cfg, workers=1)))
+
+
 @pytest.mark.parametrize("size", [1, 8, 60, 61, 62])
 def test_tail_rows_do_not_depend_on_the_chunk_size(monkeypatch, size):
     cfg = exps.ExperimentConfig(**MULTI_WORKER_CONFIGS["tail_61"])
@@ -369,7 +406,8 @@ def test_tail_rows_do_not_depend_on_the_chunk_size(monkeypatch, size):
 def test_separation_counts_failed_trial_checks(monkeypatch):
     # trial 0 fails its real-root check, trial 1 loses its oracle, trial 2 fails its eps check
     outcomes = [(5.0, 0.1, 0.5, 0.2, 0.1), None, (5.0, 0.6, 0.5, 0.05, 0.1)]
-    monkeypatch.setattr(exps, "_separation_trial", lambda args: outcomes[args[1]])
+    stubbed = iter(outcomes)  # trials run in order, one outcome each
+    monkeypatch.setattr(exps, "_separation_trial", lambda cfg, f: next(stubbed))
     cfg = exps.ExperimentConfig(kind="separation", model=gaussian_model(), trials=3, seed=1)
     rep = exps.run_separation_experiment(cfg)
     assert (rep.violations, rep.excluded, rep.flagged, rep.passed) == (2, 1, True, False)
