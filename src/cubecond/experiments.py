@@ -5,10 +5,11 @@ substreams of a single base seed, computes a statistic per draw with one of
 the deterministic engines, and pairs empirical aggregates with the matching
 theoretical bound.  Pass criteria use one-sided 3-sigma Monte Carlo slack.
 A worker call runs a chunk of consecutive trials, drawn as one coefficient
-matrix; a tail chunk is then one kernel pass over the shared support.  Reports
-are reproducible byte-for-byte from (config, seed), whatever the chunks and
-workers: trials carry their own streams, the kernel pass gives each trial the
-bits of its own polynomial, and rows are emitted in trial order.
+matrix; a tail chunk is then one kernel pass over the shared support, and a pv
+chunk one subdivision walk over the boxes of all its trials.  Reports are
+reproducible byte-for-byte from (config, seed), whatever the chunks and
+workers: trials carry their own streams, the kernel pass and the walk give each
+trial the bits of its own polynomial, and rows are emitted in trial order.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import random as models
 from .condition import _kappa_rows, global_condition
 from .poly import _build, _field, _is_int, _is_number, _list_of, _read_json_object, new_sparse
-from .pv import SubdivisionReport, pv_subdivide
+from .pv import SubdivisionReport, _subdivide_rows
 from .univariate import (
     OracleFailedError,
     descartes_isolate,
@@ -222,9 +223,9 @@ def run_tail_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 # --- subdivision box count experiment --------------------------------------
 
-def _pv_trial(cfg, f):
-    rep = pv_subdivide(f, cfg.max_depth)
-    return rep.final_count if rep.terminated else None
+def _pv_trials(cfg, C):
+    final_counts, terminated, _ = _subdivide_rows(cfg.model.support, C, cfg.max_depth)
+    return [count if done else None for count, done in zip(final_counts.tolist(), terminated)]
 
 
 def _pv_summary(report, cfg, outcomes):
@@ -238,7 +239,7 @@ def _pv_summary(report, cfg, outcomes):
 
 def run_pv_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Mean terminated box count against the expected-box-count bound."""
-    return _run("pv", cfg, partial(_each_trial, _pv_trial), _pv_summary)
+    return _run("pv", cfg, _pv_trials, _pv_summary)
 
 
 # --- isolation tree size experiment ----------------------------------------

@@ -10,13 +10,14 @@ representable in binary floating point down to depth ~50.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import SparsePolynomial, evaluate, gradient, norm1, value_and_gradient_batch
+from .poly import SparsePolynomial, _kernel, evaluate, gradient, norm1
 
 __all__ = [
     "Interval",
@@ -67,17 +68,17 @@ def sample_boxes(midpoints: np.ndarray, widths: np.ndarray, rng, count: int) -> 
     return coordinates.transpose(1, 2, 0)
 
 
-def _exclusion_radii(f: SparsePolynomial, half_w):
-    """Lipschitz radii d*norm1(f)*w/2 of f and sqrt(2n)*d^2*norm1(f)*w/2 of
-    the gradient 1-norm over boxes of half-width ``half_w`` (float or array)."""
-    nf = norm1(f)
-    return f.degree * nf * half_w, math.sqrt(2 * f.n) * f.degree ** 2 * nf * half_w
+def _exclusion_radii(degree, nf, n: int, half_w):
+    """Lipschitz radii d*nf*w/2 of f and sqrt(2n)*d^2*nf*w/2 of the gradient 1-norm
+    over boxes of half-width ``half_w``, for f of degree d and norm1 nf in n
+    variables; the degree, norm and half-width are numbers or arrays."""
+    return degree * nf * half_w, math.sqrt(2 * n) * degree ** 2 * nf * half_w
 
 
 def interval_f(f: SparsePolynomial, box: BoxN) -> Interval:
     """Range enclosure f(m) + d*norm1(f)*(w/2)*[-1, 1] for f on the box."""
     center = evaluate(f, box.midpoint)
-    radius = _exclusion_radii(f, box.width / 2)[0]
+    radius = _exclusion_radii(f.degree, norm1(f), f.n, box.width / 2)[0]
     return Interval(center - radius, center + radius)
 
 
@@ -89,7 +90,7 @@ def interval_grad_norm(f: SparsePolynomial, box: BoxN) -> Interval:
     norm is nonnegative.
     """
     center = float(np.abs(gradient(f, box.midpoint)).sum())
-    radius = _exclusion_radii(f, box.width / 2)[1]
+    radius = _exclusion_radii(f.degree, norm1(f), f.n, box.width / 2)[1]
     return Interval(max(0.0, center - radius), center + radius)
 
 
@@ -103,10 +104,15 @@ def predicate_clause_batch(f: SparsePolynomial, midpoints, widths) -> np.ndarray
     inequality holds.  ``widths`` is an (N,) array or one width shared by all
     boxes.
     """
-    value_radii, grad_radii = _exclusion_radii(f, np.asarray(widths) / 2)
-    values, grads = value_and_gradient_batch(f, midpoints)
-    grads_pass = np.abs(grads).sum(axis=1) > grad_radii
-    return np.where(np.abs(values) > value_radii, 1, 2 * grads_pass)
+    radii = _exclusion_radii(f.degree, norm1(f), f.n, np.asarray(widths) / 2)
+    return _clause_codes(_kernel(f, midpoints, 0, f.n + 1), *radii)
+
+
+def _clause_codes(sums: np.ndarray, value_radii, grad_radii) -> np.ndarray:
+    """The clause codes of boxes from the kernel sums (N, n + 1) of f and its
+    partial derivatives at their midpoints and the radii of each box (or of all)."""
+    grads_pass = np.abs(sums[:, 1:]).sum(axis=1) > grad_radii
+    return np.where(np.abs(sums[:, 0]) > value_radii, 1, 2 * grads_pass)
 
 
 def split_boxes(midpoints: np.ndarray, width: float) -> tuple[np.ndarray, float]:
@@ -115,6 +121,13 @@ def split_boxes(midpoints: np.ndarray, width: float) -> tuple[np.ndarray, float]
     Children midpoints are m +- w/4 per coordinate; each box's children are
     consecutive, with -1 before +1 and the first coordinate most significant.
     """
-    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=midpoints.shape[1])))
-    children = midpoints[:, None, :] + signs * (width / 4)
+    children = midpoints[:, None, :] + _signs(midpoints.shape[1]) * (width / 4)
     return children.reshape(-1, midpoints.shape[1]), width / 2
+
+
+@functools.lru_cache(maxsize=None)
+def _signs(n: int) -> np.ndarray:
+    """The 2^n sign vectors in {-1, 1}^n, in the order of ``split_boxes``."""
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    signs.setflags(write=False)
+    return signs

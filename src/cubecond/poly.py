@@ -198,9 +198,11 @@ _CHUNK_POINTS = 2 ** 12  # points per pass of the kernel, which bounds its memor
 def _block_sums(terms: _KernelTerms, coefficients, ends, columns) -> list:
     """The sums of the term blocks bounded by ``ends`` at the point whose coordinates
     are ``columns``; the rows from ends[0] on take their coefficients from the
-    iterable ``coefficients`` in turn.  Either the coordinates are (N,) arrays, for
-    N points at once, or the coefficients are (T,) arrays, for T polynomials on the
-    support at once; the rest are floats.
+    iterable ``coefficients`` in turn.  The batch axes are: (N,) coordinate arrays
+    with float coefficients, for N points of one polynomial; (T,) coefficient
+    arrays with float coordinates, for T polynomials on the support at one point;
+    or (N,) coordinate arrays with (N,) coefficient arrays, for N points each of
+    its own polynomial on the support.  The rest are floats.
 
     The powers x_i^k = x_i^(k-1) * x_i are built up to the last one that
     reads[i] marks, and only the marked ones are kept.  A term multiplies its
@@ -231,23 +233,36 @@ def _block_sums(terms: _KernelTerms, coefficients, ends, columns) -> list:
 
 def _kernel(f: SparsePolynomial, points, first: int, last: int) -> np.ndarray:
     """Sums of the term blocks ``first`` to ``last - 1`` of ``f._kernel_terms`` at each
-    row of ``points``, shape (N, last - first).
-
-    A row's result is the same bits whatever N, the chunk or the other rows
-    are; a one-row call runs on Python floats.
-    """
-    X = _as_points(f, points)
+    row of ``points``, shape (N, last - first)."""
     terms = f._kernel_terms
     ends = terms.ends[first:last + 1]
-    coefficients = f._kernel_coefficients[ends[0]:]
-    if len(X) == 1:
+    return _kernel_sums(terms, f._kernel_coefficients[ends[0]:], ends, _as_points(f, points))
+
+
+def _kernel_sums(terms: _KernelTerms, coefficients, ends, X: np.ndarray, owner=None) -> np.ndarray:
+    """Sums of the term blocks bounded by ``ends`` at each row of X (N, n), shape
+    (N, len(ends) - 1); the kernel rows from ends[0] on take their coefficients
+    from ``coefficients`` in turn.  Those are floats, shared by every point, or an
+    (R, T) array with one column per polynomial, of which point j reads column
+    ``owner[j]``; an integer ``owner`` names the column of every point.
+
+    A point's result is the same bits whatever N, the chunk or the other points
+    are; a call on one point or for one polynomial runs on its float coefficients,
+    and a one-point call on Python floats.
+    """
+    per_point = isinstance(owner, np.ndarray)
+    if owner is not None and not per_point:
+        coefficients, owner = coefficients[:, owner].tolist(), None
+    if len(X) == 1 and not per_point:
         return np.array([_block_sums(terms, coefficients, ends, X[0].tolist())])
-    out = np.empty((len(X), last - first))
+    out = np.empty((len(X), len(ends) - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(X), _CHUNK_POINTS):
-            columns = X[lo:lo + _CHUNK_POINTS].T
-            for j, total in enumerate(_block_sums(terms, coefficients, ends, columns)):
-                out[lo:lo + _CHUNK_POINTS, j] = total
+            chunk = slice(lo, lo + _CHUNK_POINTS)
+            # a gathered row is made as the walk reads it, which bounds the memory
+            rows = map(np.take, coefficients, repeat(owner[chunk])) if per_point else coefficients
+            for j, total in enumerate(_block_sums(terms, rows, ends, X[chunk].T)):
+                out[chunk, j] = total
     return out
 
 

@@ -6,6 +6,8 @@ children are enqueued in lexicographic coordinate order, so reports are
 bit-for-bit reproducible.  It is held one depth at a time, as an (N, n)
 midpoint array and the width all those boxes share.  Singular inputs never
 terminate, which the depth guard and box budget turn into a flagged report.
+One walk subdivides for many polynomials on one support at once, each box
+tagged with the polynomial that owns it; ``pv_subdivide`` is its one-row call.
 """
 
 from __future__ import annotations
@@ -16,8 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condition import kappa_batch
-from .interval import predicate_clause_batch, sample_boxes, split_boxes
-from .poly import SparsePolynomial, _is_int, evaluate_batch, gradient_batch, norm1
+from .interval import _clause_codes, _exclusion_radii, sample_boxes, split_boxes
+from .poly import (
+    SparsePolynomial,
+    _build_kernel_terms,
+    _degrees,
+    _is_int,
+    _kernel_sums,
+    evaluate_batch,
+    gradient_batch,
+    norm1,
+)
 
 __all__ = [
     "SubdivisionReport",
@@ -28,7 +39,7 @@ __all__ = [
 
 MAX_BOXES = 2 ** 20  # processed boxes per subdivision; bounds its time and memory
 _VERIFY_CHUNK_POINTS = 2 ** 14  # sample points per kernel call in verify_output_boxes
-_CLAUSE_NAMES = (None, "value", "gradient")  # indexed by predicate_clause_batch codes
+_CLAUSE_NAMES = (None, "value", "gradient")  # indexed by clause codes
 
 
 @dataclass
@@ -66,32 +77,119 @@ def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
 
     Stops early with ``terminated=False`` as soon as a failing box at depth
     ``max_depth`` would have to be split further, or the next split would take
-    the processed count past ``MAX_BOXES``.
+    the processed count past ``MAX_BOXES``.  This is the one-row call of the
+    walk of ``_subdivide_rows``, on the float coefficients of f.
     """
-    if norm1(f) == 0.0:
+    coefficients = np.array(f._kernel_coefficients)[:, None]
+    nf, degree = np.array([norm1(f)]), np.array([float(f.degree)])
+    levels = []
+    processed, failing = _walk(f._kernel_terms, coefficients, nf, degree, max_depth, levels)
+    counts = processed[:len(levels), 0].tolist()
+    midpoints, codes, depths = zip(*levels)
+    widths = [np.full(len(c), math.ldexp(2.0, -depth)) for c, depth in zip(codes, depths)]
+    return SubdivisionReport(
+        np.concatenate(midpoints), np.concatenate(widths), np.concatenate(codes),
+        processed_count=sum(counts), max_depth_reached=len(counts) - 1,
+        per_depth_counts=counts, terminated=bool(failing[len(counts) - 1, 0] == 0),
+    )
+
+
+def _subdivide_rows(support, C: np.ndarray, max_depth: int) -> tuple:
+    """``pv_subdivide(f_t, max_depth)`` for each row of C, the coefficients of a
+    polynomial f_t on ``support``, as one walk over the boxes of all of them.
+
+    Returns the final box count and the ``terminated`` flag of each row, as (T,)
+    arrays, and its boxes processed per depth, column t of a (max_depth + 1, T)
+    array; the final boxes themselves are not kept.
+    """
+    exponents = np.array(support, dtype=np.int64)
+    terms = _build_kernel_terms(exponents)
+    coefficients = np.array(list(terms.row_coefficients(C.T)))
+    nf = np.abs(C).sum(axis=1)  # per row, the bits of norm1
+    degrees = _degrees(exponents, C).astype(float)
+    processed, failing = _walk(terms, coefficients, nf, degrees, max_depth)
+    last = np.count_nonzero(processed, axis=0) - 1  # the depth of each row's last level
+    final_counts = processed.sum(axis=0) - failing.sum(axis=0)
+    return final_counts, failing[last, np.arange(len(C))] == 0, processed
+
+
+def _walk(terms, coefficients: np.ndarray, nf: np.ndarray, degrees: np.ndarray,
+          max_depth: int, levels: list | None = None) -> tuple:
+    """The boxes processed and the boxes failing the predicate, per depth (row) and
+    polynomial (column), of the subdivisions of T polynomials on one support, whose
+    kernel rows take the columns of ``coefficients`` (R, T) and whose norm1 and
+    degree are ``nf`` and ``degrees`` (T,).  ``levels``, when given, collects the
+    (midpoints, codes, depth) of the boxes each level accepts; for one polynomial
+    the levels come in depth order.
+
+    A batch holds the boxes of some polynomials, their owners, at one depth,
+    grouped by ascending owner: ``owners`` lists them and ``counts`` their boxes.
+    Each owner's boxes keep the order of its own FIFO worklist, so a level is one
+    kernel pass and each polynomial gets the bits and the stop it gets alone; it
+    leaves the walk when it has no failing box, at the depth guard or at its
+    budget.  A level holds at most ``MAX_BOXES`` boxes: a batch whose level would
+    hold more splits by owner into two halves, which run one after the other.
+    """
+    if not nf.all():
         raise ValueError("cannot subdivide for the zero polynomial")
     if not (_is_int(max_depth) and 1 <= max_depth <= 50):
         raise ValueError(f"max_depth must be an integer in [1, 50], got {max_depth!r}")
-    # each level's predicate evaluations run as a single vectorised batch
-    midpoints, width = np.zeros((1, f.n)), 2.0
-    final_midpoints, final_widths, final_codes, counts = [], [], [], []
-    while True:
-        counts.append(len(midpoints))
-        codes = predicate_clause_batch(f, midpoints, width)
+    T, n = len(nf), len(terms.ends) - 2
+    processed_at, failing_at = np.zeros((2, max_depth + 1, T), dtype=np.int64)
+    # the radii at half-width 1: times a level's half-width, they are the products of
+    # _exclusion_radii in its order, as a product with 1.0 is exact
+    unit_radii = _exclusion_radii(degrees, nf, n, 1.0)
+    # the batches to process, last in first out, as (boxes, owners, counts, processed,
+    # depth): the boxes are the roots at depth 0 and else the parents to split, and
+    # processed bounds the boxes that any owner of the batch has processed before
+    todo = [(np.zeros((T, n)), np.arange(T), np.ones(T, dtype=np.int64), 0, 0)]
+    while todo:
+        boxes, owners, counts, processed, depth = todo.pop()
+        shift = n if depth else 0  # log2 of the level's boxes per box of the batch
+        if len(boxes) << shift > MAX_BOXES and len(owners) > 1:  # one owner's level fits
+            half = len(owners) // 2
+            cut = int(counts[:half].sum()) >> shift
+            todo += [(boxes[cut:], owners[half:], counts[half:], processed, depth),
+                     (boxes[:cut], owners[:half], counts[:half], processed, depth)]
+            continue
+        midpoints = split_boxes(boxes, math.ldexp(4.0, -depth))[0] if depth else boxes
+        processed += len(midpoints)
+        sums = _kernel_sums(terms, coefficients, terms.ends, midpoints, _spread(owners, counts))
+        half_w = math.ldexp(1.0, -depth)
+        radii = (_spread(radius.take(owners), counts) * half_w for radius in unit_radii)
+        codes = _clause_codes(sums, *radii)
         passed = codes > 0
-        final_codes.append(codes[passed])
-        final_midpoints.append(midpoints[passed])
-        final_widths.append(np.full(np.count_nonzero(passed), width))
-        children = np.count_nonzero(~passed) << f.n
-        if not children or len(counts) > max_depth or sum(counts) + children > MAX_BOXES:
-            break
-        midpoints, width = split_boxes(midpoints[~passed], width)
-    return SubdivisionReport(
-        np.concatenate(final_midpoints), np.concatenate(final_widths),
-        np.concatenate(final_codes), processed_count=sum(counts),
-        max_depth_reached=len(counts) - 1, per_depth_counts=counts,
-        terminated=bool(passed.all()),
-    )
+        if levels is not None:
+            levels.append((midpoints.compress(passed, axis=0), codes.compress(passed), depth))
+        failing_boxes = ~passed
+        failing = _count(failing_boxes, counts)
+        processed_at[depth][owners] = counts
+        failing_at[depth][owners] = failing
+        # whether some owner may pass its budget: processed bounds each owner's count
+        over = processed + (np.count_nonzero(failing_boxes) << n) > MAX_BOXES
+        if over or depth == max_depth or np.count_nonzero(failing) < len(failing):
+            stay = (failing > 0) & (depth < max_depth)
+            if over:  # the next level fits when processed + failing * 2^n <= MAX_BOXES
+                stay &= failing <= (MAX_BOXES - processed_at[:depth + 1, owners].sum(axis=0)) >> n
+            failing_boxes &= _spread(stay, counts)
+            owners, failing = owners.compress(stay), failing.compress(stay)
+        if len(owners):
+            parents = midpoints.compress(failing_boxes, axis=0)
+            todo.append((parents, owners, failing << n, processed, depth + 1))
+    return processed_at, failing_at
+
+
+def _spread(values: np.ndarray, counts: np.ndarray):
+    """Per-owner ``values`` repeated over the boxes of each owner, ``counts`` of
+    them; a lone owner's value is one number for all its boxes."""
+    return values[0] if len(counts) == 1 else values.repeat(counts)
+
+
+def _count(mask: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The set entries of the box ``mask`` per owner, whose boxes number ``counts``."""
+    if len(counts) == 1:
+        return np.array([np.count_nonzero(mask)])
+    return np.add.reduceat(mask, counts.cumsum() - counts, dtype=np.int64)
 
 
 def verify_output_boxes(

@@ -4,9 +4,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from cubecond import experiments as exps
+from cubecond import pv
 from cubecond import random as models
 from cubecond.poly import new_sparse
 from cubecond.pv import pv_subdivide
@@ -401,6 +403,111 @@ def test_tail_rows_do_not_depend_on_the_chunk_size(monkeypatch, size):
     whole = exps.run_experiment(cfg)
     monkeypatch.setattr(exps, "_CHUNK_TRIALS", size)
     _same_reports(whole, exps.run_experiment(cfg))
+
+
+@pytest.mark.parametrize("golden", [name for name in GOLDEN_CONFIGS if name.startswith("pv")])
+def test_pv_csv_bytes_match_golden_at_two_workers(tmp_path, golden):
+    rep = exps.run_experiment(exps.ExperimentConfig(**GOLDEN_CONFIGS[golden], workers=2))
+    out = tmp_path / "report.csv"
+    exps.emit_csv(rep, out)
+    assert out.read_bytes() == open(os.path.join(GOLDEN, f"{golden}.csv"), "rb").read()
+
+
+@pytest.mark.parametrize("size", [3, 7, 11])
+def test_pv_csv_bytes_do_not_depend_on_the_chunk_size(monkeypatch, tmp_path, size):
+    # a chunk of several trials is one walk over the boxes of all of them
+    monkeypatch.setattr(exps, "_CHUNK_TRIALS", size)
+    for golden in (name for name in GOLDEN_CONFIGS if name.startswith("pv")):
+        out = tmp_path / f"{golden}.csv"
+        exps.emit_csv(exps.run_experiment(exps.ExperimentConfig(**GOLDEN_CONFIGS[golden])), out)
+        assert out.read_bytes() == open(os.path.join(GOLDEN, f"{golden}.csv"), "rb").read()
+
+
+WALK_MODELS = {
+    "gauss_n1": models.RandomModel(n=1, support=((0,), (1,), (2,), (3,)), dist=GAUSS),
+    "unif_n1": models.RandomModel(n=1, support=((0,), (1,), (4,)), dist=UNIF),
+    "gauss_n2": models.RandomModel(
+        n=2, support=((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 3)), dist=GAUSS
+    ),
+    "unif_n2": models.RandomModel(n=2, support=((0, 0), (1, 0), (0, 1), (2, 1)), dist=UNIF),
+    "gauss_n3": models.RandomModel(
+        n=3, support=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)), dist=GAUSS
+    ),
+    "unif_n3": models.RandomModel(
+        n=3, support=((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)), dist=UNIF
+    ),
+}
+
+
+def _walk_matches_row_by_row(model, seed, trials, max_depth):
+    """Check the outcomes of one walk over a chunk against pv_subdivide on each row,
+    and return the reports of pv_subdivide."""
+    C = models.sample_batch(model, [(seed, i) for i in range(trials)])
+    final_counts, terminated, processed = pv._subdivide_rows(model.support, C, max_depth)
+    assert final_counts.shape == terminated.shape == (trials,)
+    reports = []
+    for t, row in enumerate(C):
+        counts = [count for count in processed[:, t].tolist() if count]
+        alone = pv_subdivide(new_sparse(model.n, zip(model.support, row)), max_depth)
+        assert (final_counts[t], terminated[t], sum(counts), counts, len(counts) - 1) == (
+            alone.final_count, alone.terminated, alone.processed_count, alone.per_depth_counts,
+            alone.max_depth_reached,
+        )
+        reports.append(alone)
+    return reports
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3, None], ids=["d1", "d2", "d3", "deep"])
+@pytest.mark.parametrize("model", list(WALK_MODELS))
+def test_pv_walk_matches_pv_subdivide_row_by_row(model, max_depth):
+    model = WALK_MODELS[model]
+    deep = max_depth is None
+    max_depth = (12, 8, 5)[model.n - 1] if deep else max_depth
+    reports = _walk_matches_row_by_row(model, 31 + model.n, 30, max_depth)
+    stopped = [r for r in reports if not r.terminated]
+    if deep:
+        assert len(stopped) < len(reports)
+    else:  # the shallow guard stops some trials
+        assert stopped and all(r.max_depth_reached == max_depth for r in stopped)
+
+
+@pytest.mark.parametrize("cap", [5, 40, 300])
+def test_pv_walk_keeps_each_budget_and_splits_levels_under_the_cap(monkeypatch, cap):
+    levels = []
+    kernel = pv._kernel_sums
+
+    def kernel_spy(terms, coefficients, ends, X, owner=None):
+        levels.append(len(X))
+        return kernel(terms, coefficients, ends, X, owner)
+
+    monkeypatch.setattr(pv, "MAX_BOXES", cap)
+    monkeypatch.setattr(pv, "_kernel_sums", kernel_spy)
+    model = WALK_MODELS["gauss_n2"]
+    C = models.sample_batch(model, [(7, i) for i in range(40)])
+    processed = pv._subdivide_rows(model.support, C, 10)[2]
+    assert max(levels) <= cap
+    # more kernel passes than depths: some level was cut into batches
+    assert len(levels) > np.count_nonzero(processed.any(axis=1))
+    reports = _walk_matches_row_by_row(model, 7, 40, 10)
+    budget_stops = [r for r in reports if not r.terminated and r.max_depth_reached < 10]
+    assert budget_stops and all(r.processed_count <= cap for r in reports)
+
+
+def test_pv_chunk_with_a_zero_row_raises_before_any_outcome(monkeypatch):
+    C = np.array([[0.5, -1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.25, -2.0]])
+    with pytest.raises(ValueError, match="^cannot subdivide for the zero polynomial$"):
+        pv_subdivide(new_sparse(1, zip(SUP_D2, C[1])), 10)
+    with pytest.raises(ValueError, match="^cannot subdivide for the zero polynomial$"):
+        pv._subdivide_rows(SUP_D2, C, 10)
+
+    def no_summary(report, cfg, outcomes):
+        raise AssertionError("outcomes were returned")
+
+    monkeypatch.setattr(exps.models, "sample_batch", lambda model, seeds: C)
+    monkeypatch.setattr(exps, "_pv_summary", no_summary)
+    cfg = exps.ExperimentConfig(kind="pv", model=gaussian_model(SUP_D2), trials=3, seed=1)
+    with pytest.raises(ValueError, match="^cannot subdivide for the zero polynomial$"):
+        exps.run_experiment(cfg)
 
 
 def test_separation_counts_failed_trial_checks(monkeypatch):
