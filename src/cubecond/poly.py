@@ -251,8 +251,8 @@ def _kernel_sums(terms: _KernelTerms, coefficients, ends, X: np.ndarray, owner=N
     and a one-point call on Python floats.
     """
     per_point = isinstance(owner, np.ndarray)
-    if owner is not None and not per_point:
-        coefficients, owner = coefficients[:, owner].tolist(), None
+    if isinstance(coefficients, np.ndarray) and not per_point:  # one column for every point
+        coefficients = coefficients[:, owner].tolist()
     if len(X) == 1 and not per_point:
         return np.array([_block_sums(terms, coefficients, ends, X[0].tolist())])
     out = np.empty((len(X), len(ends) - 1))

@@ -80,10 +80,10 @@ def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
     the processed count past ``MAX_BOXES``.  This is the one-row call of the
     walk of ``_subdivide_rows``, on the float coefficients of f.
     """
-    coefficients = np.array(f._kernel_coefficients)[:, None]
     nf, degree = np.array([norm1(f)]), np.array([float(f.degree)])
     levels = []
-    processed, failing = _walk(f._kernel_terms, coefficients, nf, degree, max_depth, levels)
+    processed, failing = _walk(f._kernel_terms, f._kernel_coefficients, nf, degree, max_depth,
+                               levels)
     counts = processed[:len(levels), 0].tolist()
     midpoints, codes, depths = zip(*levels)
     widths = [np.full(len(c), math.ldexp(2.0, -depth)) for c, depth in zip(codes, depths)]
@@ -113,12 +113,12 @@ def _subdivide_rows(support, C: np.ndarray, max_depth: int) -> tuple:
     return final_counts, failing[last, np.arange(len(C))] == 0, processed
 
 
-def _walk(terms, coefficients: np.ndarray, nf: np.ndarray, degrees: np.ndarray,
-          max_depth: int, levels: list | None = None) -> tuple:
+def _walk(terms, coefficients, nf: np.ndarray, degrees: np.ndarray, max_depth: int,
+          levels: list | None = None) -> tuple:
     """The boxes processed and the boxes failing the predicate, per depth (row) and
     polynomial (column), of the subdivisions of T polynomials on one support, whose
-    kernel rows take the columns of ``coefficients`` (R, T) and whose norm1 and
-    degree are ``nf`` and ``degrees`` (T,).  ``levels``, when given, collects the
+    kernel rows take the columns of ``coefficients`` (R, T), or its floats when T
+    is 1, and whose norm1 and degree are ``nf`` and ``degrees`` (T,).  ``levels``, when given, collects the
     (midpoints, codes, depth) of the boxes each level accepts; for one polynomial
     the levels come in depth order.
 
