@@ -118,9 +118,9 @@ def _walk(terms, coefficients, nf: np.ndarray, degrees: np.ndarray, max_depth: i
     """The boxes processed and the boxes failing the predicate, per depth (row) and
     polynomial (column), of the subdivisions of T polynomials on one support, whose
     kernel rows take the columns of ``coefficients`` (R, T), or its floats when T
-    is 1, and whose norm1 and degree are ``nf`` and ``degrees`` (T,).  ``levels``, when given, collects the
-    (midpoints, codes, depth) of the boxes each level accepts; for one polynomial
-    the levels come in depth order.
+    is 1, and whose norm1 and degree are ``nf`` and ``degrees`` (T,).  ``levels``,
+    when given, collects the (midpoints, codes, depth) of the boxes each level
+    accepts; for one polynomial the levels come in depth order.
 
     A batch holds the boxes of some polynomials, their owners, at one depth,
     grouped by ascending owner: ``owners`` lists them and ``counts`` their boxes.
