@@ -93,11 +93,11 @@ class ExperimentConfig:
 class ExperimentReport:
     """Per-trial rows plus aggregates, all in the CSV row schema.
 
-    Rows are dicts with keys (trial, seed, stat_name, value, bound, pass);
-    aggregate rows use trial = -1 and raw per-trial statistic rows leave
-    ``bound``/``pass`` empty.  ``flagged`` marks an inconclusive run (too
-    many excluded trials); ``passed`` is the conjunction of the aggregate
-    pass flags and not being flagged.
+    Rows are tuples in the column order of ``_COLUMNS``, (trial, seed,
+    stat_name, value, bound, pass); aggregate rows use trial = -1 and raw
+    per-trial statistic rows leave ``bound``/``pass`` empty.  ``flagged``
+    marks an inconclusive run (too many excluded trials); ``passed`` is the
+    conjunction of the aggregate pass flags and not being flagged.
     """
 
     kind: str
@@ -114,7 +114,7 @@ _COLUMNS = ("trial", "seed", "stat_name", "value", "bound", "pass")
 
 
 def _stat_row(trial, seed, name, value, bound="", ok=""):
-    return dict(zip(_COLUMNS, (trial, seed, name, value, bound, ok)))
+    return trial, seed, name, value, bound, ok
 
 
 _CHUNK_TRIALS = 2 ** 12  # trials per worker call at most, which bounds the memory of a call
@@ -290,7 +290,7 @@ def _separation_rows(outcome):
 
 def _separation_summary(report, cfg, outcomes):
     _trial_rows(report, cfg, outcomes, _separation_rows, ("oracle_failed", 1), 0.01)
-    violations = sum(row["pass"] == 0 for row in report.rows)
+    violations = sum(row[-1] == 0 for row in report.rows)  # the pass cells
     _aggregate(report, cfg, "violations", violations, 0, violations == 0,
                excluded=report.excluded)
     report.violations = violations  # the failed trial checks, not the aggregate
@@ -331,11 +331,9 @@ def emit_csv(report: ExperimentReport, path) -> None:
     The bytes are a pure function of the report: floats are rendered with
     repr (shortest round-trip form) and rows keep trial order.
     """
-    lines = [",".join(_COLUMNS)]
-    lines.extend(",".join(_format_cell(row[key]) for key in _COLUMNS) for row in report.rows)
-    data = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
+        fh.write(",".join(_COLUMNS) + "\n")
+        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in report.rows)
 
 
 _SVG_COLORS = (None, "#4477aa", "#ee6677")  # indexed by clause code: value, gradient
@@ -356,26 +354,25 @@ def emit_svg(report: SubdivisionReport, path) -> None:
     def tx(u):
         return margin + (u + 1.0) / 2.0 * span
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect x="{margin:.2f}" y="{margin:.2f}" width="{span:.2f}" height="{span:.2f}" '
-        'fill="white" stroke="black" stroke-width="1"/>',
-    ]
     mids, widths = report.final_midpoints.tolist(), report.final_widths.tolist()
-    for (mx, my), width, code in zip(mids, widths, report.final_codes.tolist()):
-        half = width / 2.0
-        x = tx(mx - half)
-        y = tx(-my - half)  # flip: svg y grows downward
-        w = width / 2.0 * span
-        parts.append(
-            f'<rect x="{x:.4f}" y="{y:.4f}" width="{w:.4f}" height="{w:.4f}" '
-            f'fill="{_SVG_COLORS[code]}" fill-opacity="0.55" '
-            'stroke="black" stroke-width="0.5"/>'
-        )
-    parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="0 0 {size} {size}">\n'
+            f'<rect x="{margin:.2f}" y="{margin:.2f}" width="{span:.2f}" height="{span:.2f}" '
+            'fill="white" stroke="black" stroke-width="1"/>\n'
+        )
+        for (mx, my), width, code in zip(mids, widths, report.final_codes.tolist()):
+            half = width / 2.0
+            x = tx(mx - half)
+            y = tx(-my - half)  # flip: svg y grows downward
+            w = width / 2.0 * span
+            fh.write(
+                f'<rect x="{x:.4f}" y="{y:.4f}" width="{w:.4f}" height="{w:.4f}" '
+                f'fill="{_SVG_COLORS[code]}" fill-opacity="0.55" '
+                'stroke="black" stroke-width="0.5"/>\n'
+            )
+        fh.write("</svg>\n")
 
 
 # ---------------------------------------------------------------------------

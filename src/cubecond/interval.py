@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import SparsePolynomial, _kernel, evaluate, gradient, norm1
+from .poly import SparsePolynomial, evaluate, gradient, norm1
 
 __all__ = [
     "Interval",
@@ -94,23 +94,12 @@ def interval_grad_norm(f: SparsePolynomial, box: BoxN) -> Interval:
     return Interval(max(0.0, center - radius), center + radius)
 
 
-def predicate_clause_batch(f: SparsePolynomial, midpoints, widths) -> np.ndarray:
-    """Which clause of the effective exclusion test each box passes, as an
-    integer array with one code per row of ``midpoints`` (N, n).
-
-    The code is 1 ("value") when |f(m)| > d*norm1(f)*w/2, so f cannot vanish
-    on the box; 2 ("gradient") when norm1(d_m f) > sqrt(2n)*d^2*norm1(f)*w/2,
-    so the gradient field cannot turn on the box; and 0 when neither strict
-    inequality holds.  ``widths`` is an (N,) array or one width shared by all
-    boxes.
-    """
-    radii = _exclusion_radii(f.degree, norm1(f), f.n, np.asarray(widths) / 2)
-    return _clause_codes(_kernel(f, midpoints, 0, f.n + 1), *radii)
-
-
 def _clause_codes(sums: np.ndarray, value_radii, grad_radii) -> np.ndarray:
-    """The clause codes of boxes from the kernel sums (N, n + 1) of f and its
-    partial derivatives at their midpoints and the radii of each box (or of all)."""
+    """The exclusion clause of each box, one code per row of the kernel sums (N, n + 1)
+    of f and its partial derivatives at the box midpoints, given ``_exclusion_radii``
+    of each box (or of all): 1 ("value") when |f(m)| exceeds the value radius, 2
+    ("gradient") when norm1(d_m f) exceeds the gradient radius, 0 when neither strict
+    inequality holds.  This is the one place the exclusion comparison is made."""
     grads_pass = np.abs(sums[:, 1:]).sum(axis=1) > grad_radii
     return np.where(np.abs(sums[:, 0]) > value_radii, 1, 2 * grads_pass)
 

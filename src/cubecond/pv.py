@@ -77,8 +77,8 @@ def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
 
     Stops early with ``terminated=False`` as soon as a failing box at depth
     ``max_depth`` would have to be split further, or the next split would take
-    the processed count past ``MAX_BOXES``.  This is the one-row call of the
-    walk of ``_subdivide_rows``, on the float coefficients of f.
+    the processed count past ``MAX_BOXES``.  This is the one-row call of
+    ``_walk``, on the float coefficients of f.
     """
     nf, degree = np.array([norm1(f)]), np.array([float(f.degree)])
     levels = []

@@ -49,6 +49,7 @@ __all__ = [
 
 MAX_DENSE_DEGREE = 512
 _ABERTH_TOL = 1e-12  # relative residual target of _aberth
+_ABERTH_MAX_SWEEPS = 1000  # correction sweeps of _aberth before it gives up
 
 
 class HypothesisViolatedError(ValueError):
@@ -289,7 +290,7 @@ def _newton_polygon_starts(c, rng) -> tuple[np.ndarray, np.ndarray]:
     return radii * np.exp(1j * angles), radii
 
 
-def _aberth(dense, max_sweeps: int = 1000) -> tuple[np.ndarray, int]:
+def _aberth(dense) -> tuple[np.ndarray, int]:
     """All complex roots of an ascending dense coefficient vector, and the
     number of correction sweeps they took (0 when no iteration was needed).
 
@@ -301,7 +302,7 @@ def _aberth(dense, max_sweeps: int = 1000) -> tuple[np.ndarray, int]:
     factor keeps the target achievable in double precision for roots outside
     the unit disk.  A root that meets its target is frozen: later sweeps correct only
     the others, which are still repelled by every root.  Raises
-    OracleFailedError after ``max_sweeps`` sweeps without convergence.
+    OracleFailedError after ``_ABERTH_MAX_SWEEPS`` sweeps without convergence.
     """
     c = np.asarray(dense, dtype=np.float64)
     scale_norm = float(np.abs(c).sum())
@@ -324,7 +325,7 @@ def _aberth(dense, max_sweeps: int = 1000) -> tuple[np.ndarray, int]:
     z, radii = _newton_polygon_starts(c, rng)
     deriv = _derivative(c)
     active = np.arange(degree)
-    for sweep in range(max_sweeps):
+    for sweep in range(_ABERTH_MAX_SWEEPS):
         # a root whose residual meets the target is frozen; it still repels
         za = z[active]
         pz = _horner(c, za)

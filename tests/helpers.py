@@ -139,7 +139,7 @@ def reference_verify(f, report, samples_per_box, seed):
 
 def reference_clause(f, box):
     """The exclusion clause the box passes, read off the public enclosures
-    rather than the batch predicate: "value" when the range enclosure of f
+    rather than the comparison of the walk: "value" when the range enclosure of f
     excludes 0 strictly, "gradient" when the gradient-norm enclosure has a
     positive lower end, None otherwise."""
     values = interval_f(f, box)

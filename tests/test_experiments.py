@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from cubecond import experiments as exps
 from cubecond import pv
 from cubecond import random as models
+from cubecond.condition import local_condition
 from cubecond.poly import new_sparse
 from cubecond.pv import pv_subdivide
 
@@ -166,6 +168,31 @@ def test_tail_experiment_bounds_do_not_depend_on_draws():
     )
     for name in a.summary:
         assert a.summary[name]["bound"] == b.summary[name]["bound"]
+
+
+def test_report_rows_are_tuples_in_column_order():
+    cfg = exps.ExperimentConfig(kind="tail", model=gaussian_model(), trials=3, seed=5,
+                                t_grid=(10.0,))
+    rep = exps.run_tail_experiment(cfg)
+    assert exps._COLUMNS == ("trial", "seed", "stat_name", "value", "bound", "pass")
+    assert all(type(row) is tuple for row in rep.rows)
+    kappa = local_condition(models.sample(cfg.model, (5, 1)), (0.0,))
+    assert rep.rows[1] == (1, 5, "kappa_at_x0", kappa, "", "")
+    survival = rep.summary["survival_t=10"]
+    assert rep.rows[-1] == (-1, 5, "survival_t=10", survival["value"], survival["bound"], 1)
+
+
+def test_a_long_tail_run_keeps_at_most_200_bytes_per_trial():
+    cfg = exps.ExperimentConfig(kind="tail", model=gaussian_model(), trials=20_000, seed=5)
+    exps.run_experiment(dataclasses.replace(cfg, trials=10))  # first-call caches
+    tracemalloc.start()
+    try:
+        report = exps.run_experiment(cfg)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(report.rows) == cfg.trials + len(cfg.t_grid)
+    assert retained <= 200 * cfg.trials
 
 
 def test_pv_experiment_passes():
@@ -518,7 +545,7 @@ def test_separation_counts_failed_trial_checks(monkeypatch):
     cfg = exps.ExperimentConfig(kind="separation", model=gaussian_model(), trials=3, seed=1)
     rep = exps.run_separation_experiment(cfg)
     assert (rep.violations, rep.excluded, rep.flagged, rep.passed) == (2, 1, True, False)
-    assert [(r["trial"], r["stat_name"], r["pass"]) for r in rep.rows] == [
+    assert [(trial, name, ok) for trial, _, name, _, _, ok in rep.rows] == [
         (0, "kappa_upper", ""), (0, "delta", 0), (0, "delta_eps", 1),
         (1, "oracle_failed", ""),
         (2, "kappa_upper", ""), (2, "delta", 1), (2, "delta_eps", 0),
@@ -537,7 +564,7 @@ def test_mean_check_reads_no_values_as_inf_and_one_value_with_zero_stderr():
     assert report.summary["one"] == {"value": 5.0, "stderr": 0.0, "bound": 5.0, "pass": True}
     assert report.summary["two"]["stderr"] == 1.0 and not report.summary["two"]["pass"]
     assert report.violations == 2
-    assert [row["pass"] for row in report.rows] == [0, 1, 0]
+    assert [ok for *_, ok in report.rows] == [0, 1, 0]
 
 
 def test_svg_bytes_match_golden(tmp_path):

@@ -5,13 +5,20 @@ import pytest
 
 from cubecond.interval import (
     BoxN,
+    _clause_codes,
+    _exclusion_radii,
     interval_f,
     interval_grad_norm,
-    predicate_clause_batch,
     sample_boxes,
     split_boxes,
 )
-from cubecond.poly import evaluate_batch, gradient_batch, new_sparse
+from cubecond.poly import (
+    evaluate_batch,
+    gradient_batch,
+    new_sparse,
+    norm1,
+    value_and_gradient_batch,
+)
 from helpers import lin_comb, random_poly, reference_clause
 
 X = new_sparse(1, [((1,), 1.0)])
@@ -76,8 +83,6 @@ def test_child_interval_radius_halves_exactly():
     # the construction radius d * norm1(f) * w/2 halves exactly because widths
     # are scaled by powers of two; measuring it via hi - lo would re-mix the
     # center rounding, so compare at formula level
-    from cubecond.poly import norm1
-
     rng = np.random.default_rng(12)
     for _ in range(20):
         n = int(rng.integers(1, 3))
@@ -91,19 +96,26 @@ def test_child_interval_radius_halves_exactly():
 CODES = {None: 0, "value": 1, "gradient": 2}
 
 
+def kernel_sums(f, midpoints):
+    """f and its partial derivatives at each midpoint, shape (N, n + 1)."""
+    return np.column_stack(value_and_gradient_batch(f, np.array(midpoints)))
+
+
 def codes_of(f, boxes):
-    """predicate_clause_batch on BoxN objects, each with its own width."""
-    return predicate_clause_batch(
-        f, np.array([b.midpoint for b in boxes]), np.array([b.width for b in boxes])
-    )
+    """The clause codes of BoxN objects, each with its own width: the comparison
+    ``_clause_codes`` of the walk on their kernel sums and ``_exclusion_radii``."""
+    widths = np.array([b.width for b in boxes])
+    radii = _exclusion_radii(f.degree, norm1(f), f.n, widths / 2)
+    return _clause_codes(kernel_sums(f, [b.midpoint for b in boxes]), *radii)
 
 
 def test_predicate_codes_are_an_integer_array():
-    codes = predicate_clause_batch(X, np.array([[0.0], [-0.75], [0.0]]), np.array([2.0, 0.5, 0.5]))
+    codes = codes_of(X, [CUBE1, BoxN((-0.75,), 0.5), BoxN((0.0,), 0.5)])
     assert isinstance(codes, np.ndarray) and codes.dtype.kind == "i"
     assert codes.tolist() == [0, 1, 2]
-    # one width shared by every box
-    assert predicate_clause_batch(X, np.array([[-0.75], [0.0]]), 0.5).tolist() == [1, 2]
+    # one pair of radii shared by every box
+    radii = _exclusion_radii(X.degree, norm1(X), X.n, 0.5 / 2)
+    assert _clause_codes(kernel_sums(X, [[-0.75], [0.0]]), *radii).tolist() == [1, 2]
 
 
 def test_predicate_examples():

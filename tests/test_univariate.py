@@ -374,11 +374,12 @@ def test_aberth_origin_roots_are_exact():
     assert np.sort(roots[roots != 0.0].real) == pytest.approx([-1.0, 1.0], abs=1e-12)
 
 
-def test_aberth_sweep_guard_still_raises():
+def test_aberth_sweep_guard_still_raises(monkeypatch):
     dense = to_dense(suite_draws(1)[0])
     assert_residuals_meet_target(dense, univariate._aberth(dense)[0])
+    monkeypatch.setattr(univariate, "_ABERTH_MAX_SWEEPS", 1)
     with pytest.raises(OracleFailedError):
-        univariate._aberth(dense, max_sweeps=1)
+        univariate._aberth(dense)
 
 
 def test_horner_matches_polyval_on_aberth_iterates(monkeypatch):
