@@ -104,14 +104,14 @@ def _clause_codes(sums: np.ndarray, value_radii, grad_radii) -> np.ndarray:
     return np.where(np.abs(sums[:, 0]) > value_radii, 1, 2 * grads_pass)
 
 
-def split_boxes(midpoints: np.ndarray, width: float) -> tuple[np.ndarray, float]:
-    """The 2^n half-width children of boxes of one width, and the child width.
+def split_boxes(midpoints: np.ndarray, width: float) -> np.ndarray:
+    """The midpoints of the 2^n half-width children of boxes of one width.
 
     Children midpoints are m +- w/4 per coordinate; each box's children are
     consecutive, with -1 before +1 and the first coordinate most significant.
     """
     children = midpoints[:, None, :] + _signs(midpoints.shape[1]) * (width / 4)
-    return children.reshape(-1, midpoints.shape[1]), width / 2
+    return children.reshape(-1, midpoints.shape[1])
 
 
 @functools.lru_cache(maxsize=None)

@@ -126,9 +126,10 @@ def _walk(terms, coefficients, nf: np.ndarray, degrees: np.ndarray, max_depth: i
     grouped by ascending owner: ``owners`` lists them and ``counts`` their boxes.
     Each owner's boxes keep the order of its own FIFO worklist, so a level is one
     kernel pass and each polynomial gets the bits and the stop it gets alone; it
-    leaves the walk when it has no failing box, at the depth guard or at its
-    budget.  A level holds at most ``MAX_BOXES`` boxes: a batch whose level would
-    hold more splits by owner into two halves, which run one after the other.
+    leaves the walk when it has no failing box, at the depth guard, or when the
+    children of its failing boxes would not fit in what its ``MAX_BOXES`` budget has
+    left.  A level of several owners holds at most ``MAX_BOXES >> 3`` boxes: a batch
+    whose level would hold more splits by owner into halves, run one after the other.
     """
     if not nf.all():
         raise ValueError("cannot subdivide for the zero polynomial")
@@ -136,24 +137,25 @@ def _walk(terms, coefficients, nf: np.ndarray, degrees: np.ndarray, max_depth: i
         raise ValueError(f"max_depth must be an integer in [1, 50], got {max_depth!r}")
     T, n = len(nf), len(terms.ends) - 2
     processed_at, failing_at = np.zeros((2, max_depth + 1, T), dtype=np.int64)
+    room = np.full(T, MAX_BOXES, dtype=np.int64)  # the boxes each polynomial may still process
     # the radii at half-width 1: times a level's half-width, they are the products of
     # _exclusion_radii in its order, as a product with 1.0 is exact
     unit_radii = _exclusion_radii(degrees, nf, n, 1.0)
-    # the batches to process, last in first out, as (boxes, owners, counts, processed,
-    # depth): the boxes are the roots at depth 0 and else the parents to split, and
-    # processed bounds the boxes that any owner of the batch has processed before
-    todo = [(np.zeros((T, n)), np.arange(T), np.ones(T, dtype=np.int64), 0, 0)]
+    # the batches to process, last in first out, as (boxes, owners, counts, depth): the
+    # boxes are the roots at depth 0 and else the parents to split
+    todo = [(np.zeros((T, n)), np.arange(T), np.ones(T, dtype=np.int64), 0)]
     while todo:
-        boxes, owners, counts, processed, depth = todo.pop()
+        boxes, owners, counts, depth = todo.pop()
         shift = n if depth else 0  # log2 of the level's boxes per box of the batch
-        if len(boxes) << shift > MAX_BOXES and len(owners) > 1:  # one owner's level fits
+        # a level of several owners holds at most an eighth of a budget, so that a chunk
+        # peaks near its heaviest trial run alone
+        if len(boxes) << shift > MAX_BOXES >> 3 and len(owners) > 1:
             half = len(owners) // 2
             cut = int(counts[:half].sum()) >> shift
-            todo += [(boxes[cut:], owners[half:], counts[half:], processed, depth),
-                     (boxes[:cut], owners[:half], counts[:half], processed, depth)]
+            todo += [(boxes[cut:], owners[half:], counts[half:], depth),
+                     (boxes[:cut], owners[:half], counts[:half], depth)]
             continue
-        midpoints = split_boxes(boxes, math.ldexp(4.0, -depth))[0] if depth else boxes
-        processed += len(midpoints)
+        midpoints = split_boxes(boxes, math.ldexp(4.0, -depth)) if depth else boxes
         sums = _kernel_sums(terms, coefficients, terms.ends, midpoints, _spread(owners, counts))
         half_w = math.ldexp(1.0, -depth)
         radii = (_spread(radius.take(owners), counts) * half_w for radius in unit_radii)
@@ -165,17 +167,12 @@ def _walk(terms, coefficients, nf: np.ndarray, degrees: np.ndarray, max_depth: i
         failing = _count(failing_boxes, counts)
         processed_at[depth][owners] = counts
         failing_at[depth][owners] = failing
-        # whether some owner may pass its budget: processed bounds each owner's count
-        over = processed + (np.count_nonzero(failing_boxes) << n) > MAX_BOXES
-        if over or depth == max_depth or np.count_nonzero(failing) < len(failing):
-            stay = (failing > 0) & (depth < max_depth)
-            if over:  # the next level fits when processed + failing * 2^n <= MAX_BOXES
-                stay &= failing <= (MAX_BOXES - processed_at[:depth + 1, owners].sum(axis=0)) >> n
-            failing_boxes &= _spread(stay, counts)
-            owners, failing = owners.compress(stay), failing.compress(stay)
-        if len(owners):
-            parents = midpoints.compress(failing_boxes, axis=0)
-            todo.append((parents, owners, failing << n, processed, depth + 1))
+        room[owners] = left = room[owners] - counts
+        # an owner splits its failing boxes while its next level fits in its room
+        stay = (failing > 0) & (failing <= left >> n)
+        if depth < max_depth and np.count_nonzero(stay):
+            parents = midpoints.compress(failing_boxes & _spread(stay, counts), axis=0)
+            todo.append((parents, owners[stay], failing[stay] << n, depth + 1))
     return processed_at, failing_at
 
 

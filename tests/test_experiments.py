@@ -498,13 +498,15 @@ def test_pv_walk_matches_pv_subdivide_row_by_row(model, max_depth):
         assert stopped and all(r.max_depth_reached == max_depth for r in stopped)
 
 
-@pytest.mark.parametrize("cap", [5, 40, 300])
+@pytest.mark.parametrize("cap", [5, 40, 300, 1000, 4000])
 def test_pv_walk_keeps_each_budget_and_splits_levels_under_the_cap(monkeypatch, cap):
-    levels = []
+    levels, shared = [], []  # the boxes of each kernel pass, and of each with several owners
     kernel = pv._kernel_sums
 
     def kernel_spy(terms, coefficients, ends, X, owner=None):
         levels.append(len(X))
+        if isinstance(owner, np.ndarray):  # a lone owner's pass gets one owner number
+            shared.append(len(X))
         return kernel(terms, coefficients, ends, X, owner)
 
     monkeypatch.setattr(pv, "MAX_BOXES", cap)
@@ -513,6 +515,8 @@ def test_pv_walk_keeps_each_budget_and_splits_levels_under_the_cap(monkeypatch, 
     C = models.sample_batch(model, [(7, i) for i in range(40)])
     processed = pv._subdivide_rows(model.support, C, 10)[2]
     assert max(levels) <= cap
+    # a level of several owners holds at most an eighth of one budget
+    assert all(size <= cap >> 3 for size in shared) and bool(shared) == (cap >= 8)
     # more kernel passes than depths: some level was cut into batches
     assert len(levels) > np.count_nonzero(processed.any(axis=1))
     reports = _walk_matches_row_by_row(model, 7, 40, 10)

@@ -89,7 +89,7 @@ def test_child_interval_radius_halves_exactly():
         f = random_poly(rng, n, 6, 6)
         box = random_box(rng, n)
         parent_radius = f.degree * norm1(f) * box.width / 2
-        _, child_width = split_boxes(np.array([box.midpoint]), box.width)
+        child_width = box.width / 2
         assert f.degree * norm1(f) * child_width / 2 == parent_radius / 2
 
 
@@ -181,13 +181,12 @@ def test_predicate_scale_invariance():
 
 
 def test_split_boxes_1d():
-    children, width = split_boxes(np.zeros((1, 1)), 2.0)
-    assert children.tolist() == [[-0.5], [0.5]] and width == 1.0
+    children = split_boxes(np.zeros((1, 1)), 2.0)
+    assert children.tolist() == [[-0.5], [0.5]]
 
 
 def test_split_boxes_2d_order():
-    children, width = split_boxes(np.array([[0.0, 0.0], [0.5, 0.5]]), 1.0)
-    assert width == 0.5
+    children = split_boxes(np.array([[0.0, 0.0], [0.5, 0.5]]), 1.0)
     # each box's children in turn; -1 before +1, first coordinate most significant
     assert children.tolist() == [
         [-0.25, -0.25],
@@ -203,7 +202,7 @@ def test_split_boxes_2d_order():
 
 def test_children_volumes_partition_exactly():
     parent = np.array([[0.25, -0.125]])
-    children, width = split_boxes(parent, 0.25)
+    children, width = split_boxes(parent, 0.25), 0.25 / 2
     assert len(children) * width ** 2 == 0.25 ** 2
     # the children tile the parent: their corners are the parent's corners and centre
     corners = {(x + sx * width / 2, y + sy * width / 2)
@@ -215,7 +214,7 @@ def test_children_volumes_partition_exactly():
 def test_widths_stay_exact_dyadic_to_depth_50():
     midpoints, width = np.zeros((1, 1)), 2.0
     for depth in range(1, 51):
-        children, width = split_boxes(midpoints, width)
+        children, width = split_boxes(midpoints, width), width / 2
         midpoints = children[:1]
         assert width == 2.0 * 2.0 ** -depth
         assert midpoints[0, 0] == -1.0 + width / 2

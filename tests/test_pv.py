@@ -33,9 +33,12 @@ DOUBLED_CIRCLE = new_sparse(2, [((4, 0), 1.0), ((2, 2), 2.0), ((0, 4), 1.0),
 
 def reference_subdivide(f, max_depth):
     """The per-box FIFO worklist of BoxN objects that pv_subdivide batches by
-    level, with each box's clause read off the public enclosures."""
+    level, with each box's clause read off the public enclosures.  Once a depth's
+    last box is processed, it stops when splitting that depth's failing boxes
+    would take the processed count past ``pv.MAX_BOXES``."""
     queue = deque([(BoxN((0.0,) * f.n, 2.0), 0)])
     final, clauses, counts, terminated = [], [], [0] * (max_depth + 1), True
+    failing = 0  # the failing boxes of the current depth that are to be split
     while queue:
         box, depth = queue.popleft()
         counts[depth] += 1
@@ -46,9 +49,15 @@ def reference_subdivide(f, max_depth):
         elif depth == max_depth:
             terminated = False
         else:
+            failing += 1
             for signs in itertools.product((-1.0, 1.0), repeat=f.n):
                 mid = tuple(m + s * (box.width / 4) for m, s in zip(box.midpoint, signs))
                 queue.append((BoxN(mid, box.width / 2), depth + 1))
+        if not queue or queue[0][1] > depth:  # the depth's last box
+            if sum(counts) + failing * 2 ** f.n > pv.MAX_BOXES:
+                terminated = False
+                break
+            failing = 0
     return final, clauses, [c for c in counts if c], terminated
 
 
@@ -146,6 +155,27 @@ def test_pv_matches_per_box_reference():
         assert report.terminated == terminated
         flagged += not terminated
     assert flagged >= 2
+
+
+@pytest.mark.parametrize("budget", [5, 40, 300])
+def test_pv_budget_matches_the_level_wise_reference(monkeypatch, budget):
+    monkeypatch.setattr(pv, "MAX_BOXES", budget)
+    rng = np.random.default_rng(budget)
+    budget_stops = 0
+    for n in (1, 2, 3):
+        for _ in range(20):
+            f = random_poly(rng, n, 4 if n < 3 else 2, 3 + n, include_simplex=True)
+            max_depth = (14, 8, 5)[n - 1]
+            report = pv_subdivide(f, max_depth)
+            boxes, clauses, counts, terminated = reference_subdivide(f, max_depth)
+            assert report.final_midpoints.tobytes() == np.array(
+                [b.midpoint for b in boxes]).reshape(-1, f.n).tobytes()
+            assert report.final_clauses == clauses
+            assert report.per_depth_counts == counts
+            assert report.terminated == terminated
+            assert report.processed_count <= budget
+            budget_stops += not terminated and report.max_depth_reached < max_depth
+    assert budget_stops >= 2
 
 
 def test_verify_output_boxes_rejects_corrupted_report():
