@@ -251,8 +251,6 @@ def global_condition(f: SparsePolynomial, grid_eps: float) -> GlobalConditionEnc
     _check_nonzero(f)
     if not 0.0 < grid_eps < 1.0:
         raise ValueError(f"grid_eps must lie in (0, 1), got {grid_eps}")
-    if f.n > 3:
-        raise ValueError("certified global enclosure supports n <= 3")
     axes = _grid_axes(f, grid_eps)
     if f.n == 1:
         lower, points_evaluated = _univariate_grid_max(f, axes)

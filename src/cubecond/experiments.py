@@ -202,16 +202,16 @@ def _tail_trials(cfg, C):
 
 
 def _tail_summary(report, cfg, outcomes):
-    # no tail trial is excluded, so the excluded row and share are never read
-    kappas = _trial_rows(report, cfg, outcomes, lambda kappa: [("kappa_at_x0", kappa)], None, 0.0)
-    kappas = np.asarray(kappas)
+    # no tail trial is excluded: each one gives one kappa row
+    report.rows.extend(_stat_row(i, cfg.seed, "kappa_at_x0", k) for i, k in enumerate(outcomes))
+    kappas = np.asarray(outcomes)
     # a heavy-tailed law has no subgaussian K, and the K-bound is then 1 at every t
     heavy = math.isinf(models.model_constants(cfg.model).K)
     tail_bound = models.tail_bound_local_p if heavy else models.tail_bound_local
     for t in cfg.t_grid:
         survival = float(np.mean(kappas >= t))
         stderr = math.sqrt(max(survival * (1.0 - survival), 0.0) / cfg.trials)
-        bound = tail_bound(cfg.model, t, clamp=True)
+        bound = tail_bound(cfg.model, t)
         ok = survival - 3.0 * stderr <= bound
         _aggregate(report, cfg, f"survival_t={t:.6g}", survival, bound, ok, stderr=stderr)
 

@@ -155,8 +155,7 @@ def new_sparse(n, terms) -> SparsePolynomial:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    merged: dict[tuple, float] = {}
-    order: list[tuple] = []
+    merged: dict[tuple, float] = {}  # in first-occurrence order
     for idx, (alpha, c) in enumerate(terms):
         alpha, c = tuple(int(a) for a in alpha), float(c)
         if len(alpha) != n:
@@ -171,9 +170,8 @@ def new_sparse(n, terms) -> SparsePolynomial:
             merged[alpha] += c
         else:
             merged[alpha] = c
-            order.append(alpha)
-    exponents = np.array(order, dtype=np.int64).reshape(len(order), n)
-    coefficients = np.array([merged[a] for a in order], dtype=np.float64)
+    exponents = np.array(list(merged), dtype=np.int64).reshape(len(merged), n)
+    coefficients = np.array(list(merged.values()), dtype=np.float64)
     return SparsePolynomial(n, exponents, coefficients, int(_degrees(exponents, coefficients)))
 
 

@@ -326,14 +326,14 @@ def smoothed_model(f0: SparsePolynomial, sigma: float, base: RandomModel) -> Ran
 # closed-form bound formulas
 # ---------------------------------------------------------------------------
 
-def _tail_bound_local(model: RandomModel, t: float, clamp: bool, p: float) -> float:
-    """The local tail bound of tail_bound_local_p, with the subgaussian K as L at p = 2."""
+def _tail_bound_local(model: RandomModel, t: float, p: float) -> float:
+    """The local tail bound of tail_bound_local_p, uncut, with the subgaussian K as L at p = 2."""
     if not math.e <= t < math.inf:
         raise ValueError(f"the local tail bound requires a finite t >= e, got {t}")
     c = model_constants(model)
     n, d, m = model.n, model.degree, model.support_size
     tail = c.K if p == 2.0 else c.L
-    value = (
+    return (
         math.sqrt(n)
         * d ** n
         * m
@@ -341,23 +341,22 @@ def _tail_bound_local(model: RandomModel, t: float, clamp: bool, p: float) -> fl
         * math.log(t) ** ((n + 1) / p)
         / t ** (n + 1)
     )
-    return min(1.0, value) if clamp else value
 
 
-def tail_bound_local(model: RandomModel, t: float, clamp: bool = True) -> float:
+def tail_bound_local(model: RandomModel, t: float) -> float:
     """Survival bound for the local condition number at a fixed cube point.
 
     For t >= e,
         P(kappa >= t) <= sqrt(n) d^n |M| (8 K rho / sqrt(n+1))^(n+1)
-                          * ln(t)^((n+1)/2) / t^(n+1).
-    With ``clamp`` the value is cut at 1 for reporting.
+                          * ln(t)^((n+1)/2) / t^(n+1),
+    cut at 1, as a probability bound.
     """
-    return _tail_bound_local(model, t, clamp, 2.0)
+    return min(1.0, _tail_bound_local(model, t, 2.0))
 
 
-def tail_bound_local_p(model: RandomModel, t: float, clamp: bool = True) -> float:
-    """p-tail variant: (8 L rho / (n+1)^(1-1/p))^(n+1) * ln(t)^((n+1)/p) / t^(n+1)."""
-    return _tail_bound_local(model, t, clamp, model.p)
+def tail_bound_local_p(model: RandomModel, t: float) -> float:
+    """p-tail variant, cut at 1: (8 L rho / (n+1)^(1-1/p))^(n+1) * ln(t)^((n+1)/p) / t^(n+1)."""
+    return min(1.0, _tail_bound_local(model, t, model.p))
 
 
 def tail_bound_global(model: RandomModel, t: float) -> tuple[float, float]:

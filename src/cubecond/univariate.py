@@ -213,11 +213,9 @@ def descartes_isolate(f: SparsePolynomial, max_depth: int = 40) -> IsolationResu
         raise ValueError(f"max_depth must be an integer in [1, 100], got {max_depth!r}")
 
     result = IsolationResult(intervals=[], exact_roots=[], tree=TreeStats())
-    # f in exact integers, then f(-1 + 2t): shift by -1 (mirror / shift-by-one
-    # / mirror), then scale the argument by two; the root node is its image
-    ints = _dyadic_ints(dense)
-    shifted = _int_mirror(_int_shift_by_one(_int_mirror(ints)))
-    root = _int_strip_content([v << k for k, v in enumerate(shifted)])
+    # f in exact integers, then f(-1 + 2t): the left image of f(-x), mirrored
+    # back; the root node is its image
+    root = _int_mirror(_int_left_image(_int_mirror(_dyadic_ints(dense))))
     root_image = _int_shift_by_one(root[::-1])
     if root_image[-1] == 0:  # the ends of an image read f(lo) and f(hi)
         result.exact_roots.append(-1.0)
@@ -316,8 +314,6 @@ def _aberth(dense) -> tuple[np.ndarray, int]:
         zeros_at_origin += 1
     degree = len(c) - 1
     origin = np.zeros(zeros_at_origin, dtype=np.complex128)
-    if degree == 0:
-        return origin, 0
     if degree == 1:
         return np.concatenate([origin, np.array([-c[0] / c[1]], dtype=np.complex128)]), 0
 

@@ -1,8 +1,11 @@
 """Acceptance gate.
 
 Each criterion runs at its pinned sample sizes and tolerances and prints one
-PASS/FAIL line; the summary table is also written to acceptance_report.txt in
-the repository root.  Two checks are known to fail and are kept as stated
+PASS/FAIL line; after a run of every criterion the summary table is also
+written to acceptance_report.txt in the repository root.  The table holds
+only results, so a run that reproduces them rewrites the file with the same
+bytes; the wall times of the timed criteria go to stdout and into their
+assertion messages.  Two checks are known to fail and are kept as stated
 rather than weakened:
 
 * criterion 02b: the distance sandwich with upper constant (1 + d) is
@@ -56,12 +59,17 @@ from helpers import random_poly
 _LINES = []
 
 
-def _record(tag, ok, detail=""):
+def _record(tag, ok, detail="", seconds=None):
+    """Add the criterion's line to the table and print it, with the wall time
+    if one is given; return the printed text, an assertion message."""
     line = f"ACCEPTANCE {tag}: {'PASS' if ok else 'FAIL'}"
     if detail:
         line += f"  [{detail}]"
     _LINES.append(line)
+    if seconds is not None:
+        line += f"  ({seconds:.1f}s)"
     print("\n" + line)
+    return line
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -69,6 +77,8 @@ def _summary_writer():
     yield
     body = "\n".join(_LINES) + "\n"
     print("\n" + "=" * 72 + "\nACCEPTANCE SUMMARY\n" + "=" * 72 + "\n" + body)
+    if len(_LINES) < sum(name.startswith("test_criterion_") for name in globals()):
+        return  # a partial run leaves the table of the full gate as it is
     path = os.path.join(os.path.dirname(__file__), "..", "acceptance_report.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(body)
@@ -107,12 +117,10 @@ def test_criterion_01_norm_lipschitz_suite():
         )
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and triples >= 10000 and elapsed < 10.0
-    _record(
-        "01 norm/Lipschitz suite",
-        ok,
-        f"{triples} triples, {violations} violations, {elapsed:.1f}s",
+    message = _record(
+        "01 norm/Lipschitz suite", ok, f"{triples} triples, {violations} violations", elapsed
     )
-    assert ok
+    assert ok, message
 
 
 # --- criterion 2 ------------------------------------------------------------
@@ -251,13 +259,14 @@ def test_criterion_04_pv_regressions_and_soundness():
             sound = False
     elapsed = time.perf_counter() - t0
     ok = ok_x and ok_line and ok_dbl and sound and terminated >= 80 and elapsed < 30.0
-    _record(
+    message = _record(
         "04 subdivision regressions + output soundness",
         ok,
         f"X:{rep_x.final_count} X1+X2:{rep_line.final_count} "
-        f"flagged:{not rep_dbl.terminated} verified:{terminated}/100, {elapsed:.1f}s",
+        f"flagged:{not rep_dbl.terminated} verified:{terminated}/100",
+        elapsed,
     )
-    assert ok
+    assert ok, message
 
 
 # --- criterion 5 ------------------------------------------------------------
@@ -345,14 +354,14 @@ def test_criterion_06_separation_suite(univariate_suite):
                 if oracle.delta_eps < eps_separation_lower_bound(f, ku, eps):
                     violations += 1
     elapsed = univariate_suite["build_seconds"] + (time.perf_counter() - t0)
-    ok = violations == 0 and elapsed < 300.0
-    _record(
+    ok = violations == 0 and elapsed < 300.0  # the time includes the shared suite
+    message = _record(
         "06 separation bounds",
         ok,
-        f"2x{SUITE_TRIALS} draws, {violations} violations, "
-        f"{finite_upper} finite enclosures, {elapsed:.0f}s incl. shared suite",
+        f"2x{SUITE_TRIALS} draws, {violations} violations, {finite_upper} finite enclosures",
+        elapsed,
     )
-    assert ok
+    assert ok, message
 
 
 def test_criterion_07_descartes_suite(univariate_suite):
@@ -428,8 +437,8 @@ def test_criterion_08_tail_bound_experiment():
         details.append(f"{name} P(k>=100)={survival_100['value']:.4f}<=b={survival_100['bound']:.3f}")
     elapsed = time.perf_counter() - t0
     ok = all_pass and elapsed < 60.0
-    _record("08 local tail bounds", ok, f"{'; '.join(details)}, {elapsed:.1f}s")
-    assert ok
+    message = _record("08 local tail bounds", ok, "; ".join(details), elapsed)
+    assert ok, message
 
 
 # --- criterion 9 ------------------------------------------------------------

@@ -63,6 +63,17 @@ def test_condition_global(tmp_path, capsys):
     assert out["upper"] / out["lower"] <= 1.01
 
 
+def test_condition_global_at_n4_uses_the_finest_fitting_eps(tmp_path, capsys):
+    # 5 terms in n = 4 cost 20 terms a point: 29^4 points fit the 2^24 cap, 30^4 do not
+    terms = [([0, 0, 0, 0], 0.3), ([1, 0, 0, 0], 1.0), ([0, 1, 1, 0], -0.5),
+             ([0, 0, 0, 2], 0.75), ([0, 0, 1, 0], 0.25)]
+    path = write(tmp_path, "n4.json", {"n": 4, "terms": [{"alpha": a, "c": c} for a, c in terms]})
+    code, out = run(capsys, ["condition", path, "--global"])
+    assert code == 0
+    assert out["grid_eps"] == 1 / 28
+    assert 1.0 <= out["lower"] <= out["upper"] < math.inf
+
+
 def test_condition_wrong_point_dimension(tmp_path, capsys):
     code, _ = run(capsys, ["condition", write(tmp_path, "q.json", QUAD), "--point", "0", "0"])
     assert code == 1

@@ -225,9 +225,44 @@ def test_global_condition_singular_flags_infinite_upper():
 def test_global_condition_validates_input():
     with pytest.raises(ValueError):
         global_condition(QUAD, 0.0)
+    # n = 4 has no limit of its own: 101^4 grid points x 8 terms exceed the work cap
     f4 = new_sparse(4, [((0, 0, 0, 0), 1.0), ((1, 0, 0, 0), 1.0)])
-    with pytest.raises(ValueError):
+    points = 101 ** 4
+    cap = f"needs {points} grid points; {points} x 8 terms .* exceeds the cap of {GRID_WORK_CAP}"
+    with pytest.raises(ValueError, match=cap):
         global_condition(f4, 1e-2)
+
+
+def test_global_condition_runs_at_n4():
+    f = new_sparse(4, [((0, 0, 0, 0), 0.3), ((1, 0, 0, 0), 1.0), ((0, 1, 1, 0), -0.5),
+                       ((0, 0, 0, 2), 0.75), ((0, 0, 1, 0), 0.25)])
+    enclosure = global_condition(f, 1 / 8)
+    grid = np.array(list(itertools.product(np.linspace(-1.0, 1.0, 9), repeat=4)))
+    assert enclosure.points_evaluated == len(grid) == 9 ** 4
+    assert enclosure.lower == float(np.max(kappa_batch(f, grid)))
+    assert 1.0 <= enclosure.lower <= enclosure.upper
+    # the finest grid under the cap, 29^4 points, certifies a finite upper end
+    fine = global_condition(f, condition._finest_grid_eps(f))
+    assert fine.points_evaluated == 29 ** 4
+    assert 1.0 <= enclosure.lower <= fine.lower <= fine.upper < math.inf
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_inverse_kappa_is_d_lipschitz_past_n3(n):
+    # criterion 02a's second Lipschitz check, which it runs at n <= 3; the upper
+    # end of global_condition rests on it, so no sampled kappa lies above that end
+    rng = np.random.default_rng(400 + n)
+    finite = 0
+    for _ in range(8):
+        f = random_poly(rng, n, 2, n + 3, include_simplex=True)
+        X, Y = rng.uniform(-1.0, 1.0, (2, 250, n))
+        kx, ky = kappa_batch(f, X), kappa_batch(f, Y)
+        gap = np.max(np.abs(X - Y), axis=1)
+        assert np.all(np.abs(1.0 / kx - 1.0 / ky) <= f.degree * gap * (1 + 1e-9))
+        upper = global_condition(f, condition._finest_grid_eps(f)).upper
+        assert np.all(np.concatenate([kx, ky]) <= upper)
+        finite += math.isfinite(upper)
+    assert finite >= 5
 
 
 @pytest.mark.parametrize(

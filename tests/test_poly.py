@@ -47,6 +47,15 @@ def test_new_sparse_merges_duplicates():
     assert f.terms() == [((0, 0), 3.0)]
 
 
+def test_new_sparse_keeps_first_occurrence_order_and_negative_zero():
+    f = new_sparse(2, [((1, 0), 1.0), ((0, 0), -0.0), ((0, 1), -0.0), ((1, 0), 2.0),
+                       ((0, 1), -0.0)])
+    assert [alpha for alpha, _ in f.terms()] == [(1, 0), (0, 0), (0, 1)]
+    # -0.0 alone and -0.0 + -0.0 keep their sign; a sum started at 0.0 would not
+    assert [math.copysign(1.0, c) for c in f.coefficients] == [1.0, -1.0, -1.0]
+    assert f.coefficients[0] == 3.0
+
+
 def test_new_sparse_zero_polynomial_degree_clamp():
     f = new_sparse(1, [])
     assert f.degree == 1

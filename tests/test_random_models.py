@@ -228,17 +228,30 @@ def test_smoothed_model_constants_and_draws():
 
 def test_tail_bound_local_value_and_clamp():
     m = uniform_model()
-    raw = models.tail_bound_local(m, math.e, clamp=False)
+    raw = models._tail_bound_local(m, math.e, 2.0)
     assert raw == pytest.approx(15.0 * 72.0 / math.e ** 2, rel=1e-12)
     assert models.tail_bound_local(m, math.e) == 1.0
     with pytest.raises(ValueError):
         models.tail_bound_local(m, 2.0)
 
 
+def test_public_tail_bounds_never_exceed_one():
+    heavy = models.RandomModel(n=1, support=SUP_D5, dist=models.WeibullSymmetric(1.0), p=1.0)
+    for m in (uniform_model(), gaussian_model(), uniform_model(p=1.0), heavy):
+        for t in (math.e, 10.0, 100.0, 1e6):
+            raw, raw_p = models._tail_bound_local(m, t, 2.0), models._tail_bound_local(m, t, m.p)
+            assert models.tail_bound_local(m, t) == min(1.0, raw) <= 1.0
+            assert models.tail_bound_local_p(m, t) == min(1.0, raw_p) <= 1.0
+    # the raw value passes 1 at t = e (the K of the heavy model is infinite) and
+    # falls below it at t = 1e6, so both sides of the cut are read
+    assert models._tail_bound_local(heavy, 1e6, 2.0) == math.inf
+    assert models._tail_bound_local(uniform_model(), 1e6, 2.0) < 1.0
+
+
 def test_tail_bound_local_monotone_decreasing():
     m = uniform_model()
     grid = np.linspace(math.e, 500.0, 200)
-    values = [models.tail_bound_local(m, float(t), clamp=False) for t in grid]
+    values = [models._tail_bound_local(m, float(t), 2.0) for t in grid]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -246,16 +259,14 @@ def test_tail_bound_p_variants():
     mg = gaussian_model()
     # at p = 2 with L = K the p-form coincides with the subgaussian form, bit for bit
     for t in (math.e, 10.0, 100.0):
-        assert models.tail_bound_local_p(mg, t, clamp=False) == models.tail_bound_local(
-            mg, t, clamp=False
-        )
+        assert models._tail_bound_local(mg, t, mg.p) == models._tail_bound_local(mg, t, 2.0)
     m1 = uniform_model(p=1.0)
     m2 = uniform_model(p=2.0)
     m64 = uniform_model(p=64.0)
     for t in (math.e, 10.0, 1000.0):
-        v1 = models.tail_bound_local_p(m1, t, clamp=False)
-        v2 = models.tail_bound_local_p(m2, t, clamp=False)
-        v64 = models.tail_bound_local_p(m64, t, clamp=False)
+        v1 = models._tail_bound_local(m1, t, m1.p)
+        v2 = models._tail_bound_local(m2, t, m2.p)
+        v64 = models._tail_bound_local(m64, t, m64.p)
         assert v1 >= v2 >= v64  # heavier declared tails give weaker bounds
 
 
