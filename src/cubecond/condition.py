@@ -25,9 +25,8 @@ import numpy as np
 from .poly import (
     SparsePolynomial,
     _as_points,
+    _batch,
     _block_sums,
-    _build_kernel_terms,
-    _degrees,
     _derivative,
     _horner,
     _monomial_matrix,
@@ -118,15 +117,13 @@ def kappa_batch(f: SparsePolynomial, points) -> np.ndarray:
 def _kappa_rows(support, C: np.ndarray, x) -> np.ndarray:
     """kappa(f_t, x) at one finite point x for each row of C, the coefficients of a
     polynomial f_t on ``support``, with the bits of ``local_condition(f_t, x)``."""
-    nf = np.abs(C).sum(axis=1)  # per row, the bits of norm1
+    terms, rows, nf, degrees = _batch(support, C)
     if not nf.all():
         raise ValueError(_ZERO_POLYNOMIAL)
-    exponents = np.array(support, dtype=np.int64)
-    terms = _build_kernel_terms(exponents)
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _block_sums(terms, terms.row_coefficients(C.T), terms.ends, [float(v) for v in x])
+        blocks = _block_sums(terms, rows, terms.ends, [float(v) for v in x])
     sums = np.stack(np.broadcast_arrays(*blocks), axis=1)  # an empty block is 0.0
-    denom = np.abs(sums[:, 1:]).sum(axis=1) / _degrees(exponents, C)
+    denom = np.abs(sums[:, 1:]).sum(axis=1) / degrees
     return _kappas(nf, np.maximum(np.abs(sums[:, 0]), denom))
 
 

@@ -67,14 +67,10 @@ class SparsePolynomial:
         return self.coefficients.shape[0]
 
     @functools.cached_property
-    def _kernel_terms(self) -> "_KernelTerms":
-        """The terms of f and of each partial derivative, as the evaluation kernel reads them."""
-        return _build_kernel_terms(self.exponents)
-
-    @functools.cached_property
-    def _kernel_coefficients(self) -> tuple:
-        """The coefficient of each kernel row, as floats."""
-        return tuple(self._kernel_terms.row_coefficients(self.coefficients.tolist()))
+    def _batch(self) -> tuple:
+        """``_batch`` of f alone, with the coefficients of its kernel rows as floats."""
+        terms, rows, nf, degrees = _batch(self.exponents, self.coefficients[None])
+        return terms, tuple(rows[:, 0].tolist()), nf, degrees
 
     def terms(self):
         """Return the support as a list of (exponent tuple, coefficient)."""
@@ -107,12 +103,6 @@ class _KernelTerms(NamedTuple):
     columns: tuple
     multipliers: tuple
 
-    def row_coefficients(self, c):
-        """Each row's coefficient c[column] * multiplier in row order, made as it is read,
-        for the coefficients c of a polynomial (floats) or of T polynomials (the
-        transpose of a (T, m) matrix, which gives (T,) arrays)."""
-        return map(mul, map(c.__getitem__, self.columns), self.multipliers)
-
 
 def _build_kernel_terms(exponents: np.ndarray) -> _KernelTerms:
     # plain Python: polynomials are often built, evaluated once and dropped
@@ -144,6 +134,18 @@ def _build_kernel_terms(exponents: np.ndarray) -> _KernelTerms:
 def _degrees(exponents: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Each coefficient row's degree: the largest |alpha|_1 of its nonzero terms, at least 1."""
     return np.maximum(np.where(C != 0.0, exponents.sum(axis=1), 0).max(axis=-1, initial=0), 1)
+
+
+def _batch(support, C: np.ndarray) -> tuple:
+    """The kernel's view of T polynomials on ``support``, whose coefficients are the
+    rows of C (T, m): the support's kernel terms, the (R, T) coefficients
+    c[column] * multiplier of the kernel rows, one column per polynomial, and each
+    polynomial's norm1 and degree as (T,) float arrays."""
+    exponents = np.array(support, dtype=np.int64)
+    terms = _build_kernel_terms(exponents)
+    rows = C.T[list(terms.columns)] * np.array(terms.multipliers)[:, None]
+    nf = np.abs(C).sum(axis=1)  # per row, the bits of norm1
+    return terms, rows, nf, _degrees(exponents, C).astype(float)
 
 
 def new_sparse(n, terms) -> SparsePolynomial:
@@ -230,11 +232,11 @@ def _block_sums(terms: _KernelTerms, coefficients, ends, columns) -> list:
 
 
 def _kernel(f: SparsePolynomial, points, first: int, last: int) -> np.ndarray:
-    """Sums of the term blocks ``first`` to ``last - 1`` of ``f._kernel_terms`` at each
+    """Sums of the term blocks ``first`` to ``last - 1`` of f's kernel terms at each
     row of ``points``, shape (N, last - first)."""
-    terms = f._kernel_terms
+    terms, rows = f._batch[:2]
     ends = terms.ends[first:last + 1]
-    return _kernel_sums(terms, f._kernel_coefficients[ends[0]:], ends, _as_points(f, points))
+    return _kernel_sums(terms, rows[ends[0]:], ends, _as_points(f, points))
 
 
 def _kernel_sums(terms: _KernelTerms, coefficients, ends, X: np.ndarray, owner=None) -> np.ndarray:
@@ -267,7 +269,7 @@ def _kernel_sums(terms: _KernelTerms, coefficients, ends, X: np.ndarray, owner=N
 def _monomial_matrix(f: SparsePolynomial, x) -> np.ndarray:
     """The monomials x^alpha (row 0) and their partial derivatives d/dx_i (row 1 + i)
     at one point x, one column per support term; shape (n + 1, m)."""
-    terms = f._kernel_terms
+    terms = f._batch[0]
     each_row = range(len(terms.factors) + 1)  # one block per kernel row
     rows = _block_sums(terms, terms.multipliers, each_row, _as_points(f, x)[0].tolist())
     out = np.zeros((f.n + 1, f.support_size))

@@ -21,8 +21,7 @@ from .condition import kappa_batch
 from .interval import _clause_codes, _exclusion_radii, sample_boxes, split_boxes
 from .poly import (
     SparsePolynomial,
-    _build_kernel_terms,
-    _degrees,
+    _batch,
     _is_int,
     _kernel_sums,
     evaluate_batch,
@@ -78,12 +77,10 @@ def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
     Stops early with ``terminated=False`` as soon as a failing box at depth
     ``max_depth`` would have to be split further, or the next split would take
     the processed count past ``MAX_BOXES``.  This is the one-row call of
-    ``_walk``, on the float coefficients of f.
+    ``_walk``, on ``f._batch``, whose kernel rows take the float coefficients of f.
     """
-    nf, degree = np.array([norm1(f)]), np.array([float(f.degree)])
     levels = []
-    processed, failing = _walk(f._kernel_terms, f._kernel_coefficients, nf, degree, max_depth,
-                               levels)
+    processed, failing = _walk(f._batch, max_depth, levels)
     counts = processed[:len(levels), 0].tolist()
     midpoints, codes, depths = zip(*levels)
     widths = [np.full(len(c), math.ldexp(2.0, -depth)) for c, depth in zip(codes, depths)]
@@ -102,25 +99,20 @@ def _subdivide_rows(support, C: np.ndarray, max_depth: int) -> tuple:
     arrays, and its boxes processed per depth, column t of a (max_depth + 1, T)
     array; the final boxes themselves are not kept.
     """
-    exponents = np.array(support, dtype=np.int64)
-    terms = _build_kernel_terms(exponents)
-    coefficients = np.array(list(terms.row_coefficients(C.T)))
-    nf = np.abs(C).sum(axis=1)  # per row, the bits of norm1
-    degrees = _degrees(exponents, C).astype(float)
-    processed, failing = _walk(terms, coefficients, nf, degrees, max_depth)
+    processed, failing = _walk(_batch(support, C), max_depth)
     last = np.count_nonzero(processed, axis=0) - 1  # the depth of each row's last level
     final_counts = processed.sum(axis=0) - failing.sum(axis=0)
     return final_counts, failing[last, np.arange(len(C))] == 0, processed
 
 
-def _walk(terms, coefficients, nf: np.ndarray, degrees: np.ndarray, max_depth: int,
-          levels: list | None = None) -> tuple:
+def _walk(batch: tuple, max_depth: int, levels: list | None = None) -> tuple:
     """The boxes processed and the boxes failing the predicate, per depth (row) and
-    polynomial (column), of the subdivisions of T polynomials on one support, whose
-    kernel rows take the columns of ``coefficients`` (R, T), or its floats when T
-    is 1, and whose norm1 and degree are ``nf`` and ``degrees`` (T,).  ``levels``,
-    when given, collects the (midpoints, codes, depth) of the boxes each level
-    accepts; for one polynomial the levels come in depth order.
+    polynomial (column), of the subdivisions of T polynomials on one support.
+    ``batch`` is their ``poly._batch`` (terms, rows, nf, degrees): the kernel rows
+    take the columns of ``rows`` (R, T), or its floats in the one-row ``_batch`` of
+    a polynomial, and the polynomials' norm1 and degree are ``nf`` and ``degrees``
+    (T,).  ``levels``, when given, collects the (midpoints, codes, depth) of the
+    boxes each level accepts; for one polynomial the levels come in depth order.
 
     A batch holds the boxes of some polynomials, their owners, at one depth,
     grouped by ascending owner: ``owners`` lists them and ``counts`` their boxes.
@@ -131,6 +123,7 @@ def _walk(terms, coefficients, nf: np.ndarray, degrees: np.ndarray, max_depth: i
     left.  A level of several owners holds at most ``MAX_BOXES >> 3`` boxes: a batch
     whose level would hold more splits by owner into halves, run one after the other.
     """
+    terms, coefficients, nf, degrees = batch
     if not nf.all():
         raise ValueError("cannot subdivide for the zero polynomial")
     if not (_is_int(max_depth) and 1 <= max_depth <= 50):

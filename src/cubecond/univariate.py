@@ -188,10 +188,9 @@ def _dense_univariate(f: SparsePolynomial, not_univariate: str, zero: str) -> np
         raise ValueError(not_univariate)
     if norm1(f) == 0.0:
         raise ValueError(zero)
-    dense = to_dense(f)
-    if len(dense) - 1 > MAX_DENSE_DEGREE:
-        raise ValueError(f"degree {len(dense) - 1} exceeds the dense cap {MAX_DENSE_DEGREE}")
-    return dense
+    if f.degree > MAX_DENSE_DEGREE:  # before to_dense allocates degree + 1 floats
+        raise ValueError(f"degree {f.degree} exceeds the dense cap {MAX_DENSE_DEGREE}")
+    return to_dense(f)
 
 
 def descartes_isolate(f: SparsePolynomial, max_depth: int = 40) -> IsolationResult:

@@ -73,3 +73,20 @@ def test_every_private_name_is_read_in_the_package():
                    for where, line, read in reads)
     ]
     assert orphans == []
+
+
+def test_only_poly_builds_the_kernel_terms():
+    # the kernel's layout is poly's business: other modules take it from poly._batch
+    names = {"_build_kernel_terms", "_degrees", "_KernelTerms"}
+    found = [
+        f"{path.name}:{node.lineno}:{name}"
+        for path in sorted(pathlib.Path(cubecond.__file__).parent.glob("*.py"))
+        if path.name != "poly.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [alias.name for alias in node.names]
+                     if isinstance(node, ast.ImportFrom) else [])
+        if name in names
+    ]
+    assert found == []

@@ -189,6 +189,13 @@ def test_isolate_bounds_a_linear_input_above_zero(tmp_path, capsys):
     assert out["bounds"]["js_condition"] >= 2.0 ** 12 * math.log2(2.5) ** 2
 
 
+def test_isolate_refuses_a_degree_past_the_dense_cap(tmp_path, capsys):
+    huge = {"n": 1, "terms": [{"alpha": [10 ** 12], "c": 1.0}, {"alpha": [0], "c": -0.5}]}
+    code, out = run(capsys, ["isolate", write(tmp_path, "h.json", huge)])
+    assert code == 1 and out is None
+    assert run.err.splitlines() == ["error: degree 1000000000000 exceeds the dense cap 512"]
+
+
 def test_isolate_prints_roots_on_bisection_points_exactly(tmp_path, capsys):
     # x^3 - x/4: the roots -1/2, 0 and 1/2 are all bisection points of [-1, 1]
     cubic = {"n": 1, "terms": [{"alpha": [3], "c": 1.0}, {"alpha": [1], "c": -0.25}]}

@@ -215,16 +215,24 @@ def test_coefficient_rows_have_the_bits_of_one_polynomial_each():
         C[(special >= 0.2) & (special < 0.3)] = 1.0
         C[(special >= 0.3) & (special < 0.35)] = -0.0
         C[:2] = [[1e300], [-1e300]]
-        terms = poly._build_kernel_terms(np.array(support, dtype=np.int64))
+        terms, rows, nf, degrees = poly._batch(support, C)
+        fs = [new_sparse(n, zip(support, row)) for row in C]
+        for t, f in enumerate(fs):  # each column is the one-row batch of its polynomial
+            one = f._batch
+            assert one[0] == terms
+            assert np.array(one[1]).tobytes() == rows[:, t].tobytes()
+            assert one[2].tobytes() == nf[t:t + 1].tobytes() == np.array([norm1(f)]).tobytes()
+            assert one[3].tobytes() == degrees[t:t + 1].tobytes()
+            assert one[3].tobytes() == np.array([float(f.degree)]).tobytes()
         points = [[0.0] * n, [-0.0] * n, [1.0] * n, [-1.0] * n,
                   rng.uniform(-1, 1, n).tolist(), rng.uniform(-400, 400, n).tolist()]
         for x in points:
             with np.errstate(over="ignore", invalid="ignore"):
-                blocks = poly._block_sums(terms, terms.row_coefficients(C.T), terms.ends, x)
+                blocks = poly._block_sums(terms, rows, terms.ends, x)
             out = np.stack(blocks, axis=1)
             found.append(out)
-            for t, row in enumerate(C):
-                value, grad = value_and_gradient_batch(new_sparse(n, zip(support, row)), x)
+            for t, f in enumerate(fs):
+                value, grad = value_and_gradient_batch(f, x)
                 assert out[t].tobytes() == np.append(value, grad).tobytes()
     found = np.concatenate([out.ravel() for out in found])
     assert np.isinf(found).any() and np.isnan(found).any()
@@ -288,7 +296,7 @@ def test_kernel_keeps_only_the_powers_its_terms_read():
     # dropped at once: all of them for 64 rows would take 2^14 x 64 x 8 B = 8 MB
     f = new_sparse(1, [((2 ** 14,), 1.0), ((1,), 1.0)])
     X = np.linspace(-1.0, 1.0, 64).reshape(-1, 1)
-    f._kernel_terms  # built outside the measurement
+    f._batch  # built outside the measurement
     tracemalloc.start()
     try:
         value_and_gradient_batch(f, X)

@@ -159,6 +159,18 @@ def test_isolate_validation():
         descartes_isolate(new_sparse(1, []))
 
 
+@pytest.mark.parametrize("degree", [univariate.MAX_DENSE_DEGREE + 1, 10 ** 12])
+@pytest.mark.parametrize("solve", [descartes_isolate, oracle_roots,
+                                   lambda f: separation_oracle(f, 1e-3)],
+                         ids=["descartes_isolate", "oracle_roots", "separation_oracle"])
+def test_dense_cap_refuses_before_any_conversion(degree, solve):
+    # 10^12 + 1 dense coefficients would take 8 TB: the cap reads the degree first
+    f = new_sparse(1, [((degree,), 1.0), ((0,), -0.5)])
+    message = f"^degree {degree} exceeds the dense cap {univariate.MAX_DENSE_DEGREE}$"
+    with pytest.raises(ValueError, match=message):
+        solve(f)
+
+
 @pytest.mark.parametrize("max_depth", [2.5, 2.0, True, 0, 101])
 def test_isolate_rejects_a_max_depth_that_is_not_an_integer_in_range(max_depth):
     # the guard stops a branch at depth == max_depth, which 2.5 never equals: on
