@@ -26,9 +26,9 @@ from .poly import (
     SparsePolynomial,
     _as_points,
     _batch,
-    _block_sums,
     _derivative,
     _horner,
+    _kernel_sums,
     _monomial_matrix,
     evaluate,
     new_sparse,
@@ -120,9 +120,9 @@ def _kappa_rows(support, C: np.ndarray, x) -> np.ndarray:
     terms, rows, nf, degrees = _batch(support, C)
     if not nf.all():
         raise ValueError(_ZERO_POLYNOMIAL)
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks = _block_sums(terms, rows, terms.ends, [float(v) for v in x])
-    sums = np.stack(np.broadcast_arrays(*blocks), axis=1)  # an empty block is 0.0
+    x, T = np.asarray(x, dtype=np.float64), len(C)
+    # x once per polynomial, each copy reading its own column of the rows
+    sums = _kernel_sums(terms, rows, terms.ends, np.broadcast_to(x, (T, x.size)), np.arange(T))
     denom = np.abs(sums[:, 1:]).sum(axis=1) / degrees
     return _kappas(nf, np.maximum(np.abs(sums[:, 0]), denom))
 
@@ -309,12 +309,6 @@ def gamma_exact_univariate(f: SparsePolynomial, x: float) -> float:
     return best
 
 
-def _constraint_matrix(f: SparsePolynomial, x) -> tuple[np.ndarray, np.ndarray]:
-    """Rows: evaluation and the n partial derivatives, one column per support exponent."""
-    value, grad = value_and_gradient_batch(f, x)
-    return _monomial_matrix(f, x), np.append(value, grad)  # b = (f(x), grad f(x))
-
-
 def dist1_to_sigma_x(f: SparsePolynomial, x) -> float:
     """1-norm distance from f to the polynomials (on the same support) singular at x.
 
@@ -332,7 +326,9 @@ def dist1_to_sigma_x(f: SparsePolynomial, x) -> float:
     subsets = sum(math.comb(m, size) for size in sizes)
     if subsets > SUBSET_CAP:
         raise ValueError(f"{subsets} column subsets of {m} terms exceed the cap of {SUBSET_CAP}")
-    A, b = _constraint_matrix(f, _finite_points(f, x))
+    x = _finite_points(f, x)
+    # rows: evaluation and the n partial derivatives, one column per support exponent
+    A, b = _monomial_matrix(f, x), np.append(*value_and_gradient_batch(f, x))
     b_norm = float(np.abs(b).sum())
     if b_norm == 0.0:
         return 0.0

@@ -38,6 +38,11 @@ __all__ = [
     "polynomial_to_dict",
 ]
 
+# Cap on the power chain of a support, the sum over the variables of the top
+# exponent, which one kernel point multiplies out: no more than a whole grid
+# enclosure's GRID_WORK_CAP.
+MAX_POWER_CHAIN = 2 ** 24
+
 
 @dataclass(frozen=True, eq=False)
 class SparsePolynomial:
@@ -68,9 +73,8 @@ class SparsePolynomial:
 
     @functools.cached_property
     def _batch(self) -> tuple:
-        """``_batch`` of f alone, with the coefficients of its kernel rows as floats."""
-        terms, rows, nf, degrees = _batch(self.exponents, self.coefficients[None])
-        return terms, tuple(rows[:, 0].tolist()), nf, degrees
+        """``_batch`` of f alone: its kernel rows' coefficients are an (R, 1) array."""
+        return _batch(self.exponents, self.coefficients[None])
 
     def terms(self):
         """Return the support as a list of (exponent tuple, coefficient)."""
@@ -94,7 +98,8 @@ class _KernelTerms(NamedTuple):
     but c depends on the support only.  Block b spans rows ends[b] to ends[b + 1].
     Block 1 + i has a row alpha_i * c * x^(alpha - e_i) for each support term with
     alpha_i > 0, so no 0 * x^-1 term.  reads[i][k - 1] is 1 when some row reads
-    x_i^k, up to the largest such k.
+    x_i^k, up to the largest such k; the sum of those largest k, the power chain,
+    is at most MAX_POWER_CHAIN.
     """
 
     factors: tuple
@@ -107,6 +112,10 @@ class _KernelTerms(NamedTuple):
 def _build_kernel_terms(exponents: np.ndarray) -> _KernelTerms:
     # plain Python: polynomials are often built, evaluated once and dropped
     n, exponents = exponents.shape[1], exponents.tolist()
+    reads = [set(column) for column in zip(*exponents)]
+    chain = sum(map(max, reads))  # before the masks, which take a byte per power
+    if chain > MAX_POWER_CHAIN:
+        raise ValueError(f"power chain of {chain} exceeds the cap {MAX_POWER_CHAIN}")
     base = [tuple(filter(itemgetter(1), enumerate(alpha))) for alpha in exponents]
     factors, columns, multipliers = list(base), list(range(len(base))), [1] * len(base)
     ends = [0, len(base)]
@@ -119,7 +128,6 @@ def _build_kernel_terms(exponents: np.ndarray) -> _KernelTerms:
                 columns.append(col)
                 multipliers.append(k)
         ends.append(len(factors))
-    reads = [set(column) for column in zip(*exponents)]
     for read in reads:  # the rows read x_i^a and x_i^(a - 1) for each exponent a > 0
         read.update([a - 1 for a in read])
     return _KernelTerms(
@@ -199,10 +207,9 @@ def _block_sums(terms: _KernelTerms, coefficients, ends, columns) -> list:
     """The sums of the term blocks bounded by ``ends`` at the point whose coordinates
     are ``columns``; the rows from ends[0] on take their coefficients from the
     iterable ``coefficients`` in turn.  The batch axes are: (N,) coordinate arrays
-    with float coefficients, for N points of one polynomial; (T,) coefficient
-    arrays with float coordinates, for T polynomials on the support at one point;
-    or (N,) coordinate arrays with (N,) coefficient arrays, for N points each of
-    its own polynomial on the support.  The rest are floats.
+    with float coefficients, for N points of one polynomial; or (N,) coordinate
+    arrays with (N,) coefficient arrays, for N points each of its own polynomial
+    on the support.  The rest are floats.
 
     The powers x_i^k = x_i^(k-1) * x_i are built up to the last one that
     reads[i] marks, and only the marked ones are kept.  A term multiplies its
@@ -236,25 +243,24 @@ def _kernel(f: SparsePolynomial, points, first: int, last: int) -> np.ndarray:
     row of ``points``, shape (N, last - first)."""
     terms, rows = f._batch[:2]
     ends = terms.ends[first:last + 1]
-    return _kernel_sums(terms, rows[ends[0]:], ends, _as_points(f, points))
+    return _kernel_sums(terms, rows[ends[0]:], ends, _as_points(f, points), 0)
 
 
-def _kernel_sums(terms: _KernelTerms, coefficients, ends, X: np.ndarray, owner=None) -> np.ndarray:
+def _kernel_sums(terms: _KernelTerms, coefficients, ends, X: np.ndarray, owner) -> np.ndarray:
     """Sums of the term blocks bounded by ``ends`` at each row of X (N, n), shape
     (N, len(ends) - 1); the kernel rows from ends[0] on take their coefficients
-    from ``coefficients`` in turn.  Those are floats, shared by every point, or an
-    (R, T) array with one column per polynomial, of which point j reads column
-    ``owner[j]``; an integer ``owner`` names the column of every point.
+    from the rows of ``coefficients`` (R, T), one column per polynomial.  Point j
+    reads column ``owner[j]`` of an (N,) array ``owner``; an integer ``owner``
+    names the column of every point, whose entries are then taken as floats.
 
     A point's result is the same bits whatever N, the chunk or the other points
-    are; a call on one point or for one polynomial runs on its float coefficients,
-    and a one-point call on Python floats.
+    are; a one-point call with an integer ``owner`` runs on Python floats.
     """
     per_point = isinstance(owner, np.ndarray)
-    if isinstance(coefficients, np.ndarray) and not per_point:  # one column for every point
+    if not per_point:  # one column for every point
         coefficients = coefficients[:, owner].tolist()
-    if len(X) == 1 and not per_point:
-        return np.array([_block_sums(terms, coefficients, ends, X[0].tolist())])
+        if len(X) == 1:
+            return np.array([_block_sums(terms, coefficients, ends, X[0].tolist())])
     out = np.empty((len(X), len(ends) - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(X), _CHUNK_POINTS):
@@ -271,7 +277,8 @@ def _monomial_matrix(f: SparsePolynomial, x) -> np.ndarray:
     at one point x, one column per support term; shape (n + 1, m)."""
     terms = f._batch[0]
     each_row = range(len(terms.factors) + 1)  # one block per kernel row
-    rows = _block_sums(terms, terms.multipliers, each_row, _as_points(f, x)[0].tolist())
+    multipliers = np.array(terms.multipliers, dtype=np.float64)[:, None]
+    rows = _kernel_sums(terms, multipliers, each_row, _as_points(f, x), 0)[0]
     out = np.zeros((f.n + 1, f.support_size))
     out[np.repeat(np.arange(f.n + 1), np.diff(terms.ends)), list(terms.columns)] = rows
     return out

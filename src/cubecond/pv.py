@@ -26,7 +26,6 @@ from .poly import (
     _kernel_sums,
     evaluate_batch,
     gradient_batch,
-    norm1,
 )
 
 __all__ = [
@@ -77,7 +76,7 @@ def pv_subdivide(f: SparsePolynomial, max_depth: int = 30) -> SubdivisionReport:
     Stops early with ``terminated=False`` as soon as a failing box at depth
     ``max_depth`` would have to be split further, or the next split would take
     the processed count past ``MAX_BOXES``.  This is the one-row call of
-    ``_walk``, on ``f._batch``, whose kernel rows take the float coefficients of f.
+    ``_walk``, on ``f._batch``.
     """
     levels = []
     processed, failing = _walk(f._batch, max_depth, levels)
@@ -109,10 +108,10 @@ def _walk(batch: tuple, max_depth: int, levels: list | None = None) -> tuple:
     """The boxes processed and the boxes failing the predicate, per depth (row) and
     polynomial (column), of the subdivisions of T polynomials on one support.
     ``batch`` is their ``poly._batch`` (terms, rows, nf, degrees): the kernel rows
-    take the columns of ``rows`` (R, T), or its floats in the one-row ``_batch`` of
-    a polynomial, and the polynomials' norm1 and degree are ``nf`` and ``degrees``
-    (T,).  ``levels``, when given, collects the (midpoints, codes, depth) of the
-    boxes each level accepts; for one polynomial the levels come in depth order.
+    take the columns of ``rows`` (R, T), and the polynomials' norm1 and degree are
+    ``nf`` and ``degrees`` (T,).  ``levels``, when given, collects the (midpoints,
+    codes, depth) of the boxes each level accepts; for one polynomial the levels
+    come in depth order.
 
     A batch holds the boxes of some polynomials, their owners, at one depth,
     grouped by ascending owner: ``owners`` lists them and ``counts`` their boxes.
@@ -258,8 +257,6 @@ def amortization_bound(f: SparsePolynomial, n_samples: int, seed: int = 0) -> fl
     number of final boxes of ``pv_subdivide`` whenever it terminates.  The
     estimate diverges with n_samples when f has a singular zero in the cube.
     """
-    if norm1(f) == 0.0:
-        raise ValueError("bound undefined for the zero polynomial")
     if not (_is_int(n_samples) and n_samples >= 1):
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     rng = np.random.default_rng(seed)

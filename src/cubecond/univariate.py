@@ -182,12 +182,12 @@ def _int_left_image(image: list[int]) -> list[int]:
     return _int_strip_content([v << k for k, v in enumerate(_int_shift_by_one(image))])
 
 
-def _dense_univariate(f: SparsePolynomial, not_univariate: str, zero: str) -> np.ndarray:
+def _dense_univariate(f: SparsePolynomial) -> np.ndarray:
     """Dense coefficients of a nonzero univariate f of degree <= MAX_DENSE_DEGREE."""
     if f.n != 1:
-        raise ValueError(not_univariate)
+        raise ValueError("the root solvers require a univariate polynomial")
     if norm1(f) == 0.0:
-        raise ValueError(zero)
+        raise ValueError("the zero polynomial has no root set")
     if f.degree > MAX_DENSE_DEGREE:  # before to_dense allocates degree + 1 floats
         raise ValueError(f"degree {f.degree} exceeds the dense cap {MAX_DENSE_DEGREE}")
     return to_dense(f)
@@ -206,8 +206,7 @@ def descartes_isolate(f: SparsePolynomial, max_depth: int = 40) -> IsolationResu
     The traversal is breadth-first with left children first, so tree
     statistics and output order are deterministic.
     """
-    dense = _dense_univariate(f, "isolation requires a univariate polynomial",
-                              "cannot isolate roots of the zero polynomial")
+    dense = _dense_univariate(f)
     if not (_is_int(max_depth) and 1 <= max_depth <= 100):
         raise ValueError(f"max_depth must be an integer in [1, 100], got {max_depth!r}")
 
@@ -303,8 +302,6 @@ def _aberth(dense) -> tuple[np.ndarray, int]:
     """
     c = np.asarray(dense, dtype=np.float64)
     scale_norm = float(np.abs(c).sum())
-    if scale_norm == 0.0:
-        raise ValueError("zero polynomial has no root set")
     while len(c) > 1 and c[-1] == 0.0:
         c = c[:-1]
     zeros_at_origin = 0
@@ -400,8 +397,7 @@ def _oracle_entry(f: SparsePolynomial) -> _OracleRoots:
     """The cached roots and sweep count of f, solving on a cache miss."""
     cached = _ROOT_CACHE.get(f)
     if cached is None:
-        dense = _dense_univariate(f, "the root oracle requires a univariate polynomial",
-                                  "the zero polynomial has no root set")
+        dense = _dense_univariate(f)
         roots, sweeps = _aberth(dense)
         reals, complexes = _classify_real(dense, roots)
         reals.setflags(write=False)

@@ -77,7 +77,7 @@ def test_every_private_name_is_read_in_the_package():
 
 def test_only_poly_builds_the_kernel_terms():
     # the kernel's layout is poly's business: other modules take it from poly._batch
-    names = {"_build_kernel_terms", "_degrees", "_KernelTerms"}
+    names = {"_build_kernel_terms", "_degrees", "_KernelTerms", "_block_sums"}
     found = [
         f"{path.name}:{node.lineno}:{name}"
         for path in sorted(pathlib.Path(cubecond.__file__).parent.glob("*.py"))

@@ -12,7 +12,7 @@ from cubecond import experiments as exps
 from cubecond import random as models
 from cubecond import univariate
 from cubecond.cli import DEFAULT_SEED, _emit, main
-from cubecond.poly import load_polynomial
+from cubecond.poly import MAX_POWER_CHAIN, load_polynomial
 from cubecond.pv import MAX_BOXES, pv_subdivide
 from cubecond.univariate import OracleFailedError
 
@@ -194,6 +194,15 @@ def test_isolate_refuses_a_degree_past_the_dense_cap(tmp_path, capsys):
     code, out = run(capsys, ["isolate", write(tmp_path, "h.json", huge)])
     assert code == 1 and out is None
     assert run.err.splitlines() == ["error: degree 1000000000000 exceeds the dense cap 512"]
+
+
+@pytest.mark.parametrize("command", [["condition", "--point", "0.5"], ["pv"]])
+def test_kernel_commands_refuse_a_power_chain_past_the_cap(tmp_path, capsys, command):
+    huge = {"n": 1, "terms": [{"alpha": [10 ** 12], "c": 1.0}, {"alpha": [0], "c": -0.5}]}
+    code, out = run(capsys, command[:1] + [write(tmp_path, "h.json", huge)] + command[1:])
+    assert code == 1 and out is None
+    message = f"error: power chain of 1000000000000 exceeds the cap {MAX_POWER_CHAIN}"
+    assert run.err.splitlines() == [message]
 
 
 def test_isolate_prints_roots_on_bisection_points_exactly(tmp_path, capsys):

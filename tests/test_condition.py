@@ -22,7 +22,7 @@ from cubecond.condition import (
     local_size_bound,
 )
 from cubecond.interval import BoxN
-from cubecond.poly import evaluate, gradient, new_sparse, norm1, to_dense
+from cubecond.poly import MAX_POWER_CHAIN, evaluate, gradient, new_sparse, norm1, to_dense
 from helpers import lin_comb, random_poly, reference_clause, reference_global_condition
 
 X = new_sparse(1, [((1,), 1.0)])
@@ -304,6 +304,22 @@ def test_global_condition_charges_the_power_chain_at_n2():
     # a top exponent of 2 * 10^4 still fits: 121 points x 20001
     g = new_sparse(2, [((20000, 0), 1.0), ((0, 1), 1.0), ((0, 0), -0.5)])
     assert global_condition(g, 0.1).points_evaluated == 121
+
+
+@pytest.mark.parametrize("degree", [MAX_POWER_CHAIN + 1, 10 ** 12])
+def test_local_condition_refuses_a_power_chain_past_the_cap(degree):
+    # the kernel keeps a byte per power up to x^degree, 10^12 bytes at the top
+    # degree here: the cap reads the exponents before any of it is made
+    f = new_sparse(1, [((degree,), 1.0), ((0,), -0.5)])
+    message = f"^power chain of {degree} exceeds the cap {MAX_POWER_CHAIN}$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            local_condition(f, [0.5])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_global_condition_scan_inside_enclosure():

@@ -503,7 +503,7 @@ def test_pv_walk_keeps_each_budget_and_splits_levels_under_the_cap(monkeypatch, 
     levels, shared = [], []  # the boxes of each kernel pass, and of each with several owners
     kernel = pv._kernel_sums
 
-    def kernel_spy(terms, coefficients, ends, X, owner=None):
+    def kernel_spy(terms, coefficients, ends, X, owner):
         levels.append(len(X))
         if isinstance(owner, np.ndarray):  # a lone owner's pass gets one owner number
             shared.append(len(X))

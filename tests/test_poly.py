@@ -220,16 +220,16 @@ def test_coefficient_rows_have_the_bits_of_one_polynomial_each():
         for t, f in enumerate(fs):  # each column is the one-row batch of its polynomial
             one = f._batch
             assert one[0] == terms
-            assert np.array(one[1]).tobytes() == rows[:, t].tobytes()
+            assert one[1].shape == (len(rows), 1)
+            assert one[1].tobytes() == rows[:, t:t + 1].tobytes()
             assert one[2].tobytes() == nf[t:t + 1].tobytes() == np.array([norm1(f)]).tobytes()
             assert one[3].tobytes() == degrees[t:t + 1].tobytes()
             assert one[3].tobytes() == np.array([float(f.degree)]).tobytes()
         points = [[0.0] * n, [-0.0] * n, [1.0] * n, [-1.0] * n,
                   rng.uniform(-1, 1, n).tolist(), rng.uniform(-400, 400, n).tolist()]
-        for x in points:
-            with np.errstate(over="ignore", invalid="ignore"):
-                blocks = poly._block_sums(terms, rows, terms.ends, x)
-            out = np.stack(blocks, axis=1)
+        for x in points:  # x once per polynomial, each copy reading its own column
+            X = np.broadcast_to(np.array(x), (len(C), n))
+            out = poly._kernel_sums(terms, rows, terms.ends, X, np.arange(len(C)))
             found.append(out)
             for t, f in enumerate(fs):
                 value, grad = value_and_gradient_batch(f, x)
@@ -304,6 +304,15 @@ def test_kernel_keeps_only_the_powers_its_terms_read():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 17
+
+
+def test_kernel_refuses_a_power_chain_past_the_cap(monkeypatch):
+    # the chain sums the top exponent of each variable, here 4 + 6 and then 5 + 6
+    monkeypatch.setattr(poly, "MAX_POWER_CHAIN", 10)
+    f = new_sparse(2, [((4, 1), 1.0), ((0, 6), 1.0)])
+    assert evaluate(f, [0.5, 0.5]) == 0.5 ** 5 + 0.5 ** 6
+    with pytest.raises(ValueError, match="^power chain of 11 exceeds the cap 10$"):
+        evaluate(new_sparse(2, [((5, 1), 1.0), ((0, 6), 1.0)]), [0.5, 0.5])
 
 
 def test_gradient_examples():

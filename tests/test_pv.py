@@ -395,6 +395,11 @@ def test_amortization_bound_needs_an_integer_sample_count(count):
         amortization_bound(CIRCLE, count)
 
 
+def test_amortization_bound_refuses_the_zero_polynomial():
+    with pytest.raises(ValueError, match="^condition number of the zero polynomial is undefined$"):
+        amortization_bound(new_sparse(2, []), 10)
+
+
 def test_verify_on_random_well_conditioned_draws():
     rng = np.random.default_rng(40)
     terminated = 0
