@@ -224,9 +224,69 @@ class ModelConstants:
 
 
 def _check_seed(seed) -> None:
-    """The seed rule: an int, or a tuple of ints such as (base_seed, trial_index), none negative."""
-    if min(seed if isinstance(seed, tuple) else (seed,)) < 0:
+    """The seed rule: an int (not a bool), or a non-empty tuple of them such as
+    (base_seed, trial_index), none negative."""
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
+               for v in (seed if isinstance(seed, tuple) and seed else (seed,))):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+# numpy's SeedSequence hash (a 4-word pool) and PCG64's seeding step, over a chunk of seeds
+_MASK32, _MASK128, _PCG64_MULT = 2 ** 32 - 1, 2 ** 128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
+# the hash step of cross-mix (s, d) is 4 + 3s + (d if d < s else d - 1); (s, s) is unused
+_CROSS = np.array([[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)] for s in range(4)])
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, steps: int) -> tuple:
+    """The xor and multiplier words of hash steps k < steps: init * mult^k, init * mult^(k+1)."""
+    c = np.array([init * pow(mult, k, 2 ** 32) & _MASK32 for k in range(steps + 1)], np.uint32)
+    return c[:-1], c[1:]
+
+
+def _hashmix(values, xor, mult):
+    return (h := (values ^ xor) * mult) ^ (h >> 16)
+
+
+def _mix(x, y):
+    return (r := 0xCA01F9DD * x - 0x4973F715 * y) ^ (r >> 16)
+
+
+def _streams(seeds):
+    """Yield one reused Generator set, seed by seed, to the stream of
+    default_rng(SeedSequence(seed)).  Before the first yield every seed is checked and read
+    as its ints' 32-bit words, low first, with zeros up to the pool's 4 words (they hash as
+    missing words do); the hash then runs over one (T, L) matrix per word count L."""
+    rows_of, entropy = {}, []
+    for t, seed in enumerate(seeds):
+        _check_seed(seed)
+        words = [v >> k & _MASK32 for v in map(int, seed if isinstance(seed, tuple) else (seed,))
+                 for k in range(0, max(v.bit_length(), 1), 32)]
+        entropy.append(words + [0] * (4 - len(words)))
+        rows_of.setdefault(len(entropy[-1]), []).append(t)
+    states = [None] * len(entropy)
+    for L, rows in rows_of.items():
+        E = np.array([entropy[t] for t in rows], dtype=np.uint32)
+        xor, mult = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * L)
+        pool = _hashmix(E[:, :4], xor[:4], mult[:4])
+        cross_xor, cross_mult = xor[_CROSS], mult[_CROSS]
+        for s in range(4):  # the 12 cross-mixes: word s into the three others at once
+            mixed = _mix(pool, _hashmix(pool[:, s, None], cross_xor[s], cross_mult[s]))
+            mixed[:, s] = pool[:, s]
+            pool = mixed
+        for i in range(4, L):  # each entropy word past the pool, into every pool word
+            pool = _mix(pool, _hashmix(E[:, i, None], xor[4 * i:4 * i + 4], mult[4 * i:4 * i + 4]))
+        xor, mult = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+        words = _hashmix(pool[:, None], xor.reshape(2, 4), mult.reshape(2, 4)).reshape(-1, 8)
+        for t, (s_hi, s_lo, q_hi, q_lo) in zip(rows, words.astype("<u4").view("<u8").tolist()):
+            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128  # PCG64's srandom step
+            states[t] = {"state": ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128,
+                         "inc": inc}
+    rng = np.random.Generator(np.random.PCG64(0))
+    full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for full["state"] in states:
+        rng.bit_generator.state = full
+        yield rng
 
 
 def trial_rng(seed) -> np.random.Generator:
@@ -235,19 +295,16 @@ def trial_rng(seed) -> np.random.Generator:
     Streams for distinct trials are independent and order-free, so parallel
     experiment workers reproduce the single-worker draws exactly.
     """
-    _check_seed(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
+    return next(_streams([seed]))
 
 
 def sample_batch(model: RandomModel, seeds) -> np.ndarray:
     """One draw per seed, as the rows of a (T, m) coefficient array; row t comes from
     the stream ``trial_rng(seeds[t])`` alone.  Every seed is checked before the first draw."""
     m, seeds = model.support_size, list(seeds)
-    for seed in seeds:
-        _check_seed(seed)
     draws = np.empty((len(seeds), m))
-    for row, seed in zip(draws, seeds):
-        row[:] = model.dist.draw(trial_rng(seed), m)
+    for row, rng in zip(draws, _streams(seeds)):
+        row[:] = model.dist.draw(rng, m)
     draws *= model.scale
     return draws if model.offsets is None else draws + np.asarray(model.offsets)
 

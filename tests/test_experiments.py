@@ -97,6 +97,13 @@ def test_config_rejects_a_negative_seed():
         dataclasses.replace(cfg, seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, np.int64(-3), (1, 2)], ids=repr)
+def test_config_refuses_a_seed_that_is_not_a_non_negative_integer(seed):
+    # refused when built, not at the first draw of the run (a bool is not an integer here)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got"):
+        exps.ExperimentConfig(kind="tail", model=gaussian_model(), seed=seed)
+
+
 @pytest.mark.parametrize("x0", [(3.0,), (float("nan"),), (0.1, 0.2)])
 def test_config_rejects_x0_off_the_cube(x0):
     # the tail bound is proved only on the cube, however the config is built

@@ -2,9 +2,11 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cubecond import random as models
 from cubecond.poly import new_sparse, norm1
@@ -94,11 +96,52 @@ def test_sample_is_the_one_row_call_of_sample_batch(models_of, seeds, digest):
 
 
 def test_sample_batch_checks_every_seed_before_the_first_draw(monkeypatch):
-    monkeypatch.setattr(models, "trial_rng", lambda seed: pytest.fail("a draw started"))
+    monkeypatch.setattr(models.Gaussian, "draw", lambda *args: pytest.fail("a draw started"))
     with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got \(1, -2\)$"):
         models.sample_batch(gaussian_model(), [(1, 0), (1, 1), (1, -2)])
     with pytest.raises(ValueError, match="got -1$"):
         models.sample(gaussian_model(), -1)
+
+
+@pytest.mark.parametrize(
+    "seed", [1.5, True, (1, True), (), (1, 2.0), np.float64(3.0), np.bool_(True), "7", None,
+             [1, 2], ((1, 2), 0)], ids=repr,
+)
+def test_seed_rule_refuses_all_but_non_negative_integers(seed):
+    # an int or a non-empty tuple of ints, a bool not counting as one
+    message = re.escape(f"seed must be a non-negative integer, got {seed!r}") + "$"
+    with pytest.raises(ValueError, match=message):
+        models.sample(gaussian_model(), seed)
+    with pytest.raises(ValueError, match=message):
+        models.trial_rng(seed)
+
+
+def test_seed_rule_takes_numpy_integers():
+    m = gaussian_model()
+    draws = models.sample_batch(m, [np.int64(3), (np.uint32(3), np.int8(4)), 3, (3, 4)])
+    assert draws[0].tobytes() == draws[2].tobytes() and draws[1].tobytes() == draws[3].tobytes()
+
+
+# ints of one to five 32-bit words, zeros included, alone or as tuples longer than the 4-word pool
+SEED_INTS = st.integers(0, 2 ** 32 - 1) | st.integers(0, 2 ** 130 - 1)
+SEEDS = SEED_INTS | st.lists(SEED_INTS, min_size=1, max_size=7).map(tuple)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(SEEDS)
+def test_trial_rng_is_the_stream_of_numpy_seed_sequence(seed):
+    state = np.random.default_rng(np.random.SeedSequence(seed)).bit_generator.state
+    assert models.trial_rng(seed).bit_generator.state == state
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(SEEDS, min_size=1, max_size=12))
+def test_sample_batch_rows_are_the_reference_draws(seeds):
+    # seeds of several word counts hash in separate matrices; a Weibull row leaves a
+    # buffered 32-bit half in the generator, which the next row must not read
+    for model in (gaussian_model(), uniform_model(), WEIBULL):
+        batch = models.sample_batch(model, seeds)
+        assert batch.tobytes() == _bytes_of(_reference_draw(model, seed) for seed in seeds)
 
 
 def test_uniform_draws_are_bounded():
@@ -110,9 +153,7 @@ def test_uniform_draws_are_bounded():
 
 def test_gaussian_empirical_variance():
     m = gaussian_model()
-    draws = np.array(
-        [models.sample(m, (777, i)).coefficients for i in range(100000)]
-    )
+    draws = models.sample_batch(m, [(777, i) for i in range(100000)])  # the rows of sample
     variance = float(np.var(draws))
     n_samples = draws.size
     three_sigma = 3.0 * math.sqrt(2.0 / (n_samples - 1))
