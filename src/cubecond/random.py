@@ -232,7 +232,7 @@ def _check_seed(seed) -> None:
 
 
 # numpy's SeedSequence hash (a 4-word pool) and PCG64's seeding step, over a chunk of seeds
-_MASK32, _MASK128, _PCG64_MULT = 2 ** 32 - 1, 2 ** 128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128, _PCG_MULT = 2 ** 32 - 1, 2 ** 128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
 # the hash step of cross-mix (s, d) is 4 + 3s + (d if d < s else d - 1); (s, s) is unused
 _CROSS = np.array([[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)] for s in range(4)])
 
@@ -260,8 +260,11 @@ def _streams(seeds):
     rows_of, entropy = {}, []
     for t, seed in enumerate(seeds):
         _check_seed(seed)
-        words = [v >> k & _MASK32 for v in map(int, seed if isinstance(seed, tuple) else (seed,))
-                 for k in range(0, max(v.bit_length(), 1), 32)]
+        words = []
+        for v in map(int, seed if isinstance(seed, tuple) else (seed,)):
+            words.append(v & _MASK32)
+            while v := v >> 32:
+                words.append(v & _MASK32)
         entropy.append(words + [0] * (4 - len(words)))
         rows_of.setdefault(len(entropy[-1]), []).append(t)
     states = [None] * len(entropy)
@@ -272,16 +275,14 @@ def _streams(seeds):
         cross_xor, cross_mult = xor[_CROSS], mult[_CROSS]
         for s in range(4):  # the 12 cross-mixes: word s into the three others at once
             mixed = _mix(pool, _hashmix(pool[:, s, None], cross_xor[s], cross_mult[s]))
-            mixed[:, s] = pool[:, s]
-            pool = mixed
+            np.copyto(pool, mixed, where=_CROSS[s] > 0)
         for i in range(4, L):  # each entropy word past the pool, into every pool word
             pool = _mix(pool, _hashmix(E[:, i, None], xor[4 * i:4 * i + 4], mult[4 * i:4 * i + 4]))
         xor, mult = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-        words = _hashmix(pool[:, None], xor.reshape(2, 4), mult.reshape(2, 4)).reshape(-1, 8)
-        for t, (s_hi, s_lo, q_hi, q_lo) in zip(rows, words.astype("<u4").view("<u8").tolist()):
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128  # PCG64's srandom step
-            states[t] = {"state": ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128,
-                         "inc": inc}
+        out = _hashmix(pool[:, None], xor.reshape(2, 4), mult.reshape(2, 4)).reshape(-1, 8)
+        for t, (hi, lo, seq_hi, seq_lo) in zip(rows, out.astype("<u4").view("<u8").tolist()):
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128  # PCG64's srandom step
+            states[t] = {"state": ((hi << 64 | lo) + inc) * _PCG_MULT + inc & _MASK128, "inc": inc}
     rng = np.random.Generator(np.random.PCG64(0))
     full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
     for full["state"] in states:
