@@ -16,7 +16,6 @@ pruning), so it returns the full scan's bits from a fraction of the points.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,8 +53,9 @@ __all__ = [
 # Cap on grid points x _grid_terms(f) for global_condition.  It bounds the
 # work of one enclosure, not its memory: the grid is evaluated one slab at a time.
 GRID_WORK_CAP = 2 ** 24
-# Cap on the column subsets dist1_to_sigma_x solves, one least-squares call each.
-SUBSET_CAP = 2 ** 16
+# dist1_to_sigma_x's simplex counts values up to _LP_TOL of a system scaled to 1 as zero.
+# Bland's rule does not cycle, so its pivot cap bounds only a rounding failure.
+_LP_TOL, _PIVOTS_PER_COLUMN = 1e-12, 4
 
 
 class EstimateInapplicableError(ValueError):
@@ -83,12 +83,14 @@ class GlobalConditionEnclosure:
 
 
 _ZERO_POLYNOMIAL = "condition number of the zero polynomial is undefined"
+_TOO_SMALL = "support too small: no perturbation on the support is singular at x"
+_NO_VERTEX = "the 1-norm linear program gave no checked basic solution"
 
 
 def _check_nonzero(f: SparsePolynomial) -> float:
     nf = norm1(f)
-    if nf == 0.0:
-        raise ValueError(_ZERO_POLYNOMIAL)
+    if not 0.0 < nf < math.inf:
+        raise ValueError(_ZERO_POLYNOMIAL if nf == 0.0 else f"norm1(f) = {nf} is not finite")
     return nf
 
 
@@ -309,44 +311,71 @@ def gamma_exact_univariate(f: SparsePolynomial, x: float) -> float:
     return best
 
 
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    T[row] /= T[row, col]
+    T -= np.outer(T[:, col] - (np.arange(len(T)) == row), T[row])
+    basis[row] = col
+
+
+def _bland(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, structural: int) -> None:
+    """Pivot the tableau T (right-hand side last) to a minimum of cost @ u by Bland's rule,
+    entering structural columns only; refused past _PIVOTS_PER_COLUMN x its width pivots."""
+    for _ in range(_PIVOTS_PER_COLUMN * T.shape[1]):
+        entering = np.flatnonzero(cost[:structural] - cost[basis] @ T[:, :structural] < -_LP_TOL)
+        if entering.size == 0:
+            return
+        col = entering[0]
+        rows = np.flatnonzero(T[:, col] > _LP_TOL)
+        if rows.size == 0:
+            break
+        ratios = np.maximum(T[rows, -1], 0.0) / T[rows, col]
+        _pivot(T, basis, rows[np.lexsort((basis[rows], ratios))[0]], col)  # ties: lowest basic
+    raise ValueError(_NO_VERTEX)
+
+
+def _l1_basis(A: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """The sorted columns of A in an optimal basis of min norm1(u) s.t. A u = b: a two-phase
+    simplex over [A, -A] / scale, rows signed so that b >= 0, one artificial per row.
+    Artificials left basic after phase I pivot out, or their row is redundant and dropped."""
+    r, m = A.shape
+    signed = np.where(b[:, None] < 0.0, -A, A) / scale
+    T = np.hstack([signed, -signed, np.eye(r), np.abs(b)[:, None] / scale])
+    basis, artificial = np.arange(2 * m, 2 * m + r), np.r_[np.zeros(2 * m), np.ones(r)]
+    _bland(T, basis, artificial, 2 * m)
+    if artificial[basis] @ T[:, -1] > _LP_TOL:
+        raise SupportTooSmallError(_TOO_SMALL)
+    for row in np.flatnonzero(basis >= 2 * m):
+        entries = np.flatnonzero(np.abs(T[row, : 2 * m]) > _LP_TOL)
+        if entries.size:
+            _pivot(T, basis, row, entries[0])
+    T, basis = T[basis < 2 * m], basis[basis < 2 * m]
+    _bland(T, basis, 1.0 - artificial, 2 * m)
+    return np.unique(basis % m)
+
+
 def dist1_to_sigma_x(f: SparsePolynomial, x) -> float:
     """1-norm distance from f to the polynomials (on the same support) singular at x.
 
-    Minimises norm1(delta) subject to (f - delta)(x) = 0 and
-    grad (f - delta)(x) = 0, with delta supported on the support of f.  The
-    minimum of this linear program is attained at a basic solution whose
-    support has at most n+1 exponents with independent constraint columns,
-    so all column subsets of size <= n+1 are enumerated and solved by least
-    squares with a consistency check; no external solver is involved.  A support
-    with more than SUBSET_CAP such subsets is refused before the first solve.
+    Minimises norm1(delta) subject to (f - delta)(x) = 0 and grad (f - delta)(x) = 0, with
+    delta on the support of f, by a simplex and one least-squares solve on the support columns
+    of its optimal basis.  A ValueError refuses, with no fallback, a basis of more than n + 1
+    columns, a solution failing the consistency check and a simplex past its pivot cap.
     """
     _check_nonzero(f)
-    m = f.support_size
-    sizes = range(1, min(f.n + 1, m) + 1)
-    subsets = sum(math.comb(m, size) for size in sizes)
-    if subsets > SUBSET_CAP:
-        raise ValueError(f"{subsets} column subsets of {m} terms exceed the cap of {SUBSET_CAP}")
     x = _finite_points(f, x)
     # rows: evaluation and the n partial derivatives, one column per support exponent
     A, b = _monomial_matrix(f, x), np.append(*value_and_gradient_batch(f, x))
-    b_norm = float(np.abs(b).sum())
-    if b_norm == 0.0:
+    if not b.any():
         return 0.0
-    scale = float(np.abs(A).max()) + b_norm
-    best = math.inf
-    for size in sizes:
-        for subset in itertools.combinations(range(m), size):
-            sub = A[:, subset]
-            delta = np.linalg.lstsq(sub, b, rcond=None)[0]
-            residual = float(np.abs(sub @ delta - b).max())
-            if residual > 1e-9 * scale * (1.0 + float(np.abs(delta).max())):
-                continue
-            best = min(best, float(np.abs(delta).sum()))
-    if math.isinf(best):
-        raise SupportTooSmallError(
-            "support too small: no perturbation on the support is singular at x"
-        )
-    return best
+    scale = float(np.abs(A).max()) + float(np.abs(b).sum())
+    if not math.isfinite(scale):  # before the tableau, which no inf or nan may reach
+        raise ValueError(f"dist1 needs a finite system at x, got b = {b.tolist()}, scale {scale}")
+    sub = A[:, _l1_basis(A, b, scale)]
+    delta = np.linalg.lstsq(sub, b, rcond=None)[0]
+    residual = float(np.abs(sub @ delta - b).max())
+    if sub.shape[1] > f.n + 1 or residual > 1e-9 * scale * (1.0 + float(np.abs(delta).max())):
+        raise ValueError(_NO_VERTEX)
+    return float(np.abs(delta).sum())
 
 
 def local_size_bound(f: SparsePolynomial, x) -> float:

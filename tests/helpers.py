@@ -1,23 +1,28 @@
 """Shared test helpers: random sparse polynomials, formal coefficient math, the
 evaluation kernel's order in plain Python, the exclusion clause of a box read
 from the public enclosures, the per-box verifier, the full-grid scan of the
-n = 1 condition enclosure and the power-basis Descartes loop."""
+n = 1 condition enclosure, the column-subset enumeration of dist1_to_sigma_x and
+the power-basis Descartes loop."""
 
+import itertools
 import math
 from collections import deque
 
 import numpy as np
 
 from cubecond import univariate
+from cubecond.condition import SupportTooSmallError, _finite_points
 from cubecond.interval import interval_f, interval_grad_norm
 from cubecond.poly import (
     SparsePolynomial,
     _horner,
+    _monomial_matrix,
     evaluate_batch,
     gradient_batch,
     new_sparse,
     norm1,
     to_dense,
+    value_and_gradient_batch,
 )
 from cubecond.pv import _VERIFY_CHUNK_POINTS
 
@@ -165,6 +170,36 @@ def reference_global_condition(f, grid_eps):
         return math.inf, math.inf, grid_eps
     slack = 1.0 / lower - f.degree * grid_eps
     return lower, (1.0 / slack if slack > 0.0 else math.inf), grid_eps
+
+
+def reference_dist1(f, x):
+    """(dist, subset, residual): dist1_to_sigma_x by enumeration.  The minimum of the
+    linear program is attained at a basic solution on at most n + 1 support columns,
+    so every column subset of that size is solved by least squares; a subset is kept
+    when its residual passes the consistency check, and the smallest 1-norm wins.
+    subset and residual are the winner's, None and 0.0 when dist is 0."""
+    x = _finite_points(f, x)
+    A, b = _monomial_matrix(f, x), np.append(*value_and_gradient_batch(f, x))
+    b_norm = float(np.abs(b).sum())
+    if b_norm == 0.0:
+        return 0.0, None, 0.0
+    scale = float(np.abs(A).max()) + b_norm
+    best = (math.inf, None, 0.0)
+    for size in range(1, min(f.n + 1, f.support_size) + 1):
+        for subset in itertools.combinations(range(f.support_size), size):
+            sub = A[:, subset]
+            delta = np.linalg.lstsq(sub, b, rcond=None)[0]
+            residual = float(np.abs(sub @ delta - b).max())
+            if residual > 1e-9 * scale * (1.0 + float(np.abs(delta).max())):
+                continue
+            dist = float(np.abs(delta).sum())
+            if dist < best[0]:
+                best = (dist, subset, residual)
+    if math.isinf(best[0]):
+        raise SupportTooSmallError(
+            "support too small: no perturbation on the support is singular at x"
+        )
+    return best
 
 
 def reference_descartes(f, max_depth):

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +16,7 @@ from cubecond import random as models
 from cubecond.condition import (
     GRID_WORK_CAP,
     EstimateInapplicableError,
+    SupportTooSmallError,
     _kappa_rows,
     dist1_to_sigma_x,
     gamma_bound,
@@ -22,8 +27,23 @@ from cubecond.condition import (
     local_size_bound,
 )
 from cubecond.interval import BoxN
-from cubecond.poly import MAX_POWER_CHAIN, evaluate, gradient, new_sparse, norm1, to_dense
-from helpers import lin_comb, random_poly, reference_clause, reference_global_condition
+from cubecond.poly import (
+    MAX_POWER_CHAIN,
+    _monomial_matrix,
+    evaluate,
+    gradient,
+    new_sparse,
+    norm1,
+    to_dense,
+    value_and_gradient_batch,
+)
+from helpers import (
+    lin_comb,
+    random_poly,
+    reference_clause,
+    reference_dist1,
+    reference_global_condition,
+)
 
 X = new_sparse(1, [((1,), 1.0)])
 QUAD = new_sparse(1, [((2,), 2.0), ((0,), -1.0)])
@@ -497,19 +517,174 @@ def test_dist1_examples():
     assert dist1_to_sigma_x(DOUBLE_ROOT, [0.5]) == 0.0
 
 
-def test_dist1_refuses_a_support_past_the_subset_cap(monkeypatch):
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: pytest.fail("a solve ran"))
-    # 40 terms at n = 3: 40 + 780 + 9880 + 91390 subsets of size <= 4
+def test_dist1_solves_a_support_past_the_old_subset_cap(monkeypatch):
+    # 40 terms at n = 3: 102090 column subsets of size <= 4, which the enumeration refused;
+    # the linear program makes one least-squares solve
     support = [alpha for alpha in itertools.product(range(6), repeat=3) if sum(alpha) <= 5][:40]
-    with pytest.raises(ValueError, match="102090 column subsets .* cap of 65536"):
-        dist1_to_sigma_x(new_sparse(3, [(alpha, 1.0) for alpha in support]), [0.1, 0.2, 0.3])
-    monkeypatch.undo()
-    # QUAD3 has 3 + 3 subsets of size <= 2: the cap is inclusive
-    monkeypatch.setattr(condition, "SUBSET_CAP", 5)
-    with pytest.raises(ValueError, match="6 column subsets"):
-        dist1_to_sigma_x(QUAD3, [0.0])
-    monkeypatch.setattr(condition, "SUBSET_CAP", 6)
-    assert dist1_to_sigma_x(QUAD3, [0.0]) == pytest.approx(1.0, rel=1e-12)
+    f = new_sparse(3, [(alpha, 1.0) for alpha in support])
+    solves, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: solves.append(1) or lstsq(*args, **kw))
+    assert 0.0 < dist1_to_sigma_x(f, [0.1, 0.2, 0.3]) <= norm1(f)
+    assert solves == [1]
+
+
+def test_dist1_matches_the_enumeration_on_a_30_term_support():
+    rng = np.random.default_rng(31)
+    f = random_poly(rng, 3, 6, 30, include_simplex=True)  # 31930 subsets for the oracle
+    x = rng.uniform(-1.0, 1.0, 3)
+    assert dist1_to_sigma_x(f, x) == reference_dist1(f, x)[0]
+
+
+NO_VERTEX = "the 1-norm linear program gave no checked basic solution"
+
+
+@pytest.mark.parametrize(
+    "target, name, value",
+    [
+        (condition, "_l1_basis", lambda A, b, scale: np.arange(A.shape[1])),
+        (np.linalg, "lstsq", lambda a, b, rcond: (np.full(a.shape[1], 2.0),)),
+        (condition, "_PIVOTS_PER_COLUMN", 0),
+    ],
+    ids=["basis_past_n_plus_1", "inconsistent_solution", "pivot_cap"],
+)
+def test_dist1_refuses_rather_than_falls_back(monkeypatch, target, name, value):
+    assert dist1_to_sigma_x(QUAD3, [0.3]) > 0.0
+    monkeypatch.setattr(target, name, value)
+    with pytest.raises(ValueError, match=NO_VERTEX):
+        dist1_to_sigma_x(QUAD3, [0.3])
+
+
+def test_dist1_phase_one_infeasible_is_support_too_small(monkeypatch):
+    # b = (1, 0) is off the span of the one column (0.5, 1) of X at 0.5
+    monkeypatch.setattr(
+        condition, "value_and_gradient_batch", lambda f, x: (np.ones(1), np.zeros((1, 1)))
+    )
+    with pytest.raises(SupportTooSmallError, match="support too small: no perturbation"):
+        dist1_to_sigma_x(X, [0.5])
+
+
+HUGE = new_sparse(1, [((0,), 1e308), ((1,), 1e308), ((2,), 1e308)])  # norm1 overflows
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dist1_to_sigma_x(HUGE, [0.0]),
+        lambda: dist1_to_sigma_x(HUGE, [0.9]),
+        lambda: local_condition(HUGE, [0.9]),
+        lambda: global_condition(HUGE, 0.1),
+    ],
+    ids=["dist1_at_0", "dist1_at_0.9", "local_condition", "global_condition"],
+)
+def test_an_overflowing_coefficient_norm_is_refused(call):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"norm1\(f\) = inf is not"):
+        call()
+
+
+def test_dist1_refuses_an_overflowing_derivative():
+    # norm1 is finite, but 64 * 1e307 * 0.99^63 overflows in the derivative row of b
+    f = new_sparse(1, [((64,), 1e307), ((1,), 1.0), ((0,), -0.5)])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="dist1 needs a finite system"):
+        dist1_to_sigma_x(f, [0.99])
+
+
+def test_dist1_never_imports_scipy_optimize():
+    # importing it costs about 24 MB of peak RSS, which rules out a HiGHS solve
+    code = (
+        "import sys, cubecond.cli\n"
+        "from cubecond import condition, poly\n"
+        "f = poly.new_sparse(2, [((0, 0), 1.0), ((1, 0), -2.0), ((1, 1), 0.5)])\n"
+        "assert condition.dist1_to_sigma_x(f, [0.3, -0.4]) > 0.0\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _dist1_draws(rng, count, point, include_simplex):
+    for _ in range(count):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        yield random_poly(rng, n, 7, m, include_simplex=include_simplex), point(rng, n)
+
+
+def _backward_error(A, b, columns):
+    """max over the rows of |A_S delta - b| / (|A_S| |delta| + |b|) for the least-squares
+    delta on the columns S, 0 on a row that is zero throughout."""
+    sub = A[:, list(columns)]
+    delta = np.linalg.lstsq(sub, b, rcond=None)[0]
+    scale = np.abs(sub) @ np.abs(delta) + np.abs(b)
+    error = np.abs(sub @ delta - b)
+    return float(np.divide(error, scale, out=np.zeros_like(error), where=scale > 0.0).max())
+
+
+def _against_enumeration(f, x):
+    """(lp, oracle), after checking what may set them apart.  The LP returns one of the
+    enumeration's candidates, so it is never below the minimum.  Where it is above by more
+    than rounding, the enumeration's winner is either no exact solution (it passes the loose
+    check on rows far below the scale of the system) or the LP's own vertex plus zero
+    columns, whose least-squares solve rounds differently."""
+    lp = dist1_to_sigma_x(f, x)
+    oracle, subset, _ = reference_dist1(f, x)
+    assert lp >= oracle, (f.terms(), x)
+    if lp - oracle > 1e-12 * oracle:
+        point = condition._finite_points(f, x)
+        A, b = _monomial_matrix(f, point), np.append(*value_and_gradient_batch(f, point))
+        basis = condition._l1_basis(A, b, float(np.abs(A).max() + np.abs(b).sum()))
+        vertex = [j for j in subset if A[:, j].any()]
+        assert _backward_error(A, b, subset) > 1e-12 or vertex == basis.tolist(), (f.terms(), x)
+    return lp, oracle
+
+
+def _uniform_point(rng, n):
+    return rng.uniform(-1.0, 1.0, n)
+
+
+def test_dist1_has_the_enumeration_bits_at_generic_points():
+    # with {1, X_i} in the support every draw keeps the enumeration's bits; without, a point
+    # near a coordinate hyperplane can let a loosely checked subset win the enumeration
+    rng = np.random.default_rng(32)
+    apart = 0
+    for simplex in (True, False):
+        for f, x in _dist1_draws(rng, 300, _uniform_point, simplex):
+            lp, oracle = _against_enumeration(f, x)
+            assert lp == oracle or not simplex, (f.terms(), x)
+            apart += lp != oracle
+    assert apart <= 6
+
+
+def _degenerate_point(rng, n):
+    if rng.integers(2):
+        return rng.choice([-1.0, 0.0, 0.5, 1.0], n)
+    x = rng.uniform(-1.0, 1.0, n)
+    x[rng.integers(n)] = 0.0
+    return x
+
+
+def test_dist1_is_never_below_the_enumeration_at_degenerate_points():
+    rng = np.random.default_rng(33)
+    apart = 0
+    for simplex in (True, False):
+        for f, x in _dist1_draws(rng, 500, _degenerate_point, simplex):
+            lp, oracle = _against_enumeration(f, x)
+            apart += lp - oracle > 1e-12 * oracle
+    assert apart <= 10
+
+
+def test_dist1_declared_change_at_a_degenerate_point():
+    # the enumeration accepted subset (1, 4) with a residual of 8.0e-10 against its
+    # tolerance of 1.7e-9; the exact vertex (1, 2, 4) is what the LP returns
+    coeffs = "-0x1.62b77a778b6e0p+0 -0x1.4baa38db77abdp-1 0x1.d87abe223094bp-7 " \
+        "0x1.17cf60e249207p+0 0x1.78ff907dce00ep-5 -0x1.1b7cb1d1b368cp+0 -0x1.a64ebc085492dp-1"
+    support = [(4, 0), (1, 1), (3, 0), (0, 4), (1, 0), (2, 1), (2, 2)]
+    f = new_sparse(2, list(zip(support, map(float.fromhex, coeffs.split()))))
+    x = [float.fromhex("0x1.09a7c8ed6b200p-8"), 0.0]
+    oracle, subset, residual = reference_dist1(f, x)
+    assert subset == (1, 4) and residual == pytest.approx(8.0e-10, rel=0.01)
+    assert oracle == pytest.approx(0.69829, rel=1e-5)
+    assert dist1_to_sigma_x(f, x) == pytest.approx(0.70429, rel=1e-5)
 
 
 def test_dist1_zeroing_the_polynomial_is_always_feasible():
