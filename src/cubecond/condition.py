@@ -27,8 +27,10 @@ from .poly import (
     _batch,
     _derivative,
     _horner,
+    _kernel,
     _kernel_sums,
     _monomial_matrix,
+    _sum_last,
     evaluate,
     new_sparse,
     norm1,
@@ -87,10 +89,10 @@ _TOO_SMALL = "support too small: no perturbation on the support is singular at x
 _NO_VERTEX = "the 1-norm linear program gave no checked basic solution"
 
 
-def _check_nonzero(f: SparsePolynomial) -> float:
-    nf = norm1(f)
+def _check_nonzero(nf: float, row: str = "") -> float:
+    """``nf``, a norm1(f), when it is positive and finite; ``row`` names f in the refusal."""
     if not 0.0 < nf < math.inf:
-        raise ValueError(_ZERO_POLYNOMIAL if nf == 0.0 else f"norm1(f) = {nf} is not finite")
+        raise ValueError(_ZERO_POLYNOMIAL if nf == 0.0 else f"norm1(f) = {nf} is not finite{row}")
     return nf
 
 
@@ -110,23 +112,26 @@ def _finite_points(f: SparsePolynomial, points) -> np.ndarray:
 
 def kappa_batch(f: SparsePolynomial, points) -> np.ndarray:
     """Vectorised kappa(f, x) over rows of ``points``, which must be finite."""
-    nf = _check_nonzero(f)
-    X = _finite_points(f, points)
-    values, grads = value_and_gradient_batch(f, X)
-    return _kappas(nf, np.maximum(np.abs(values), np.abs(grads).sum(axis=1) / f.degree))
+    nf = _check_nonzero(norm1(f))
+    return _kappa_sums(nf, _kernel(f, _finite_points(f, points), 0, f.n + 1), f.degree)
 
 
 def _kappa_rows(support, C: np.ndarray, x) -> np.ndarray:
     """kappa(f_t, x) at one finite point x for each row of C, the coefficients of a
     polynomial f_t on ``support``, with the bits of ``local_condition(f_t, x)``."""
     terms, rows, nf, degrees = _batch(support, C)
-    if not nf.all():
-        raise ValueError(_ZERO_POLYNOMIAL)
+    row = int(np.argmin((nf > 0.0) & (nf < math.inf)))  # the first refused row, if any
+    _check_nonzero(float(nf[row]), f" (row {row})")
     x, T = np.asarray(x, dtype=np.float64), len(C)
     # x once per polynomial, each copy reading its own column of the rows
     sums = _kernel_sums(terms, rows, terms.ends, np.broadcast_to(x, (T, x.size)), np.arange(T))
-    denom = np.abs(sums[:, 1:]).sum(axis=1) / degrees
-    return _kappas(nf, np.maximum(np.abs(sums[:, 0]), denom))
+    return _kappa_sums(nf, sums, degrees)
+
+
+def _kappa_sums(nf, sums: np.ndarray, degrees) -> np.ndarray:
+    """kappa from the kernel sums (N, n + 1) of f and its partials, given norm1 and degree."""
+    magnitudes = np.abs(sums)
+    return _kappas(nf, np.maximum(magnitudes[:, 0], _sum_last(magnitudes[:, 1:]) / degrees))
 
 
 def _kappas(nf, denom: np.ndarray) -> np.ndarray:
@@ -247,7 +252,7 @@ def global_condition(f: SparsePolynomial, grid_eps: float) -> GlobalConditionEnc
     maximum skips the cells that provably cannot hold it (see
     ``_univariate_grid_max``) and has the bits of the full scan.
     """
-    _check_nonzero(f)
+    _check_nonzero(norm1(f))
     if not 0.0 < grid_eps < 1.0:
         raise ValueError(f"grid_eps must lie in (0, 1), got {grid_eps}")
     axes = _grid_axes(f, grid_eps)
@@ -274,7 +279,7 @@ def gamma_bound(f: SparsePolynomial, x) -> float:
     term realises the denominator of kappa; otherwise raises
     EstimateInapplicableError.
     """
-    nf = _check_nonzero(f)
+    nf = _check_nonzero(norm1(f))
     value, grad = value_and_gradient_batch(f, _finite_points(f, x))
     fx = abs(float(value[0]))
     gx = float(np.abs(grad[0]).sum())
@@ -295,7 +300,7 @@ def gamma_exact_univariate(f: SparsePolynomial, x: float) -> float:
     """
     if f.n != 1:
         raise ValueError("exact gamma is implemented for univariate polynomials only")
-    _check_nonzero(f)
+    _check_nonzero(norm1(f))
     _finite_points(f, x)
     deriv = partial_derivative(f, 0)
     f1 = evaluate(deriv, x)
@@ -361,7 +366,7 @@ def dist1_to_sigma_x(f: SparsePolynomial, x) -> float:
     of its optimal basis.  A ValueError refuses, with no fallback, a basis of more than n + 1
     columns, a solution failing the consistency check and a simplex past its pivot cap.
     """
-    _check_nonzero(f)
+    _check_nonzero(norm1(f))
     x = _finite_points(f, x)
     # rows: evaluation and the n partial derivatives, one column per support exponent
     A, b = _monomial_matrix(f, x), np.append(*value_and_gradient_batch(f, x))

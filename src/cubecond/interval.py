@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import SparsePolynomial, evaluate, gradient, norm1
+from .poly import SparsePolynomial, _sum_last, evaluate, gradient, norm1
 
 __all__ = [
     "Interval",
@@ -100,8 +100,9 @@ def _clause_codes(sums: np.ndarray, value_radii, grad_radii) -> np.ndarray:
     of each box (or of all): 1 ("value") when |f(m)| exceeds the value radius, 2
     ("gradient") when norm1(d_m f) exceeds the gradient radius, 0 when neither strict
     inequality holds.  This is the one place the exclusion comparison is made."""
-    grads_pass = np.abs(sums[:, 1:]).sum(axis=1) > grad_radii
-    return np.where(np.abs(sums[:, 0]) > value_radii, 1, 2 * grads_pass)
+    magnitudes = np.abs(sums)
+    grads_pass = _sum_last(magnitudes[:, 1:]) > grad_radii
+    return np.where(magnitudes[:, 0] > value_radii, 1, 2 * grads_pass)
 
 
 def split_boxes(midpoints: np.ndarray, width: float) -> np.ndarray:
@@ -110,8 +111,10 @@ def split_boxes(midpoints: np.ndarray, width: float) -> np.ndarray:
     Children midpoints are m +- w/4 per coordinate; each box's children are
     consecutive, with -1 before +1 and the first coordinate most significant.
     """
-    children = midpoints[:, None, :] + _signs(midpoints.shape[1]) * (width / 4)
-    return children.reshape(-1, midpoints.shape[1])
+    N, n = midpoints.shape
+    children = midpoints.repeat(2 ** n, axis=0).reshape(N, n * 2 ** n)
+    children += (_signs(n) * (width / 4)).ravel()  # a row holds one box's 2^n children
+    return children.reshape(-1, n)
 
 
 @functools.lru_cache(maxsize=None)

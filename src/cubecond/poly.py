@@ -272,6 +272,17 @@ def _kernel_sums(terms: _KernelTerms, coefficients, ends, X: np.ndarray, owner) 
     return out
 
 
+def _sum_last(A: np.ndarray) -> np.ndarray:
+    """``A.sum(axis=-1)`` of a float64 array, with its bits: below 8 entries numpy folds the
+    last axis left to right onto +0, here by whole columns; from 8 on it sums pairwise."""
+    if A.shape[-1] >= 8:
+        return A.sum(axis=-1)
+    out = np.zeros(A.shape[:-1])
+    for j in range(A.shape[-1]):
+        out += A[..., j]
+    return out
+
+
 def _monomial_matrix(f: SparsePolynomial, x) -> np.ndarray:
     """The monomials x^alpha (row 0) and their partial derivatives d/dx_i (row 1 + i)
     at one point x, one column per support term; shape (n + 1, m)."""

@@ -24,6 +24,7 @@ from .poly import (
     _batch,
     _is_int,
     _kernel_sums,
+    _sum_last,
     evaluate_batch,
     gradient_batch,
 )
@@ -235,8 +236,8 @@ def _gradient_cone(grads: np.ndarray) -> np.ndarray:
     zero, tiny and huge gradients fail a comparison and go to the Gram check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        dots = (grads * grads[:, :1]).sum(axis=2)
-        squares = (grads * grads).sum(axis=2)
+        dots = _sum_last(grads * grads[:, :1])
+        squares = _sum_last(grads * grads)
         inside = (dots > 0.0) & (dots * dots >= 0.5625 * squares * squares[:, :1])
     in_range = (squares >= 2.0 ** -500) & (squares <= 2.0 ** 500)
     return (inside & in_range).all(axis=1)

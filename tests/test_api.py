@@ -90,3 +90,23 @@ def test_only_poly_builds_the_kernel_terms():
         if name in names
     ]
     assert found == []
+
+
+def test_hot_paths_sum_the_coordinates_by_columns():
+    # numpy reduces over an axis of length n = 2 or 3 several times slower than it adds
+    # whole columns, so these sum the coordinates through poly._sum_last
+    hot = {"_clause_codes", "kappa_batch", "_kappa_rows", "_kappa_sums", "_gradient_cone"}
+    seen, found = set(), []
+    for path in sorted(pathlib.Path(cubecond.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name in hot:
+                seen.add(node.name)
+                found += [
+                    f"{path.name}:{call.lineno}:{node.name}"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and getattr(call.func, "attr", getattr(call.func, "id", None)) == "sum"
+                    and (call.args or any(kw.arg == "axis" for kw in call.keywords))
+                ]
+    assert seen == hot
+    assert found == []

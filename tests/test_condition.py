@@ -140,6 +140,28 @@ def test_batched_kappa_refuses_a_zero_row_as_local_condition_does():
         _kappa_rows(SUP_D5, rows, (0.0,))
 
 
+def test_batched_kappa_refuses_a_row_whose_norm_overflows_as_local_condition_does():
+    rows = np.array([[1.0, 0.5, 0.25], [1e308] * 3])
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as expected:
+        local_condition(new_sparse(1, zip(SUP_D5, rows[1])), (0.9,))
+    assert str(expected.value) == "norm1(f) = inf is not finite"
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=r"^norm1\(f\) = inf is not finite \(row 1\)$"):
+        _kappa_rows(SUP_D5, rows, (0.9,))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_kappa_batch_keeps_the_pairwise_sum_from_eight_variables(n):
+    # numpy sums 8 and more entries pairwise, which a fold of the gradient columns misses
+    rng = np.random.default_rng(n)
+    exponents = rng.integers(0, 3, (40, n)) * (rng.random((40, n)) < 0.3)
+    f = new_sparse(n, zip(exponents.tolist(), rng.normal(size=40)))
+    X = rng.uniform(-1.0, 1.0, (4097, n))
+    values, grads = value_and_gradient_batch(f, X)
+    denom = np.maximum(np.abs(values), np.abs(grads).sum(axis=1) / f.degree)
+    expected = np.divide(norm1(f), denom, out=np.full_like(denom, np.inf), where=denom > 0.0)
+    assert np.array_equal(kappa_batch(f, X).view(np.int64), expected.view(np.int64))
+
+
 @pytest.mark.parametrize("coord", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_local_condition_rejects_non_finite_points(coord):
     with pytest.raises(ValueError, match=re.escape(f"finite point, got [{coord}]")):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -198,6 +199,19 @@ def test_split_boxes_2d_order():
         [0.75, 0.25],
         [0.75, 0.75],
     ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_split_boxes_has_the_bits_of_the_broadcast_formula(n):
+    rng = np.random.default_rng(n)
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    widths = [math.ldexp(2.0, -depth) for depth in range(52)] + [0.3, 1.0 / 3.0, 5e-324]
+    for width in widths:
+        for midpoints in (rng.uniform(-1.0, 1.0, (37, n)), rng.normal(size=(5, n)) * 1e-300,
+                          np.zeros((0, n))):
+            expected = (midpoints[:, None, :] + signs * (width / 4)).reshape(-1, n)
+            children = split_boxes(midpoints, width)
+            assert np.array_equal(children.view(np.int64), expected.view(np.int64))
 
 
 def test_children_volumes_partition_exactly():

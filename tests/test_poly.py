@@ -444,6 +444,31 @@ def assert_same_abs_bits(mine, ref):
     assert mine.tobytes() == ref.tobytes()
 
 
+SUM_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 1.0, -3.5, 1e300, -1e300,
+                        math.inf, -math.inf, math.nan, -math.nan])
+
+
+@pytest.mark.parametrize("width", range(13))
+def test_sum_last_has_the_bits_of_numpy_sum(width):
+    # below 8 entries a left fold of columns onto +0, from 8 numpy's pairwise sum: a fold
+    # from the right, a fold from the first column (a row of -0 would sum to -0) or a
+    # fold at 8 entries and more fails here.  Which NaN a sum of NaNs of both signs
+    # returns is left open by IEEE 754, and numpy's one-element loop picks another one
+    # than its vector loop, so every NaN compares as one bit pattern
+    def bits(x):
+        return np.where(np.isnan(x), math.nan, x).view(np.int64)
+
+    rng = np.random.default_rng(width)
+    with np.errstate(all="ignore"):
+        for count in (0, 1, 2, 7, 4097):
+            for shape in ((count, width), (count, 3, width)):
+                wide = rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 60, shape)
+                special = rng.choice(SUM_ENTRIES, shape)
+                strided = np.concatenate([special, wide], axis=-1)[..., 1:width + 1]
+                for A in (wide, special, strided):
+                    assert np.array_equal(bits(poly._sum_last(A)), bits(A.sum(axis=-1)))
+
+
 def test_horner_matches_polyval_bit_for_bit():
     rng = np.random.default_rng(61)
     special = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 1e300, np.inf, -np.inf, np.nan])
