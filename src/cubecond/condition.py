@@ -129,8 +129,9 @@ def _kappa_rows(support, C: np.ndarray, x) -> np.ndarray:
 
 
 def _kappa_sums(nf, sums: np.ndarray, degrees) -> np.ndarray:
-    """kappa from the kernel sums (N, n + 1) of f and its partials, given norm1 and degree."""
-    magnitudes = np.abs(sums)
+    """kappa from the kernel sums (N, n + 1) of f and its partials, given norm1 and degree;
+    ``sums`` is overwritten with its magnitudes."""
+    magnitudes = np.abs(sums, out=sums)
     return _kappas(nf, np.maximum(magnitudes[:, 0], _sum_last(magnitudes[:, 1:]) / degrees))
 
 

@@ -100,9 +100,9 @@ def _clause_codes(sums: np.ndarray, value_radii, grad_radii) -> np.ndarray:
     of each box (or of all): 1 ("value") when |f(m)| exceeds the value radius, 2
     ("gradient") when norm1(d_m f) exceeds the gradient radius, 0 when neither strict
     inequality holds.  This is the one place the exclusion comparison is made."""
-    magnitudes = np.abs(sums)
-    grads_pass = _sum_last(magnitudes[:, 1:]) > grad_radii
-    return np.where(magnitudes[:, 0] > value_radii, 1, 2 * grads_pass)
+    # |partials| column by column (order "F"), which _sum_last then reads contiguously
+    grads_pass = _sum_last(np.abs(sums[:, 1:], order="F")) > grad_radii
+    return np.where(np.abs(sums[:, 0]) > value_radii, 1, 2 * grads_pass)
 
 
 def split_boxes(midpoints: np.ndarray, width: float) -> np.ndarray:
