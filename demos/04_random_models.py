@@ -9,10 +9,8 @@ bound rho.  The product K * rho is scale invariant and can never drop below
 
 import math
 
-import numpy as np
-
 from cubecond import random as models
-from cubecond.condition import local_condition
+from cubecond.experiments import ExperimentConfig, run_tail_experiment
 from cubecond.poly import new_sparse
 
 support = ((0,), (1,), (5,))
@@ -29,17 +27,17 @@ print("\nnote: uniform coefficients give K*rho = |M|/2 exactly; standard")
 print("gaussian ones give |M|/sqrt(pi) ~ 0.5642 |M| (the smallest valid")
 print("tail constant of a standard normal is sqrt(2)).")
 
-# empirical survival of the condition number at the origin vs the bound
+# empirical survival of the condition number at the origin vs the bound: the tail
+# experiment, whose trial i reads the stream (99, i)
 model = models.RandomModel(n=1, support=support, dist=models.Gaussian())
-trials = 20000
-kappas = np.array(
-    [local_condition(models.sample(model, (99, i)), [0.0]) for i in range(trials)]
-)
-print(f"\n{trials} gaussian draws on support {support}:")
-for t in (math.e, 10.0, 100.0):
-    empirical = float(np.mean(kappas >= t))
-    bound = models.tail_bound_local(model, t)
-    print(f"  P(kappa >= {t:7.3f})  empirical {empirical:.4f}  bound {bound:.4f}")
+cfg = ExperimentConfig(kind="tail", model=model, trials=20000, seed=99,
+                       t_grid=(math.e, 10.0, 100.0))
+report = run_tail_experiment(cfg)
+print(f"\n{cfg.trials} gaussian draws on support {support}:")
+for t in cfg.t_grid:
+    survival = report.summary[f"survival_t={t:.6g}"]
+    print(f"  P(kappa >= {t:7.3f})  empirical {survival['value']:.4f}"
+          f"  bound {survival['bound']:.4f}")
 
 # smoothing: a fixed polynomial plus sigma * norm1 * noise interpolates
 # between worst case (sigma -> 0) and the plain average case (sigma -> inf)

@@ -31,10 +31,7 @@ from .poly import (
     _kernel_sums,
     _monomial_matrix,
     _sum_last,
-    evaluate,
-    new_sparse,
     norm1,
-    partial_derivative,
     to_dense,
     value_and_gradient_batch,
 )
@@ -296,24 +293,21 @@ def gamma_exact_univariate(f: SparsePolynomial, x: float) -> float:
     """Smale's gamma for univariate f at x with f'(x) != 0.
 
     gamma = max over k >= 2 of (|f^(k)(x)| / (k! |f'(x)|))^(1/(k-1)).  The
-    normalised derivatives f^(k)/k! are built by repeated formal
-    differentiation divided by k, which keeps magnitudes at binomial scale.
+    normalised derivatives f^(k)/k!, evaluated by Horner's rule, come from the dense
+    coefficients by repeated differentiation divided by k, at binomial scale.
     """
     if f.n != 1:
         raise ValueError("exact gamma is implemented for univariate polynomials only")
     _check_nonzero(norm1(f))
-    _finite_points(f, x)
-    deriv = partial_derivative(f, 0)
-    f1 = evaluate(deriv, x)
+    x = _finite_points(f, x)[0, 0]
+    taylor = _derivative(to_dense(f))  # holds f^(k) / k! for the current k
+    f1 = abs(_horner(taylor, x))
     if f1 == 0.0:
         raise ValueError("gamma requires f'(x) != 0")
     best = 0.0
-    taylor = deriv  # holds f^(k) / k! for the current k
     for k in range(2, f.degree + 1):
-        raw = partial_derivative(taylor, 0)
-        taylor = new_sparse(1, [(alpha, c / k) for alpha, c in raw.terms()])
-        tk = abs(evaluate(taylor, x))
-        best = max(best, (tk / abs(f1)) ** (1.0 / (k - 1)))
+        taylor = _derivative(taylor) / k
+        best = max(best, (abs(_horner(taylor, x)) / f1) ** (1.0 / (k - 1)))
     return best
 
 

@@ -80,10 +80,11 @@ class ExperimentConfig:
         # the tail bound is proved only on the cube and for t >= e; -1 <= nan is False
         if self.x0 is not None and (len(self.x0) != n or not all(-1 <= v <= 1 for v in self.x0)):
             raise ValueError(f"field 'x0' must be a point of [-1, 1]^{n}")
-        if not all(t >= math.e for t in self.t_grid):
-            raise ValueError(f"field 't_grid' entries must be >= e, got {self.t_grid}")
-        if not all(k in (1, 2, 3) for k in self.k_list):
-            raise ValueError(f"field 'k_list' entries must lie in {{1, 2, 3}}, got {self.k_list}")
+        # an empty t_grid or k_list would check nothing and pass
+        if not self.t_grid or not all(t >= math.e for t in self.t_grid):
+            raise ValueError(f"field 't_grid' must list some t >= e, got {self.t_grid}")
+        if not self.k_list or not all(k in (1, 2, 3) for k in self.k_list):
+            raise ValueError(f"field 'k_list' must list some of 1, 2, 3, got {self.k_list}")
         if kind in ("descartes", "separation") and n != 1:
             raise ValueError(f"field 'model' of kind {kind} must be univariate, got n = {n}")
         if kind == "separation" and d > 64:
@@ -390,9 +391,8 @@ _NUMBER = (_is_number, "a finite number", float)
 _CONFIG_TABLE = {
     "trials": _INTEGER, "seed": _INTEGER, "max_depth": _INTEGER, "workers": _INTEGER,
     "grid_eps": _NUMBER, "eps": _NUMBER,
-    "t_grid": (lambda v: v and _list_of(_is_number)(v), "a nonempty list of finite numbers",
-               _floats),
-    "k_list": (lambda v: v and _list_of(_is_int)(v), "a nonempty list of integers", tuple),
+    "t_grid": (_list_of(_is_number), "a list of finite numbers", _floats),
+    "k_list": (_list_of(_is_int), "a list of integers", tuple),
     "x0": (lambda v: v is None or _list_of(_is_number)(v), "a list of finite numbers", _floats),
 }
 _CONFIG_FIELDS = {"experiment", "model", *_CONFIG_TABLE}

@@ -231,8 +231,8 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-# numpy's SeedSequence hash (a 4-word pool) and PCG64's seeding step, over a chunk of seeds
-_MASK32, _MASK128, _PCG_MULT = 2 ** 32 - 1, 2 ** 128 - 1, 0x2360ED051FC65DA44385DF649FCCF645
+# numpy's SeedSequence hash (a 4-word pool), over a chunk of seeds
+_MASK32 = 2 ** 32 - 1
 # the hash step of cross-mix (s, d) is 4 + 3s + (d if d < s else d - 1); (s, s) is unused
 _CROSS = np.array([[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)] for s in range(4)])
 
@@ -252,11 +252,22 @@ def _mix(x, y):
     return (r := 0xCA01F9DD * x - 0x4973F715 * y) ^ (r >> 16)
 
 
+class _HashedWords(np.random.bit_generator.ISeedSequence):
+    """The four 64-bit words of ``SeedSequence(seed).generate_state(4, np.uint64)``, which
+    PCG64 reads once to seed itself; unlike SeedSequence it cannot spawn children."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _streams(seeds):
-    """Yield one reused Generator set, seed by seed, to the stream of
-    default_rng(SeedSequence(seed)).  Before the first yield every seed is checked and read
-    as its ints' 32-bit words, low first, with zeros up to the pool's 4 words (they hash as
-    missing words do); the hash then runs over one (T, L) matrix per word count L."""
+    """Yield, seed by seed, a fresh Generator on the stream of default_rng(SeedSequence(seed)).
+    Before the first yield every seed is checked and read as its ints' 32-bit words, low
+    first, with zeros up to the pool's 4 words (they hash as missing words do); the hash then
+    runs over one (T, L) matrix per word count L."""
     rows_of, entropy = {}, []
     for t, seed in enumerate(seeds):
         _check_seed(seed)
@@ -267,7 +278,7 @@ def _streams(seeds):
                 words.append(v & _MASK32)
         entropy.append(words + [0] * (4 - len(words)))
         rows_of.setdefault(len(entropy[-1]), []).append(t)
-    states = [None] * len(entropy)
+    hashed = np.empty((len(entropy), 4), dtype=np.uint64)
     for L, rows in rows_of.items():
         E = np.array([entropy[t] for t in rows], dtype=np.uint32)
         xor, mult = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * L)
@@ -280,14 +291,9 @@ def _streams(seeds):
             pool = _mix(pool, _hashmix(E[:, i, None], xor[4 * i:4 * i + 4], mult[4 * i:4 * i + 4]))
         xor, mult = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
         out = _hashmix(pool[:, None], xor.reshape(2, 4), mult.reshape(2, 4)).reshape(-1, 8)
-        for t, (hi, lo, seq_hi, seq_lo) in zip(rows, out.astype("<u4").view("<u8").tolist()):
-            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128  # PCG64's srandom step
-            states[t] = {"state": ((hi << 64 | lo) + inc) * _PCG_MULT + inc & _MASK128, "inc": inc}
-    rng = np.random.Generator(np.random.PCG64(0))
-    full = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for full["state"] in states:
-        rng.bit_generator.state = full
-        yield rng
+        hashed[rows] = out.astype("<u4").view("<u8")
+    for words in hashed:
+        yield np.random.Generator(np.random.PCG64(_HashedWords(words)))
 
 
 def trial_rng(seed) -> np.random.Generator:

@@ -75,13 +75,10 @@ def test_every_private_name_is_read_in_the_package():
     assert orphans == []
 
 
-def test_only_poly_builds_the_kernel_terms():
-    # the kernel's layout is poly's business: other modules take it from poly._batch
-    names = {"_build_kernel_terms", "_degrees", "_KernelTerms", "_block_sums"}
-    found = [
+def _named(path, names) -> list:
+    """path:line:name for each name, attribute or imported name of ``path`` in ``names``."""
+    return [
         f"{path.name}:{node.lineno}:{name}"
-        for path in sorted(pathlib.Path(cubecond.__file__).parent.glob("*.py"))
-        if path.name != "poly.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         for name in ([node.id] if isinstance(node, ast.Name)
                      else [node.attr] if isinstance(node, ast.Attribute)
@@ -89,7 +86,34 @@ def test_only_poly_builds_the_kernel_terms():
                      if isinstance(node, ast.ImportFrom) else [])
         if name in names
     ]
+
+
+def test_only_poly_builds_the_kernel_terms():
+    # the kernel's layout is poly's business: other modules take it from poly._batch
+    names = {"_build_kernel_terms", "_degrees", "_KernelTerms", "_block_sums"}
+    found = [
+        where
+        for path in sorted(pathlib.Path(cubecond.__file__).parent.glob("*.py"))
+        if path.name != "poly.py"
+        for where in _named(path, names)
+    ]
     assert found == []
+
+
+def test_streams_and_exact_gamma_take_what_numpy_and_poly_produce():
+    # PCG64 seeds itself from the hashed SeedSequence words, so no module sets a generator's
+    # state; exact gamma differentiates the dense vector, not a chain of sparse polynomials
+    package = pathlib.Path(cubecond.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "state"
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "bit_generator"
+    ]
+    assert found == []
+    assert _named(package / "condition.py", {"new_sparse", "partial_derivative"}) == []
 
 
 def test_hot_paths_sum_the_coordinates_by_columns():

@@ -502,11 +502,14 @@ def test_gamma_exact_examples():
 
 def test_gamma_exact_matches_taylor_shift_oracle():
     rng = np.random.default_rng(25)
-    for _ in range(40):
+    for i in range(80):
         dense_degree = int(rng.integers(2, 17))
-        f = new_sparse(
-            1, [((k,), float(rng.normal())) for k in range(dense_degree + 1)]
-        )
+        exponents = list(range(dense_degree + 1))
+        if i >= 40:  # a sparse support in shuffled order, with the top exponent in it
+            size = int(rng.integers(1, dense_degree + 1))
+            exponents = [*rng.choice(dense_degree, size, replace=False).tolist(), dense_degree]
+            rng.shuffle(exponents)
+        f = new_sparse(1, [((k,), float(rng.normal())) for k in exponents])
         x = float(rng.uniform(-1, 1))
         # coefficients of f(x + t) in t by composition: b_k = f^(k)(x) / k!
         x_plus_t = np.polynomial.Polynomial([x, 1.0])

@@ -75,6 +75,9 @@ D65_MODEL = {"n": 1, "support": [[0], [1], [65]], "dist": {"kind": "gaussian"}}
         # the kind rules, checked when the config is built
         ({"t_grid": [2.0]}, "experiment config: field 't_grid'"),
         ({"k_list": [4]}, "experiment config: field 'k_list'"),
+        ({"t_grid": []}, "experiment config: field 't_grid'"),
+        ({"k_list": []}, "experiment config: field 'k_list'"),
+        ({"experiment": "descartes", "k_list": []}, "experiment config: field 'k_list'"),
         ({"experiment": "descartes", "model": N2_MODEL}, "experiment config: field 'model'"),
         ({"experiment": "separation", "model": N2_MODEL}, "experiment config: field 'model'"),
         ({"experiment": "separation", "model": D65_MODEL}, "experiment config: field 'model'"),
@@ -83,6 +86,13 @@ D65_MODEL = {"n": 1, "support": [[0], [1], [65]], "dist": {"kind": "gaussian"}}
 def test_config_loader_names_offending_field(fields, needle):
     with pytest.raises(ValueError, match=needle):
         exps.load_config({**TAIL_CONFIG, **fields})
+
+
+@pytest.mark.parametrize("kind, field", [("tail", "t_grid"), ("descartes", "k_list")])
+def test_config_refuses_an_empty_list_however_built(kind, field):
+    # an empty t_grid or k_list would check nothing, and the run would report a pass
+    with pytest.raises(ValueError, match=f"field '{field}' must list some"):
+        exps.ExperimentConfig(kind=kind, model=gaussian_model(), trials=5, seed=1, **{field: ()})
 
 
 def test_config_rejects_a_negative_seed():

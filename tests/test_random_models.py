@@ -134,6 +134,24 @@ def test_trial_rng_is_the_stream_of_numpy_seed_sequence(seed):
     assert models.trial_rng(seed).bit_generator.state == state
 
 
+def test_streams_of_one_chunk_are_distinct_generators():
+    # one generator per row: after the whole chunk is read, each still holds its own state
+    seeds = [(7, i) for i in range(5)] + [0, 2 ** 130 + 1, (1, 2, 3, 4, 5)]
+    rngs = list(models._streams(seeds))
+    assert len({id(rng) for rng in rngs}) == len(seeds)
+    for seed, rng in zip(seeds, rngs):
+        reference = np.random.default_rng(np.random.SeedSequence(seed))
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.random(3).tobytes() == reference.random(3).tobytes()
+
+
+def test_trial_rng_refuses_to_spawn():
+    # a stream keeps PCG64's four hashed words, not a SeedSequence that could spawn children,
+    # so spawning raises numpy's TypeError instead of handing out the children of one seed
+    with pytest.raises(TypeError, match="spawning"):
+        models.trial_rng((1, 2)).spawn(1)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(SEEDS, min_size=1, max_size=12))
 def test_sample_batch_rows_are_the_reference_draws(seeds):
