@@ -66,47 +66,9 @@ def _emit(obj, pretty: bool) -> None:
     print(json.dumps(clean(obj), indent=indent, sort_keys=True, allow_nan=False))
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="cubecond")
-    parser.add_argument("--pretty", action="store_true", help="indent JSON output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_cond = sub.add_parser("condition", help="local or global condition number")
-    p_cond.add_argument("poly", help="polynomial JSON file")
-    group = p_cond.add_mutually_exclusive_group(required=True)
-    group.add_argument("--point", type=float, nargs="+", help="evaluation point")
-    group.add_argument("--global", dest="global_", action="store_true",
-                       help="certified global enclosure")
-    p_cond.add_argument("--eps", type=float, help="grid covering radius (default 1e-4, "
-                        "or the finest that fits the grid work cap if coarser)")
-
-    p_pv = sub.add_parser("pv", help="subdivision of the unit cube")
-    p_pv.add_argument("poly", help="polynomial JSON file")
-    p_pv.add_argument("--max-depth", type=int, default=30)
-    p_pv.add_argument("--svg", help="write the final boxes as SVG (n = 2 only)")
-
-    p_iso = sub.add_parser("isolate", help="real root isolation on [-1, 1]")
-    p_iso.add_argument("poly", help="polynomial JSON file")
-    p_iso.add_argument("--max-depth", type=int, default=40)
-    p_iso.add_argument("--eps", type=float, default=1e-3)
-    p_iso.add_argument("--grid-eps", type=float, default=1e-4,
-                       help="covering radius for the condition enclosure")
-    p_iso.add_argument("--oracle", action="store_true",
-                       help="also run the all-roots separation oracle")
-
-    p_sample = sub.add_parser("sample", help="draw one polynomial from a model")
-    p_sample.add_argument("model", help="model JSON file")
-    p_sample.add_argument("--seed", type=int, default=None)
-
-    p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    p_exp.add_argument("config", help="experiment config JSON file")
-    p_exp.add_argument("--out", required=True, help="output directory for the CSV")
-    p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--workers", type=int, default=None)
-    return parser
-
-
 def _cmd_condition(args) -> int:
+    if args.eps is not None and not args.global_:
+        raise ValueError("--eps sets the grid of --global; it does not apply with --point")
     f = load_polynomial(args.poly)
     if args.global_:
         eps = args.eps if args.eps is not None else max(1e-4, _finest_grid_eps(f) or 0.0)
@@ -213,23 +175,61 @@ def _cmd_experiment(args) -> int:
     return 0 if report.passed else 2
 
 
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="cubecond")
+    parser.add_argument("--pretty", action="store_true", help="indent JSON output")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_cond = sub.add_parser("condition", help="local or global condition number")
+    p_cond.add_argument("poly", help="polynomial JSON file")
+    group = p_cond.add_mutually_exclusive_group(required=True)
+    group.add_argument("--point", type=float, nargs="+", help="evaluation point")
+    group.add_argument("--global", dest="global_", action="store_true",
+                       help="certified global enclosure")
+    p_cond.add_argument("--eps", type=float, help="grid covering radius of --global (default "
+                        "1e-4, or the finest that fits the grid work cap if coarser)")
+    p_cond.set_defaults(run=_cmd_condition)
+
+    p_pv = sub.add_parser("pv", help="subdivision of the unit cube")
+    p_pv.add_argument("poly", help="polynomial JSON file")
+    p_pv.add_argument("--max-depth", type=int, default=30)
+    p_pv.add_argument("--svg", help="write the final boxes as SVG (n = 2 only)")
+    p_pv.set_defaults(run=_cmd_pv)
+
+    p_iso = sub.add_parser("isolate", help="real root isolation on [-1, 1]")
+    p_iso.add_argument("poly", help="polynomial JSON file")
+    p_iso.add_argument("--max-depth", type=int, default=40)
+    p_iso.add_argument("--eps", type=float, default=1e-3)
+    p_iso.add_argument("--grid-eps", type=float, default=1e-4,
+                       help="covering radius for the condition enclosure")
+    p_iso.add_argument("--oracle", action="store_true",
+                       help="also run the all-roots separation oracle")
+    p_iso.set_defaults(run=_cmd_isolate)
+
+    p_sample = sub.add_parser("sample", help="draw one polynomial from a model")
+    p_sample.add_argument("model", help="model JSON file")
+    p_sample.add_argument("--seed", type=int, default=None)
+    p_sample.set_defaults(run=_cmd_sample)
+
+    p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
+    p_exp.add_argument("config", help="experiment config JSON file")
+    p_exp.add_argument("--out", required=True, help="output directory for the CSV")
+    p_exp.add_argument("--seed", type=int, default=None)
+    p_exp.add_argument("--workers", type=int, default=None)
+    p_exp.set_defaults(run=_cmd_experiment)
+    return parser
+
+
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "condition": _cmd_condition,
-        "pv": _cmd_pv,
-        "isolate": _cmd_isolate,
-        "sample": _cmd_sample,
-        "experiment": _cmd_experiment,
-    }
     try:
-        return handlers[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        args = _PARSER.parse_args(argv)
+        return args.run(args)
+    except (ValueError, OSError, OracleFailedError) as exc:  # json's decode error is a ValueError
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OracleFailedError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 2 if isinstance(exc, OracleFailedError) else 1
 
 
 if __name__ == "__main__":

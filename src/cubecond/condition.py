@@ -294,20 +294,25 @@ def gamma_exact_univariate(f: SparsePolynomial, x: float) -> float:
 
     gamma = max over k >= 2 of (|f^(k)(x)| / (k! |f'(x)|))^(1/(k-1)).  The
     normalised derivatives f^(k)/k!, evaluated by Horner's rule, come from the dense
-    coefficients by repeated differentiation divided by k, at binomial scale.
-    """
+    coefficients, scaled by a power of two into [-1, 1] (gamma is a ratio), by repeated
+    differentiation divided by k; a binomial scale that overflows a float is refused."""
     if f.n != 1:
         raise ValueError("exact gamma is implemented for univariate polynomials only")
     _check_nonzero(norm1(f))
     x = _finite_points(f, x)[0, 0]
-    taylor = _derivative(to_dense(f))  # holds f^(k) / k! for the current k
-    f1 = abs(_horner(taylor, x))
+    dense = to_dense(f)
+    taylor = _derivative(np.ldexp(dense, -math.frexp(np.abs(dense).max())[1]))
+    f1 = abs(_horner(taylor, x))  # taylor holds f^(k) / k! for the current k
     if f1 == 0.0:
         raise ValueError("gamma requires f'(x) != 0")
     best = 0.0
-    for k in range(2, f.degree + 1):
-        taylor = _derivative(taylor) / k
-        best = max(best, (abs(_horner(taylor, x)) / f1) ** (1.0 / (k - 1)))
+    with np.errstate(over="raise"):
+        for k in range(2, f.degree + 1):
+            try:
+                taylor = _derivative(taylor) / k
+            except FloatingPointError:
+                raise ValueError(f"exact gamma overflows a float at order {k}") from None
+            best = max(best, (abs(_horner(taylor, x)) / f1) ** (1.0 / (k - 1)))
     return best
 
 

@@ -14,6 +14,7 @@ trial the bits of its own polynomial, and rows are emitted in trial order.
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 import time
@@ -71,10 +72,10 @@ class ExperimentConfig:
         n, d, kind = self.model.n, self.model.degree, self.kind
         if kind not in _RUNNERS:
             raise ValueError(f"unknown experiment kind {kind!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in ("trials", "workers"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
+                raise ValueError(f"field {name!r} must be an integer >= 1, got {value!r}")
         models._check_seed(self.seed)  # the rule of every trial's stream (seed, i), before
         models._check_seed((self.seed, 0))  # the first; a tuple seed would nest in it
         # the tail bound is proved only on the cube and for t >= e; -1 <= nan is False
@@ -319,23 +320,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # reporting
 # ---------------------------------------------------------------------------
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def emit_csv(report: ExperimentReport, path) -> None:
     """Write the report rows as CSV with columns trial,seed,stat_name,value,bound,pass.
 
-    The bytes are a pure function of the report: floats are rendered with
-    repr (shortest round-trip form) and rows keep trial order.
+    The bytes are a pure function of the report: the stdlib writer renders
+    floats with repr (shortest round-trip form) and rows keep trial order.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_COLUMNS) + "\n")
-        fh.writelines(",".join(map(_format_cell, row)) + "\n" for row in report.rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_COLUMNS)
+        writer.writerows(report.rows)
 
 
 _SVG_COLORS = (None, "#4477aa", "#ee6677")  # indexed by clause code: value, gradient

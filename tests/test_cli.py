@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from cubecond import cli
 from cubecond import experiments as exps
 from cubecond import random as models
 from cubecond import univariate
@@ -72,6 +73,16 @@ def test_condition_global_at_n4_uses_the_finest_fitting_eps(tmp_path, capsys):
     assert code == 0
     assert out["grid_eps"] == 1 / 28
     assert 1.0 <= out["lower"] <= out["upper"] < math.inf
+
+
+def test_condition_refuses_eps_without_global(tmp_path, capsys):
+    # --eps sets only the grid of --global; at a point it would be ignored
+    code, out = run(
+        capsys, ["condition", write(tmp_path, "q.json", QUAD), "--point", "0.5", "--eps", "0.1"]
+    )
+    assert code == 1 and out is None
+    assert run.err.startswith("error: ") and "--global" in run.err
+    assert len(run.err.splitlines()) == 1
 
 
 def test_condition_wrong_point_dimension(tmp_path, capsys):
@@ -415,6 +426,20 @@ def test_global_condition_over_grid_cap_is_error(tmp_path, capsys):
     code, out = run(capsys, ["condition", path, "--global", "--eps", str(1 / 1671.5)])
     assert code == 1 and out is None
     assert "cap" in run.err and len(run.err.splitlines()) == 1
+
+
+def test_main_builds_no_parser(tmp_path, capsys, monkeypatch):
+    # the parser is built once, at import; each subcommand carries its handler
+    built, init = [], cli._Parser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", spy)
+    assert run(capsys, ["condition", write(tmp_path, "q.json", QUAD), "--point", "0"])[0] == 0
+    assert run(capsys, ["sample", write(tmp_path, "m.json", MODEL), "--seed", "3"])[0] == 0
+    assert built == []
 
 
 def test_unknown_flag_is_usage_error(tmp_path, capsys):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -498,6 +499,22 @@ def test_gamma_exact_examples():
     assert gamma_exact_univariate(new_sparse(1, [((1,), 1.0), ((2,), 0.0)]), 0.3) == 0.0
     with pytest.raises(ValueError):
         gamma_exact_univariate(new_sparse(1, [((2,), 1.0)]), 0.0)  # f'(0) = 0
+
+
+def test_gamma_exact_is_scale_invariant_where_the_taylor_coefficients_overflow():
+    # C(j, k) c_j overflowed at 1e307 or at degree 1100 and gave inf; gamma is a ratio
+    f = new_sparse(1, [((1,), 1.0), ((5,), 1.0)])
+    scaled = new_sparse(1, [((1,), 1e307), ((5,), 1e307)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gamma_exact_univariate(scaled, 0.3) == pytest.approx(
+            gamma_exact_univariate(f, 0.3), rel=1e-15
+        )
+        tall = new_sparse(1, [((0,), 0.5), ((1,), 1.0), ((1000,), 1.0)])
+        assert gamma_exact_univariate(tall, 0.3) == pytest.approx(1.4220, rel=1e-4)
+        taller = new_sparse(1, [((0,), 0.5), ((1,), 1.0), ((1100,), 1.0)])
+        with pytest.raises(ValueError, match="overflows a float at order 379$"):
+            gamma_exact_univariate(taller, 0.3)
 
 
 def test_gamma_exact_matches_taylor_shift_oracle():

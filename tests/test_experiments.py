@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -81,6 +82,11 @@ D65_MODEL = {"n": 1, "support": [[0], [1], [65]], "dist": {"kind": "gaussian"}}
         ({"experiment": "descartes", "model": N2_MODEL}, "experiment config: field 'model'"),
         ({"experiment": "separation", "model": N2_MODEL}, "experiment config: field 'model'"),
         ({"experiment": "separation", "model": D65_MODEL}, "experiment config: field 'model'"),
+        # trials and workers: a float fails the type check, 0 the rule of the built config
+        ({"trials": 2.5}, "'trials'"),
+        ({"trials": 0}, "experiment config: field 'trials' must be an integer >= 1, got 0"),
+        ({"workers": 1.5}, "'workers'"),
+        ({"workers": 0}, "experiment config: field 'workers' must be an integer >= 1, got 0"),
     ],
 )
 def test_config_loader_names_offending_field(fields, needle):
@@ -93,6 +99,15 @@ def test_config_refuses_an_empty_list_however_built(kind, field):
     # an empty t_grid or k_list would check nothing, and the run would report a pass
     with pytest.raises(ValueError, match=f"field '{field}' must list some"):
         exps.ExperimentConfig(kind=kind, model=gaussian_model(), trials=5, seed=1, **{field: ()})
+
+
+@pytest.mark.parametrize("field", ["trials", "workers"])
+@pytest.mark.parametrize("value", [2.5, True, 0], ids=repr)
+def test_config_refuses_trials_or_workers_that_are_not_integers_ge_1(field, value):
+    # refused when built, not inside the trial map of the run (a bool is not an integer here)
+    message = f"field '{field}' must be an integer >= 1, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exps.ExperimentConfig(kind="tail", model=gaussian_model(), **{field: value})
 
 
 def test_config_rejects_a_negative_seed():
@@ -363,6 +378,21 @@ def test_csv_bytes_match_golden(tmp_path, golden):
     # it, and a flagged run does not pass even when its checks hold
     flagged = golden in ("pv_flagged_seed5", "descartes_incomplete_seed6")
     assert (rep.flagged, rep.passed) == (flagged, not flagged)
+
+
+def test_csv_cells_keep_their_text(tmp_path):
+    # floats, numpy's included, in shortest repr; integers, numpy's included, as digits
+    rows = [
+        (math.inf, -math.inf, math.nan, -0.0, 1e-05, 1e16),
+        (-1, np.int64(3), "survival_t=10", np.float64(0.1), "", 1),
+    ]
+    out = tmp_path / "report.csv"
+    exps.emit_csv(exps.ExperimentReport(kind="tail", rows=rows), out)
+    assert out.read_bytes() == (
+        b"trial,seed,stat_name,value,bound,pass\n"
+        b"inf,-inf,nan,-0.0,1e-05,1e+16\n"
+        b"-1,3,survival_t=10,0.1,,1\n"
+    )
 
 
 @pytest.mark.parametrize("golden", [name for name in GOLDEN_CONFIGS if name.startswith("tail")])
