@@ -292,28 +292,28 @@ def gamma_bound(f: SparsePolynomial, x) -> float:
 def gamma_exact_univariate(f: SparsePolynomial, x: float) -> float:
     """Smale's gamma for univariate f at x with f'(x) != 0.
 
-    gamma = max over k >= 2 of (|f^(k)(x)| / (k! |f'(x)|))^(1/(k-1)).  The
-    normalised derivatives f^(k)/k!, evaluated by Horner's rule, come from the dense
-    coefficients, scaled by a power of two into [-1, 1] (gamma is a ratio), by repeated
-    differentiation divided by k; a binomial scale that overflows a float is refused."""
+    gamma = max over k >= 2 of (|f^(k)(x)| / (k! |f'(x)|))^(1/(k-1)).  The normalised
+    derivatives f^(k)(x) / k! are the coefficients of f(x + t) in t, from a Taylor shift of
+    the dense coefficients scaled by a power of two into [-1, 1] (gamma is a ratio): repeated
+    synthetic division, which never forms a binomial multiple C(j, k) c_j.  A shifted
+    coefficient that still overflows a float is refused with its order."""
     if f.n != 1:
         raise ValueError("exact gamma is implemented for univariate polynomials only")
     _check_nonzero(norm1(f))
     x = _finite_points(f, x)[0, 0]
     dense = to_dense(f)
-    taylor = _derivative(np.ldexp(dense, -math.frexp(np.abs(dense).max())[1]))
-    f1 = abs(_horner(taylor, x))  # taylor holds f^(k) / k! for the current k
-    if f1 == 0.0:
-        raise ValueError("gamma requires f'(x) != 0")
-    best = 0.0
-    with np.errstate(over="raise"):
-        for k in range(2, f.degree + 1):
-            try:
-                taylor = _derivative(taylor) / k
-            except FloatingPointError:
-                raise ValueError(f"exact gamma overflows a float at order {k}") from None
-            best = max(best, (abs(_horner(taylor, x)) / f1) ** (1.0 / (k - 1)))
-    return best
+    taylor = np.ldexp(dense, -math.frexp(np.abs(dense).max())[1])
+    d = taylor.size - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite order is refused below
+        for i in range(d):  # pass i of the shift: one synthetic-division step on each of its slots
+            taylor[d - 1 - i:d] += x * taylor[d - i:]
+        bad = np.flatnonzero(~np.isfinite(taylor[1:]))
+        if bad.size:
+            raise ValueError(f"exact gamma overflows a float at order {bad[0] + 1}")
+        if d < 1 or taylor[1] == 0.0:
+            raise ValueError("gamma requires f'(x) != 0")
+        roots = (np.abs(taylor[2:]) / abs(taylor[1])) ** (1.0 / np.arange(1, d))
+    return float(roots.max(initial=0.0))
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:

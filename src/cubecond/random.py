@@ -54,6 +54,10 @@ __all__ = [
 # coefficient distributions
 # ---------------------------------------------------------------------------
 
+# the integer types of a seed value or a support exponent; a bool is refused apart
+_INTEGERS = (int, np.integer)
+
+
 def _tail_constant_numeric(log2_over_survival, p: float, t_max: float) -> float:
     """sup over t of t / ln(2 / P(|x| > t))^(1/p) on a dense log grid."""
     t = np.geomspace(1e-4, t_max, 4096)
@@ -94,8 +98,12 @@ class Gaussian:
         if not 0 < self.sd < math.inf:
             raise ValueError(f"gaussian sd must be positive and finite, got {self.sd}")
 
-    def draw(self, rng, size):
-        return rng.normal(self.mean, self.sd, size)
+    def fill(self, draws, streams):
+        """Row t from stream t with its normal(mean, sd) bits: numpy's mean + sd * z per chunk."""
+        for row, rng in zip(draws, streams):
+            rng.standard_normal(out=row)
+        draws *= self.sd
+        draws += self.mean
 
     def density_bound(self) -> float:
         return 1.0 / (math.sqrt(2.0 * math.pi) * self.sd)
@@ -112,11 +120,17 @@ class Uniform:
     hi: float = 1.0
 
     def __post_init__(self):
-        if not -math.inf < self.lo < self.hi < math.inf:
-            raise ValueError(f"uniform needs finite lo < hi, got lo={self.lo}, hi={self.hi}")
+        if not (-math.inf < self.lo < self.hi < math.inf and self.hi - self.lo < math.inf):
+            raise ValueError(
+                f"uniform needs finite lo < hi and hi - lo, got lo={self.lo}, hi={self.hi}"
+            )
 
-    def draw(self, rng, size):
-        return rng.uniform(self.lo, self.hi, size)
+    def fill(self, draws, streams):
+        """Row t from stream t with its uniform(lo, hi) bits: numpy's lo + (hi - lo) * u."""
+        for row, rng in zip(draws, streams):
+            rng.random(out=row)
+        draws *= self.hi - self.lo
+        draws += self.lo
 
     def density_bound(self) -> float:
         return 1.0 / (self.hi - self.lo)
@@ -140,12 +154,11 @@ class WeibullSymmetric:
         if not 0 < self.scale < math.inf:
             raise ValueError(f"weibull scale must be positive and finite, got {self.scale}")
 
-    def draw(self, rng, size):
-        # inverse CDF of the magnitude, then an independent random sign
-        u = rng.random(size)
-        magnitude = self.scale * (-np.log1p(-u)) ** (1.0 / self.p)
-        signs = rng.integers(0, 2, size) * 2 - 1
-        return signs * magnitude
+    def fill(self, draws, streams):
+        """Row t from stream t: the inverse CDF of the magnitudes, then a random sign each."""
+        for row, rng in zip(draws, streams):
+            magnitude = self.scale * (-np.log1p(-rng.random(row.size))) ** (1.0 / self.p)
+            row[:] = (rng.integers(0, 2, row.size) * 2 - 1) * magnitude
 
     def density_bound(self) -> float:
         q = (self.p - 1.0) / self.p
@@ -186,8 +199,12 @@ class RandomModel:
             raise ValueError(f"n must be >= 1, got {self.n}")
         seen = set()
         for alpha in self.support:
-            if len(alpha) != self.n or any(a < 0 for a in alpha):
-                raise ValueError(f"support exponent {alpha} must have {self.n} nonnegative entries")
+            if len(alpha) != self.n or not all(
+                isinstance(a, _INTEGERS) and type(a) is not bool and a >= 0 for a in alpha
+            ):
+                raise ValueError(
+                    f"support exponent {alpha} must have {self.n} nonnegative integer entries"
+                )
             if alpha in seen:
                 raise ValueError(f"duplicate support exponent {alpha}")
             seen.add(alpha)
@@ -197,12 +214,14 @@ class RandomModel:
         for alpha in required:
             if alpha not in seen:
                 raise ValueError(f"support must contain {alpha}")
-        if not self.p >= 1.0:
-            raise ValueError(f"tail exponent p must be >= 1, got {self.p}")
-        if not self.scale > 0.0:
-            raise ValueError("scale must be positive")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"tail exponent p must be finite and >= 1, got {self.p}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.offsets is not None and len(self.offsets) != len(self.support):
             raise ValueError("offsets must align with the support")
+        if self.offsets is not None and not all(map(math.isfinite, self.offsets)):
+            raise ValueError(f"offsets must be finite, got {self.offsets}")
 
     @property
     def support_size(self) -> int:
@@ -223,12 +242,14 @@ class ModelConstants:
     L: float
 
 
-def _check_seed(seed) -> None:
+def _check_seed(seed) -> tuple:
     """The seed rule: an int (not a bool), or a non-empty tuple of them such as
-    (base_seed, trial_index), none negative."""
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0
-               for v in (seed if isinstance(seed, tuple) and seed else (seed,))):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    (base_seed, trial_index), none negative.  Returns the seed's values."""
+    values = seed if isinstance(seed, tuple) and seed else (seed,)
+    for v in values:
+        if not (isinstance(v, _INTEGERS) and type(v) is not bool and v >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return values
 
 
 # numpy's SeedSequence hash (a 4-word pool), over a chunk of seeds
@@ -265,35 +286,36 @@ class _HashedWords(np.random.bit_generator.ISeedSequence):
 
 def _streams(seeds):
     """Yield, seed by seed, a fresh Generator on the stream of default_rng(SeedSequence(seed)).
-    Before the first yield every seed is checked and read as its ints' 32-bit words, low
-    first, with zeros up to the pool's 4 words (they hash as missing words do); the hash then
-    runs over one (T, L) matrix per word count L."""
-    rows_of, entropy = {}, []
-    for t, seed in enumerate(seeds):
-        _check_seed(seed)
-        words = []
-        for v in map(int, seed if isinstance(seed, tuple) else (seed,)):
-            words.append(v & _MASK32)
-            while v := v >> 32:
+    Before the first yield one pass checks every seed and reads its ints as 32-bit words, low
+    first; the hash then runs over one (T, L) matrix, each row zero-filled up to the pool's 4
+    words (they hash as missing words do), and a word past the pool mixes only into its rows."""
+    words, counts = [], []
+    for seed in seeds:
+        start = len(words)
+        for v in _check_seed(seed):
+            v = int(v)
+            while v > _MASK32:
                 words.append(v & _MASK32)
-        entropy.append(words + [0] * (4 - len(words)))
-        rows_of.setdefault(len(entropy[-1]), []).append(t)
-    hashed = np.empty((len(entropy), 4), dtype=np.uint64)
-    for L, rows in rows_of.items():
-        E = np.array([entropy[t] for t in rows], dtype=np.uint32)
-        xor, mult = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * L)
-        pool = _hashmix(E[:, :4], xor[:4], mult[:4])
-        cross_xor, cross_mult = xor[_CROSS], mult[_CROSS]
-        for s in range(4):  # the 12 cross-mixes: word s into the three others at once
-            mixed = _mix(pool, _hashmix(pool[:, s, None], cross_xor[s], cross_mult[s]))
-            np.copyto(pool, mixed, where=_CROSS[s] > 0)
-        for i in range(4, L):  # each entropy word past the pool, into every pool word
-            pool = _mix(pool, _hashmix(E[:, i, None], xor[4 * i:4 * i + 4], mult[4 * i:4 * i + 4]))
-        xor, mult = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-        out = _hashmix(pool[:, None], xor.reshape(2, 4), mult.reshape(2, 4)).reshape(-1, 8)
-        hashed[rows] = out.astype("<u4").view("<u8")
-    for words in hashed:
-        yield np.random.Generator(np.random.PCG64(_HashedWords(words)))
+                v >>= 32
+            words.append(v)
+        counts.append(len(words) - start)
+    counts = np.array(counts, dtype=np.intp)
+    L = int(counts.max(initial=4))
+    E = np.zeros((counts.size, L), dtype=np.uint32)
+    E[np.arange(L) < counts[:, None]] = words
+    xor, mult = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * L)
+    pool = _hashmix(E[:, :4], xor[:4], mult[:4])
+    cross_xor, cross_mult = xor[_CROSS], mult[_CROSS]
+    for s in range(4):  # the 12 cross-mixes: word s into the three others at once
+        mixed = _mix(pool, _hashmix(pool[:, s, None], cross_xor[s], cross_mult[s]))
+        np.copyto(pool, mixed, where=_CROSS[s] > 0)
+    for i in range(4, L):  # each entropy word past the pool, into every pool word of its rows
+        mixed = _mix(pool, _hashmix(E[:, i, None], xor[4 * i:4 * i + 4], mult[4 * i:4 * i + 4]))
+        np.copyto(pool, mixed, where=counts[:, None] > i)
+    xor, mult = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+    hashed = _hashmix(pool[:, None], xor.reshape(2, 4), mult.reshape(2, 4)).reshape(-1, 8)
+    for row in hashed.astype("<u4").view("<u8"):
+        yield np.random.Generator(np.random.PCG64(_HashedWords(row)))
 
 
 def trial_rng(seed) -> np.random.Generator:
@@ -308,12 +330,13 @@ def trial_rng(seed) -> np.random.Generator:
 def sample_batch(model: RandomModel, seeds) -> np.ndarray:
     """One draw per seed, as the rows of a (T, m) coefficient array; row t comes from
     the stream ``trial_rng(seeds[t])`` alone.  Every seed is checked before the first draw."""
-    m, seeds = model.support_size, list(seeds)
-    draws = np.empty((len(seeds), m))
-    for row, rng in zip(draws, _streams(seeds)):
-        row[:] = model.dist.draw(rng, m)
+    seeds = list(seeds)
+    draws = np.empty((len(seeds), model.support_size))
+    model.dist.fill(draws, _streams(seeds))
     draws *= model.scale
-    return draws if model.offsets is None else draws + np.asarray(model.offsets)
+    if model.offsets is not None:
+        draws += model.offsets
+    return draws
 
 
 def sample(model: RandomModel, seed) -> SparsePolynomial:
@@ -362,8 +385,8 @@ def smoothed_model(f0: SparsePolynomial, sigma: float, base: RandomModel) -> Ran
     and rho -> rho_base / (sigma * norm1(f0)), so K*rho = (K_base + 1/sigma)
     * rho_base, which recovers the plain model as sigma -> inf.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if not base.is_plain():
         raise ValueError("base model must be unshifted and unscaled")
     if f0.n != base.n:

@@ -272,6 +272,16 @@ def test_sample_stdout_on_the_demo_model_keeps_its_bytes(capsys, seed, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
 
 
+def test_sample_refuses_a_uniform_model_whose_range_overflows(tmp_path, capsys):
+    # an infinite hi - lo is an input error, not numpy's OverflowError at the first draw
+    wide = {**MODEL, "dist": {"kind": "uniform", "lo": -1e308, "hi": 1e308}}
+    code, out = run(capsys, ["sample", write(tmp_path, "wide.json", wide), "--seed", "1"])
+    assert (code, out) == (1, None)
+    assert run.err.splitlines() == [
+        "error: model file: uniform needs finite lo < hi and hi - lo, got lo=-1e+308, hi=1e+308"
+    ]
+
+
 def test_experiment_runs_and_writes_csv(tmp_path, capsys):
     cfg = {
         "experiment": "tail",

@@ -44,9 +44,18 @@ def test_sampling_is_deterministic_and_keeps_support():
 
 
 def _reference_draw(model, seed):
-    """The coefficients of one draw, as a loop over the draw steps: the reference of sample."""
+    """The coefficients of one draw from numpy's own calls on the seed's stream: the
+    reference of sample."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    coeffs = np.asarray(model.dist.draw(rng, model.support_size), dtype=np.float64) * model.scale
+    dist, m = model.dist, model.support_size
+    if isinstance(dist, models.Gaussian):
+        coeffs = rng.normal(dist.mean, dist.sd, m)
+    elif isinstance(dist, models.Uniform):
+        coeffs = rng.uniform(dist.lo, dist.hi, m)
+    else:  # the inverse CDF of the Weibull magnitudes, then a random sign each
+        magnitude = dist.scale * (-np.log1p(-rng.random(m))) ** (1.0 / dist.p)
+        coeffs = (rng.integers(0, 2, m) * 2 - 1) * magnitude
+    coeffs = coeffs * model.scale
     return coeffs + np.asarray(model.offsets) if model.offsets is not None else coeffs
 
 
@@ -67,6 +76,11 @@ SMOOTHED = models.smoothed_model(
 WEIBULL = models.RandomModel(
     n=1, support=SUP_D5, dist=models.WeibullSymmetric(1.5, 2.0), p=1.5
 )  # two draws from each stream: the magnitudes, then the signs
+SHIFTED_LAWS = [
+    models.RandomModel(n=1, support=SUP_D5, dist=models.Gaussian(0.3, 2.5)),
+    models.RandomModel(n=1, support=SUP_D5, dist=models.Uniform(-0.5, 3.0)),
+    SMOOTHED,
+]
 
 
 @pytest.mark.parametrize(
@@ -95,8 +109,16 @@ def test_sample_is_the_one_row_call_of_sample_batch(models_of, seeds, digest):
         assert batch.tobytes() == _bytes_of(_reference_draw(model, seed) for seed in own)
 
 
+class _NoDraw:
+    def standard_normal(self, out):
+        pytest.fail("a draw started")
+
+
 def test_sample_batch_checks_every_seed_before_the_first_draw(monkeypatch):
-    monkeypatch.setattr(models.Gaussian, "draw", lambda *args: pytest.fail("a draw started"))
+    # each row's generator is replaced by one whose per-row draw fails: a seed checked only
+    # after the first row is drawn would reach it
+    streams = models._streams
+    monkeypatch.setattr(models, "_streams", lambda seeds: (_NoDraw() for _ in streams(seeds)))
     with pytest.raises(ValueError, match=r"seed must be a non-negative integer, got \(1, -2\)$"):
         models.sample_batch(gaussian_model(), [(1, 0), (1, 1), (1, -2)])
     with pytest.raises(ValueError, match="got -1$"):
@@ -155,9 +177,11 @@ def test_trial_rng_refuses_to_spawn():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(SEEDS, min_size=1, max_size=12))
 def test_sample_batch_rows_are_the_reference_draws(seeds):
-    # seeds of several word counts hash in separate matrices; a Weibull row leaves a
+    # seeds of several word counts hash in one matrix; a Weibull row leaves a
     # buffered 32-bit half in the generator, which the next row must not read
-    for model in (gaussian_model(), uniform_model(), WEIBULL):
+    # off the standard laws, standard draws and one affine map per chunk must round as
+    # numpy's loc + scale * z and low + (high - low) * u do
+    for model in (gaussian_model(), uniform_model(), WEIBULL, *SHIFTED_LAWS):
         batch = models.sample_batch(model, seeds)
         assert batch.tobytes() == _bytes_of(_reference_draw(model, seed) for seed in seeds)
 
@@ -232,8 +256,8 @@ def test_weibull_constants_and_sampling():
     assert w.density_bound() == 0.25
     for scale in (1.0, 3.0, 0.1):  # at p = 1 the density bound is 1 / (2 scale)
         assert models.WeibullSymmetric(p=1.0, scale=scale).density_bound() == 1.0 / (2.0 * scale)
-    rng = np.random.default_rng(0)
-    draws = w.draw(rng, 200000)
+    draws = np.empty((1, 200000))
+    w.fill(draws, [np.random.default_rng(0)])
     # survival of |x| at t: exp(-t/2)
     assert np.mean(np.abs(draws) > 2.0) == pytest.approx(math.exp(-1.0), abs=5e-3)
     assert abs(np.mean(np.sign(draws))) < 5e-3
@@ -257,6 +281,34 @@ def test_distributions_reject_non_finite_parameters(dist, field, value):
     params = {"p": 1.0} if dist is models.WeibullSymmetric else {}
     with pytest.raises(ValueError, match=field):
         dist(**{**params, field: value})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: models.RandomModel(n=1, support=SUP_D5, dist=GAUSS, scale=math.inf),
+         "scale must be positive and finite, got inf"),
+        (lambda: models.RandomModel(n=1, support=SUP_D5, dist=GAUSS, scale=math.nan),
+         "scale must be positive and finite, got nan"),
+        (lambda: models.RandomModel(n=1, support=SUP_D5, dist=GAUSS, offsets=(math.nan, 0.0, 0.0)),
+         r"offsets must be finite, got \(nan, 0.0, 0.0\)"),
+        (lambda: models.RandomModel(n=1, support=SUP_D5, dist=GAUSS, p=math.inf),
+         "tail exponent p must be finite and >= 1, got inf"),
+        (lambda: models.RandomModel(n=1, support=((0,), (1,), (2.5,)), dist=GAUSS),
+         r"support exponent \(2.5,\) must have 1 nonnegative integer entries"),
+        (lambda: models.Uniform(-1e308, 1e308),
+         r"uniform needs finite lo < hi and hi - lo, got lo=-1e\+308, hi=1e\+308"),
+        (lambda: models.smoothed_model(new_sparse(1, [((0,), 1.0)]), math.nan, gaussian_model()),
+         "sigma must be positive and finite, got nan"),
+    ],
+    ids=["scale-inf", "scale-nan", "offsets-nan", "p-inf", "support-2.5", "uniform-wide",
+         "sigma-nan"],
+)
+def test_models_refuse_non_finite_or_non_integer_fields(build, message):
+    # such a model's constants read inf or nan, its degree is not an integer, or its
+    # draws overflow (numpy itself refuses an infinite hi - lo)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_smoothed_model_constants_and_draws():
