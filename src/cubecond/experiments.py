@@ -155,6 +155,7 @@ def _each_trial(trial, cfg, C) -> list:
 def _run(kind, cfg: ExperimentConfig, worker, summarize) -> ExperimentReport:
     if cfg.kind != kind:
         raise ValueError(f"a {cfg.kind} config cannot run a {kind} experiment")
+    models.model_constants(cfg.model)  # refuses a model whose constants overflow, before a draw
     start = time.perf_counter()
     report = ExperimentReport(kind=kind)
     summarize(report, cfg, _map_trials(worker, cfg))

@@ -54,12 +54,19 @@ class BoxN:
         return sample_boxes(np.array([self.midpoint]), np.array([self.width]), rng, count)[0]
 
 
-def sample_boxes(midpoints: np.ndarray, widths: np.ndarray, rng, count: int) -> np.ndarray:
+def sample_boxes(midpoints: np.ndarray, widths: np.ndarray, rng, count: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """``count`` uniform points m + (w/2) u in each box, shape (N, count, n), from one
     draw that consumes ``rng`` exactly as N consecutive draws of ``count`` points each.
-    The result views memory that holds each coordinate of all points contiguously."""
-    v = rng.random(size=(len(widths), count, midpoints.shape[1]))
-    coordinates = np.subtract(np.moveaxis(v, 2, 0), 0.5, order="C")
+    The result views memory that holds each coordinate of all points contiguously.
+
+    ``out``, when given, is a float array of shape (2, k) with k >= N count n: its
+    first row takes the draws and its second the result, which then views it."""
+    N, n = midpoints.shape
+    size = N * count * n
+    draws, coordinates = np.empty((2, size)) if out is None else out[:, :size]
+    v = rng.random(out=draws.reshape(N, count, n))
+    coordinates = np.subtract(np.moveaxis(v, 2, 0), 0.5, out=coordinates.reshape(n, N, count))
     # uniform(-1, 1) draws u = -1 + 2v from the same stream.  Doubling is exact, so
     # (w/2) u equals (2 (w/2)) (v - 1/2), which is w (v - 1/2) unless halving w
     # rounds (an odd subnormal width)

@@ -20,6 +20,7 @@ import numpy as np
 from .condition import kappa_batch
 from .interval import _clause_codes, _exclusion_radii, sample_boxes, split_boxes
 from .poly import (
+    _CHUNK_POINTS,
     SparsePolynomial,
     _batch,
     _is_int,
@@ -200,13 +201,15 @@ def verify_output_boxes(
         raise ValueError(f"samples_per_box must be an integer >= 2, got {samples_per_box!r}")
     rng = np.random.default_rng(seed)
     chunk = max(1, _VERIFY_CHUNK_POINTS // samples_per_box)
+    # the draws and sample points of every chunk; the kernel calls only read the points,
+    # and the boxes kept for the gradient check are copied out by the boolean index
+    buffer = np.empty((2, min(chunk, report.final_count) * samples_per_box * f.n))
     # the sample points of sign-changing boxes wait here until they fill a chunk
     mixed, mixed_boxes = [], 0
     for start in range(0, report.final_count, chunk):
         boxes = slice(start, start + chunk)
-        points = sample_boxes(
-            report.final_midpoints[boxes], report.final_widths[boxes], rng, samples_per_box
-        )
+        points = sample_boxes(report.final_midpoints[boxes], report.final_widths[boxes], rng,
+                              samples_per_box, out=buffer)
         values = evaluate_batch(f, points.reshape(-1, f.n)).reshape(points.shape[:2])
         one_sign = (values.min(axis=1) > 0.0) | (values.max(axis=1) < 0.0)
         mixed.append(points[~one_sign])
@@ -261,9 +264,13 @@ def amortization_bound(f: SparsePolynomial, n_samples: int, seed: int = 0) -> fl
     if not (_is_int(n_samples) and n_samples >= 1):
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     rng = np.random.default_rng(seed)
-    points = rng.uniform(-1.0, 1.0, size=(n_samples, f.n))
-    kappas = kappa_batch(f, points)
     scale = f.degree * math.sqrt(2 * f.n)
-    with np.errstate(over="ignore"):
-        integrand = (scale * kappas) ** f.n
+    integrand = np.empty(n_samples)
+    # in blocks, which draw the stream in order and give each point the bits of one draw
+    # of all n_samples points, while only one block of points and kernel sums is held
+    for lo in range(0, n_samples, _CHUNK_POINTS):
+        block = integrand[lo:lo + _CHUNK_POINTS]
+        kappas = kappa_batch(f, rng.uniform(-1.0, 1.0, size=(len(block), f.n)))
+        with np.errstate(over="ignore"):
+            block[:] = (scale * kappas) ** f.n
     return float(4 ** f.n * np.mean(integrand))

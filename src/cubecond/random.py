@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .poly import SparsePolynomial, new_sparse, norm1
 from .poly import _build, _field, _is_int, _is_number, _is_object, _list_of, _read_json_object
@@ -73,6 +73,9 @@ def _gaussian_tail_constant(p: float) -> float:
     """Tail constant of the standard normal for exponent p (infinite for p > 2)."""
     if p > 2.0:
         return math.inf
+    # imported here, as scipy.special is most of the import time and memory of the package
+    from scipy.special import log_ndtr
+
     # ln(2 / P(|x| > t)) = -log(Phi(-t)) for the standard normal
     return _tail_constant_numeric(lambda t: -log_ndtr(-t), p, t_max=1e5)
 
@@ -364,6 +367,14 @@ def model_constants(model: RandomModel) -> ModelConstants:
     K = sum(abs_offsets) + model.support_size * model.scale * k_dist
     L = sum(abs_offsets) + model.support_size * model.scale * l_dist
     rho = model.dist.density_bound() / model.scale
+    # a law with a finite constant gives a finite K or L, and every law a rho in the
+    # normal floats, unless the model's sd or scale over- or underflows them
+    if math.isfinite(k_dist) and not math.isfinite(K):
+        raise ValueError(f"model constant K = {K} overflows")
+    if math.isfinite(l_dist) and not math.isfinite(L):
+        raise ValueError(f"model constant L = {L} overflows")
+    if not sys.float_info.min <= rho < math.inf:
+        raise ValueError(f"model constant rho = {rho!r} is not a positive normal float")
 
     floor_k = (model.n + 1) / 4.0
     if math.isfinite(K) and not K * rho > floor_k:

@@ -138,6 +138,27 @@ def test_pv_ends_flagged_within_the_box_budget_at_default_flags(tmp_path):
     assert counters["max_depth_reached"] < 30 and counters["processed"] <= MAX_BOXES
 
 
+def test_pv_never_imports_scipy_and_the_gaussian_constants_keep_their_bits():
+    # scipy.special is most of the package's import time and peak memory, and only the
+    # Gaussian tail constant needs it; the pinned K and rho are those of a module-level import
+    code = (
+        "import contextlib, io, sys\n"
+        "import cubecond.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['pv', 'demos/data/circle.json']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "from cubecond import random as models\n"
+        "c = models.model_constants(models.load_model('demos/data/gaussian_d5.json'))\n"
+        "assert (repr(c.K), repr(c.rho)) == ('4.242640681844891', '0.3989422804014327'), c\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    ))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_emit_writes_non_finite_floats_in_dicts_as_strings(capsys):
     _emit({"a": math.inf, "b": {"c": -math.inf, "d": {"e": math.nan}}, "f": [1.5]}, False)
     assert capsys.readouterr().out == (

@@ -190,6 +190,15 @@ def test_tail_experiment_checks_heavy_tails_against_the_p_bound():
     assert rep.passed
 
 
+def test_tail_experiment_refuses_overflowing_constants_before_the_first_draw(monkeypatch):
+    # with sd 1e10 at scale 1e300 every draw overflows norm1; the model constant is named first
+    m = models.RandomModel(n=1, support=SUP_D5, dist=models.Gaussian(0.0, 1e10), scale=1e300)
+    monkeypatch.setattr(models, "sample_batch", lambda *args: pytest.fail("drew a trial"))
+    cfg = exps.ExperimentConfig(kind="tail", model=m, trials=50, seed=1)
+    with pytest.raises(ValueError, match="^model constant K = inf overflows$"):
+        exps.run_experiment(cfg)
+
+
 def test_tail_experiment_bounds_do_not_depend_on_draws():
     m = gaussian_model()
     a = exps.run_tail_experiment(

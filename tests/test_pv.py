@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import helpers
-from cubecond import pv
+from cubecond import poly, pv
+from cubecond.condition import kappa_batch
 from cubecond.interval import BoxN
 from cubecond.poly import new_sparse
 from cubecond.pv import (
@@ -296,6 +297,25 @@ def test_verify_flushes_buffered_mixed_boxes(monkeypatch):
         assert verdict is False, index
 
 
+def test_verify_with_more_samples_than_a_chunk_holds(monkeypatch):
+    # a chunk then holds one box; every box draws into the one buffer of the call
+    library = _record_kernel_calls(monkeypatch, pv)
+    reference = _record_kernel_calls(monkeypatch, helpers)
+    samples = _VERIFY_CHUNK_POINTS + 1
+    for f in (X, LINE2):
+        report = pv_subdivide(f, 10)
+        assert _check_against_reference(f, report, samples, 11, library, reference) is True
+    # three boxes on the circle, the middle one widened to the whole cube
+    report = pv_subdivide(CIRCLE, 20)
+    for index in range(3):
+        midpoints, widths = report.final_midpoints[:3].copy(), report.final_widths[:3].copy()
+        midpoints[index], widths[index] = 0.0, 2.0
+        corrupted = dataclasses.replace(report, final_midpoints=midpoints, final_widths=widths,
+                                        final_codes=report.final_codes[:3])
+        verdict = _check_against_reference(CIRCLE, corrupted, samples, 11, library, reference)
+        assert verdict is False, index
+
+
 def _fan(rng, n, angles, radii):
     """Gradients at the given angles from a random unit vector a, in the plane of a
     and a random unit vector b orthogonal to it (b = 0 at n = 1), shape (s, n)."""
@@ -424,8 +444,6 @@ def test_amortization_linear_value():
 def test_amortization_matches_kappa_moment_form():
     # 4^n E[(d sqrt(2n) kappa)^n] equals 2^(5n/2) n^(n/2) d^n E[kappa^n]
     rng = np.random.default_rng(41)
-    from cubecond.condition import kappa_batch
-
     for _ in range(10):
         n = int(rng.integers(1, 3))
         f = random_poly(rng, n, 4, 5, include_simplex=True)
@@ -435,6 +453,18 @@ def test_amortization_matches_kappa_moment_form():
         moment = float(np.mean(kappa_batch(f, pts) ** n))
         closed = 2.0 ** (2.5 * n) * n ** (n / 2.0) * f.degree ** n * moment
         assert est == pytest.approx(closed, rel=1e-9)
+
+
+@pytest.mark.parametrize("f", [DOUBLE_ROOT, CIRCLE, SPHERE], ids=["n1", "n2", "n3"])
+def test_amortization_streams_the_bits_of_one_draw(f):
+    # the estimate runs block by block; it keeps the bits of one draw of all the points
+    block = poly._CHUNK_POINTS
+    scale = f.degree * math.sqrt(2 * f.n)
+    for n_samples in (1, block - 1, block, block + 1, 10 ** 5):
+        points = np.random.default_rng(n_samples).uniform(-1.0, 1.0, size=(n_samples, f.n))
+        with np.errstate(over="ignore"):
+            one_shot = float(4 ** f.n * np.mean((scale * kappa_batch(f, points)) ** f.n))
+        assert repr(amortization_bound(f, n_samples, n_samples)) == repr(one_shot), n_samples
 
 
 def test_amortization_diverges_for_singular_input():

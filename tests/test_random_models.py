@@ -311,6 +311,23 @@ def test_models_refuse_non_finite_or_non_integer_fields(build, message):
         build()
 
 
+# a finite law whose sd or scale overflows K or L, or leaves rho below the normal floats
+OVERFLOWING_MODELS = {
+    "K-sd": (models.RandomModel(n=1, support=SUP_D5, dist=models.Gaussian(0.0, 1e308)), "K"),
+    "K-scale": (models.RandomModel(n=1, support=SUP_D5, dist=models.Gaussian(0.0, 1e10),
+                                   scale=1e300), "K"),
+    "L-weibull": (models.RandomModel(n=1, support=SUP_D5, p=1.0,
+                                     dist=models.WeibullSymmetric(p=1.0, scale=1e308)), "L"),
+    "rho-subnormal": (models.RandomModel(n=1, support=SUP_D5, dist=UNIF, scale=3e307), "rho"),
+}
+
+
+@pytest.mark.parametrize("model, field", OVERFLOWING_MODELS.values(), ids=OVERFLOWING_MODELS)
+def test_model_constants_refuse_overflow_and_underflow(model, field):
+    with pytest.raises(ValueError, match=f"^model constant {field} = "):
+        models.model_constants(model)
+
+
 def test_smoothed_model_constants_and_draws():
     base = gaussian_model()
     f0 = new_sparse(1, [((0,), 1.0), ((1,), -2.0)])
