@@ -305,7 +305,7 @@ def test_verify_with_more_samples_than_a_chunk_holds(monkeypatch):
     for f in (X, LINE2):
         report = pv_subdivide(f, 10)
         assert _check_against_reference(f, report, samples, 11, library, reference) is True
-    # three boxes on the circle, the middle one widened to the whole cube
+    # three boxes on the circle, each in turn widened to the whole cube
     report = pv_subdivide(CIRCLE, 20)
     for index in range(3):
         midpoints, widths = report.final_midpoints[:3].copy(), report.final_widths[:3].copy()
