@@ -298,10 +298,13 @@ def test_verify_flushes_buffered_mixed_boxes(monkeypatch):
 
 
 def test_verify_with_more_samples_than_a_chunk_holds(monkeypatch):
-    # a chunk then holds one box; every box draws into the one buffer of the call
+    # a chunk then holds one box; every box draws into the one buffer of the call.  A
+    # small chunk keeps the Gram matrices of the uncertified boxes small
+    for module in (pv, helpers):
+        monkeypatch.setattr(module, "_VERIFY_CHUNK_POINTS", 64)
     library = _record_kernel_calls(monkeypatch, pv)
     reference = _record_kernel_calls(monkeypatch, helpers)
-    samples = _VERIFY_CHUNK_POINTS + 1
+    samples = 65
     for f in (X, LINE2):
         report = pv_subdivide(f, 10)
         assert _check_against_reference(f, report, samples, 11, library, reference) is True
