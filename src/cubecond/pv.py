@@ -39,6 +39,7 @@ __all__ = [
 
 MAX_BOXES = 2 ** 20  # processed boxes per subdivision; bounds its time and memory
 _VERIFY_CHUNK_POINTS = 2 ** 14  # sample points per kernel call in verify_output_boxes
+_GRAM_BLOCK_ENTRIES = 2 ** 16  # Gram matrix entries per block of the verifier's gradient check
 _CLAUSE_NAMES = (None, "value", "gradient")  # indexed by clause codes
 
 
@@ -249,9 +250,14 @@ def _gradient_cone(grads: np.ndarray) -> np.ndarray:
 def _gradients_agree(grads: np.ndarray) -> bool:
     """Whether every pair of sampled gradients in each box of ``grads`` (M, s, n)
     has a positive dot product: the cone certificate decides the easy boxes and
-    the Gram matrix the others."""
+    the Gram matrix the others, a block of its rows at a time."""
     uncertified = grads[~_gradient_cone(grads)]
-    return all(np.min(box_grads @ box_grads.T) > 0.0 for box_grads in uncertified)
+    rows = max(1, _GRAM_BLOCK_ENTRIES // grads.shape[1])
+    return all(
+        np.min(box_grads[lo:lo + rows] @ box_grads.T) > 0.0
+        for box_grads in uncertified
+        for lo in range(0, len(box_grads), rows)
+    )
 
 
 def amortization_bound(f: SparsePolynomial, n_samples: int, seed: int = 0) -> float:

@@ -68,16 +68,44 @@ def _tail_constant_numeric(log2_over_survival, p: float, t_max: float) -> float:
     return float(np.max(g))
 
 
+_ISPI = 0.56418958354775628694807945156  # 1 / sqrt(pi)
+
+
+def _normal_log_survival(t: float) -> float:
+    """-log P(X > t) for a standard normal X, by the steps of scipy's log_ndtr(-t).
+
+    With u = t / sqrt(2), P(X > t) = erfc(u) / 2 = erfcx(u) exp(-u^2) / 2.  Below
+    u = 26, erfc(u) is a normal float and its log is used directly.  Above,
+    erfcx(u) is the continued fraction of Abramowitz & Stegun 7.1.14, evaluated
+    backward to 40 terms up to u = 50 and past it in the five-term closed form of
+    Johnson's Faddeeva package, operation for operation, which is scipy's erfcx
+    there; so from u = 50 on the result has scipy's bits, and elsewhere it is
+    within 2 ulps of them.
+    """
+    u = t * 0.7071067811865476
+    if u < 26.0:
+        return -math.log(math.erfc(u) / 2)
+    if u <= 50.0:
+        fraction = u
+        for k in range(40, 0, -1):
+            fraction = u + 0.5 * k / fraction
+        erfcx = _ISPI / fraction
+    elif u > 5e7:
+        erfcx = _ISPI / u
+    else:
+        erfcx = _ISPI * ((u * u) * (u * u + 4.5) + 2) / (u * ((u * u) * (u * u + 5) + 3.75))
+    return -(math.log(erfcx / 2) - u * u)
+
+
 @functools.lru_cache(maxsize=None)
 def _gaussian_tail_constant(p: float) -> float:
     """Tail constant of the standard normal for exponent p (infinite for p > 2)."""
     if p > 2.0:
         return math.inf
-    # imported here, as scipy.special is most of the import time and memory of the package
-    from scipy.special import log_ndtr
-
-    # ln(2 / P(|x| > t)) = -log(Phi(-t)) for the standard normal
-    return _tail_constant_numeric(lambda t: -log_ndtr(-t), p, t_max=1e5)
+    # ln(2 / P(|x| > t)) = -log P(X > t) for the standard normal
+    return _tail_constant_numeric(
+        lambda t: np.array([_normal_log_survival(x) for x in t.tolist()]), p, t_max=1e5
+    )
 
 
 @functools.lru_cache(maxsize=None)

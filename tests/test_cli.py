@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -138,19 +139,28 @@ def test_pv_ends_flagged_within_the_box_budget_at_default_flags(tmp_path):
     assert counters["max_depth_reached"] < 30 and counters["processed"] <= MAX_BOXES
 
 
-def test_pv_never_imports_scipy_and_the_gaussian_constants_keep_their_bits():
-    # scipy.special is most of the package's import time and peak memory, and only the
-    # Gaussian tail constant needs it; the pinned K and rho are those of a module-level import
-    code = (
-        "import contextlib, io, sys\n"
-        "import cubecond.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(['pv', 'demos/data/circle.json']) == 0\n"
-        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
-        "from cubecond import random as models\n"
-        "c = models.model_constants(models.load_model('demos/data/gaussian_d5.json'))\n"
-        "assert (repr(c.K), repr(c.rho)) == ('4.242640681844891', '0.3989422804014327'), c\n"
-    )
+def test_no_subcommand_or_experiment_imports_scipy_and_the_gaussian_constants_keep_their_bits():
+    # scipy.special is most of the import time and peak memory a process would pay, and
+    # the Gaussian tail constant no longer needs it: every subcommand and experiment kind
+    # runs on a Gaussian model without it, and K and rho keep the bits of scipy's log_ndtr
+    code = textwrap.dedent("""\
+        import contextlib, io, sys, tempfile
+        import cubecond.cli as cli
+        from cubecond import experiments as exps, random as models
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            for argv in (['pv', 'demos/data/circle.json'],
+                         ['sample', 'demos/data/gaussian_d5.json', '--seed', '1'],
+                         ['experiment', 'demos/data/tail_experiment.json', '--out', out],
+                         ['isolate', 'demos/data/quad.json', '--oracle'],
+                         ['condition', 'demos/data/quad.json', '--global']):
+                assert cli.main(argv) == 0, argv
+        model = models.load_model('demos/data/gaussian_d5.json')
+        for kind in ('tail', 'pv', 'descartes', 'separation'):
+            exps.run_experiment(exps.ExperimentConfig(kind=kind, model=model, trials=3, seed=1))
+        assert 'scipy' not in sys.modules, 'scipy was imported'
+        c = models.model_constants(model)
+        assert (repr(c.K), repr(c.rho)) == ('4.242640681844891', '0.3989422804014327'), c
+    """)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     ))

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -366,7 +367,7 @@ def _gram_check(grads):
         return bool(np.min(grads @ grads.T) > 0.0)
 
 
-@pytest.mark.parametrize("s", [2, 128])
+@pytest.mark.parametrize("s", [2, 128, 1000])  # 1000 samples take 16 Gram blocks
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gradient_cone_agrees_with_the_gram_check(n, s):
     cases = _gradient_cases(np.random.default_rng(10 * n + s), n, s)
@@ -382,6 +383,24 @@ def test_gradient_cone_agrees_with_the_gram_check(n, s):
         assert pv._gradients_agree(stacked) is False
         easy = stacked[[certified for _, certified in cases]]
         assert pv._gradients_agree(easy) is True
+
+
+def test_gram_check_memory_does_not_grow_with_the_square_of_the_samples():
+    # one uncertified box of 2^14 + 1 gradients: its full Gram matrix would take 2.1 GB
+    s = 2 ** 14 + 1
+    rng = np.random.default_rng(23)
+    wide = _fan(rng, 2, np.linspace(-0.7, 0.7, s), rng.uniform(1.0, 2.0, s))
+    reversed_last = wide.copy()
+    reversed_last[-1] *= -1.0
+    for grads, agree in ((wide, True), (reversed_last, False)):
+        assert not pv._gradient_cone(grads[None])[0]
+        tracemalloc.start()
+        try:
+            assert pv._gradients_agree(grads[None]) is agree
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * s * s // 1000, peak
 
 
 def test_gradient_cone_certifies_only_what_the_gram_check_passes():

@@ -210,6 +210,63 @@ def test_gaussian_tail_constant_is_sqrt2():
     assert math.isinf(GAUSS.tail_constant(3.0))
 
 
+def _scipy_log_survival(t):
+    # scipy is a test dependency only, the oracle of the package's own log-survival
+    from scipy.special import log_ndtr
+
+    return -log_ndtr(-t)
+
+
+def _within_two_ulps(ours, reference):
+    """Whether ours is within 2 ulps of reference, an ulp taken as 2^-52 |reference|."""
+    return np.all(np.abs(ours - reference) <= 2.0 ** -51 * np.abs(reference))
+
+
+def test_normal_log_survival_has_the_bits_of_scipys_log_ndtr():
+    # on the grid of the tail constant: scipy's bits wherever t / sqrt(2) > 50, where both
+    # run Faddeeva's closed continued fraction, and at most 2 ulps from them elsewhere
+    t = np.geomspace(1e-4, 1e5, 4096)
+    ours = np.array([models._normal_log_survival(x) for x in t.tolist()])
+    reference = _scipy_log_survival(t)
+    far = t * 0.7071067811865476 > 50.0
+    assert np.count_nonzero(far) == 1434
+    assert np.array_equal(ours[far], reference[far])
+    assert _within_two_ulps(ours, reference)
+    assert np.all(np.diff(ours) >= 0.0)
+    # and off the grid, past u = 50 to t = 1e12, across the edge at u = 5e7
+    t = np.geomspace(50.0 / 0.7071067811865476, 1e12, 20011)[1:]
+    ours = np.array([models._normal_log_survival(x) for x in t.tolist()])
+    assert np.array_equal(ours, _scipy_log_survival(t))
+
+
+@pytest.mark.parametrize("edge", [1.0, 26.0 / 0.7071067811865476, 50.0 / 0.7071067811865476,
+                                  5e7 / 0.7071067811865476])
+def test_normal_log_survival_is_nondecreasing_across_the_branch_edges(edge):
+    # the edges u = t / sqrt(2) = 26, 50 and 5e7, and scipy's edge at t = 1, which the log
+    # of erfc(u) below u = 26 does not have: 400 consecutive floats and a wider sweep
+    below, above = [edge], [edge]
+    for _ in range(200):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    ts = below[::-1] + above[1:] + np.geomspace(edge / 2, edge * 2, 1001).tolist()
+    for sweep in (ts[:401], ts[401:]):
+        values = [models._normal_log_survival(x) for x in sweep]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def test_gaussian_tail_constant_is_the_scipy_computed_sup():
+    # bit-equal at p = 2, whose sup is attained at the grid's last point t = 1e5; for p < 2
+    # the sup lies at t of about 1 to 3, where math.erfc may differ from scipy's by an ulp
+    def sup(p):
+        return models._tail_constant_numeric(_scipy_log_survival, p, t_max=1e5)
+
+    assert models._gaussian_tail_constant(2.0) == sup(2.0)
+    assert repr(models._gaussian_tail_constant(2.0)) == "1.414213560614964"
+    ps = np.linspace(1.0, 2.0, 201).tolist()
+    ours = np.array([models._gaussian_tail_constant.__wrapped__(p) for p in ps])
+    assert _within_two_ulps(ours, np.array([sup(p) for p in ps]))
+
+
 def test_uniform_model_constants_match_example():
     c = models.model_constants(uniform_model())
     assert c.K == 3.0
