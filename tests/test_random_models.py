@@ -261,7 +261,6 @@ def test_gaussian_tail_constant_is_the_scipy_computed_sup():
         return models._tail_constant_numeric(_scipy_log_survival, p, t_max=1e5)
 
     assert models._gaussian_tail_constant(2.0) == sup(2.0)
-    assert repr(models._gaussian_tail_constant(2.0)) == "1.414213560614964"
     ps = np.linspace(1.0, 2.0, 201).tolist()
     ours = np.array([models._gaussian_tail_constant.__wrapped__(p) for p in ps])
     assert _within_two_ulps(ours, np.array([sup(p) for p in ps]))
