@@ -30,7 +30,6 @@ from .poly import (
     _kernel,
     _kernel_sums,
     _monomial_matrix,
-    _sum_last,
     norm1,
     to_dense,
     value_and_gradient_batch,
@@ -119,17 +118,17 @@ def _kappa_rows(support, C: np.ndarray, x) -> np.ndarray:
     terms, rows, nf, degrees = _batch(support, C)
     row = int(np.argmin((nf > 0.0) & (nf < math.inf)))  # the first refused row, if any
     _check_nonzero(float(nf[row]), f" (row {row})")
-    x, T = np.asarray(x, dtype=np.float64), len(C)
+    x = np.asarray(x, dtype=np.float64)
     # x once per polynomial, each copy reading its own column of the rows
-    sums = _kernel_sums(terms, rows, terms.ends, np.broadcast_to(x, (T, x.size)), np.arange(T))
+    sums = _kernel_sums(terms, rows, terms.ends, np.broadcast_to(x, (len(C), x.size)), None)
     return _kappa_sums(nf, sums, degrees)
 
 
 def _kappa_sums(nf, sums: np.ndarray, degrees) -> np.ndarray:
-    """kappa from the kernel sums (N, n + 1) of f and its partials, given norm1 and degree;
-    ``sums`` is overwritten with its magnitudes."""
+    """kappa from the column-major kernel sums (N, n + 1) of f and its partials, given
+    norm1 and degree; ``sums`` is overwritten with its magnitudes."""
     magnitudes = np.abs(sums, out=sums)
-    return _kappas(nf, np.maximum(magnitudes[:, 0], _sum_last(magnitudes[:, 1:]) / degrees))
+    return _kappas(nf, np.maximum(magnitudes[:, 0], magnitudes[:, 1:].sum(axis=1) / degrees))
 
 
 def _kappas(nf, denom: np.ndarray) -> np.ndarray:

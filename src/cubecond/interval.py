@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import SparsePolynomial, _sum_last, evaluate, gradient, norm1
+from .poly import SparsePolynomial, evaluate, gradient, norm1
 
 __all__ = [
     "Interval",
@@ -102,14 +102,15 @@ def interval_grad_norm(f: SparsePolynomial, box: BoxN) -> Interval:
 
 
 def _clause_codes(sums: np.ndarray, value_radii, grad_radii) -> np.ndarray:
-    """The exclusion clause of each box, one code per row of the kernel sums (N, n + 1)
-    of f and its partial derivatives at the box midpoints, given ``_exclusion_radii``
-    of each box (or of all): 1 ("value") when |f(m)| exceeds the value radius, 2
-    ("gradient") when norm1(d_m f) exceeds the gradient radius, 0 when neither strict
-    inequality holds.  This is the one place the exclusion comparison is made."""
-    # |partials| column by column (order "F"), which _sum_last then reads contiguously
-    grads_pass = _sum_last(np.abs(sums[:, 1:], order="F")) > grad_radii
-    return np.where(np.abs(sums[:, 0]) > value_radii, 1, 2 * grads_pass)
+    """The exclusion clause of each box, one code per row of the column-major kernel
+    sums (N, n + 1) of f and its partial derivatives at the box midpoints, given
+    ``_exclusion_radii`` of each box (or of all): 1 ("value") when |f(m)| exceeds the
+    value radius, 2 ("gradient") when norm1(d_m f) exceeds the gradient radius, 0 when
+    neither strict inequality holds; ``sums`` is overwritten with its magnitudes.  This
+    is the one place the exclusion comparison is made."""
+    magnitudes = np.abs(sums, out=sums)
+    grads_pass = magnitudes[:, 1:].sum(axis=1) > grad_radii
+    return np.where(magnitudes[:, 0] > value_radii, 1, 2 * grads_pass)
 
 
 def split_boxes(midpoints: np.ndarray, width: float) -> np.ndarray:

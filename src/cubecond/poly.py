@@ -250,37 +250,32 @@ def _kernel_sums(terms: _KernelTerms, coefficients, ends, X: np.ndarray, owner) 
     """Sums of the term blocks bounded by ``ends`` at each row of X (N, n), shape
     (N, len(ends) - 1); the kernel rows from ends[0] on take their coefficients
     from the rows of ``coefficients`` (R, T), one column per polynomial.  Point j
-    reads column ``owner[j]`` of an (N,) array ``owner``; an integer ``owner``
-    names the column of every point, whose entries are then taken as floats.
+    reads column ``owner[j]`` of an (N,) array ``owner``, or column j when ``owner``
+    is None; an integer ``owner`` names the column of every point, whose entries
+    are then taken as floats.
 
-    A point's result is the same bits whatever N, the chunk or the other points
-    are; a one-point call with an integer ``owner`` runs on Python floats.
+    The sums are column-major, each block one contiguous column, so numpy reduces
+    across the blocks of a row as a left fold onto +0.  A point's result is the
+    same bits whatever N, the chunk or the other points are; a one-point call with
+    an integer ``owner`` runs on Python floats.
     """
-    per_point = isinstance(owner, np.ndarray)
+    per_point = owner is None or isinstance(owner, np.ndarray)
     if not per_point:  # one column for every point
         coefficients = coefficients[:, owner].tolist()
         if len(X) == 1:
             return np.array([_block_sums(terms, coefficients, ends, X[0].tolist())])
-    out = np.empty((len(X), len(ends) - 1))
+    out = np.empty((len(ends) - 1, len(X)))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(X), _CHUNK_POINTS):
             chunk = slice(lo, lo + _CHUNK_POINTS)
-            # a gathered row is made as the walk reads it, which bounds the memory
-            rows = map(np.take, coefficients, repeat(owner[chunk])) if per_point else coefficients
+            rows = coefficients
+            if owner is None:  # point j reads column j: the chunk's columns, as they are
+                rows = coefficients[:, chunk]
+            elif per_point:  # a gathered row is made as the walk reads it, which bounds the memory
+                rows = map(np.take, coefficients, repeat(owner[chunk]))
             for j, total in enumerate(_block_sums(terms, rows, ends, X[chunk].T)):
-                out[chunk, j] = total
-    return out
-
-
-def _sum_last(A: np.ndarray) -> np.ndarray:
-    """``A.sum(axis=-1)`` of a float64 array, with its bits: below 8 entries numpy folds the
-    last axis left to right onto +0, here by whole columns; from 8 on it sums pairwise."""
-    if A.shape[-1] >= 8:
-        return A.sum(axis=-1)
-    out = np.zeros(A.shape[:-1])
-    for j in range(A.shape[-1]):
-        out += A[..., j]
-    return out
+                out[j, chunk] = total
+    return out.T
 
 
 def _monomial_matrix(f: SparsePolynomial, x) -> np.ndarray:
@@ -309,7 +304,7 @@ def evaluate(f: SparsePolynomial, x) -> float:
 
 
 def gradient_batch(f: SparsePolynomial, points) -> np.ndarray:
-    """Row-wise gradient covectors; returns shape (N, n).
+    """Row-wise gradient covectors; returns shape (N, n), column-major.
 
     The term alpha contributes alpha_i * c * x^(alpha - e_i) to entry i and
     nothing when alpha_i = 0 (no 0 * x^-1 artefacts at x_i = 0).
@@ -318,7 +313,8 @@ def gradient_batch(f: SparsePolynomial, points) -> np.ndarray:
 
 
 def value_and_gradient_batch(f: SparsePolynomial, points) -> tuple[np.ndarray, np.ndarray]:
-    """``evaluate_batch`` and ``gradient_batch`` at the same points from one power table."""
+    """``evaluate_batch`` and ``gradient_batch`` at the same points from one power table;
+    the gradients are column-major, as ``gradient_batch``'s."""
     out = _kernel(f, points, 0, f.n + 1)
     return out[:, 0], out[:, 1:]
 

@@ -25,7 +25,6 @@ from .poly import (
     _batch,
     _is_int,
     _kernel_sums,
-    _sum_last,
     evaluate_batch,
     gradient_batch,
 )
@@ -218,8 +217,9 @@ def verify_output_boxes(
         if mixed_boxes >= chunk or start + chunk >= report.final_count:
             if mixed_boxes:
                 buffered = np.concatenate(mixed)
-                grads = gradient_batch(f, buffered.reshape(-1, f.n)).reshape(buffered.shape)
-                if not _gradients_agree(grads):
+                grads = gradient_batch(f, buffered.reshape(-1, f.n)).T  # (n, M s), C-ordered
+                # the (M, s, n) boxes as a view, whose coordinate axis is outermost in memory
+                if not _gradients_agree(grads.reshape(f.n, *buffered.shape[:2]).transpose(1, 2, 0)):
                     return False
             mixed, mixed_boxes = [], 0
     return True
@@ -240,8 +240,8 @@ def _gradient_cone(grads: np.ndarray) -> np.ndarray:
     zero, tiny and huge gradients fail a comparison and go to the Gram check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        dots = _sum_last(grads * grads[:, :1])
-        squares = _sum_last(grads * grads)
+        dots = (grads * grads[:, :1]).sum(axis=-1)
+        squares = (grads * grads).sum(axis=-1)
         inside = (dots > 0.0) & (dots * dots >= 0.5625 * squares * squares[:, :1])
     in_range = (squares >= 2.0 ** -500) & (squares <= 2.0 ** 500)
     return (inside & in_range).all(axis=1)
@@ -250,8 +250,8 @@ def _gradient_cone(grads: np.ndarray) -> np.ndarray:
 def _gradients_agree(grads: np.ndarray) -> bool:
     """Whether every pair of sampled gradients in each box of ``grads`` (M, s, n)
     has a positive dot product: the cone certificate decides the easy boxes and
-    the Gram matrix the others, a block of its rows at a time."""
-    uncertified = grads[~_gradient_cone(grads)]
+    the Gram matrix the others, a block of its rows at a time, on C-ordered copies."""
+    uncertified = grads.compress(~_gradient_cone(grads), axis=0)
     rows = max(1, _GRAM_BLOCK_ENTRIES // grads.shape[1])
     return all(
         np.min(box_grads[lo:lo + rows] @ box_grads.T) > 0.0

@@ -115,7 +115,9 @@ def _weibull_tail_constant(shape: float, p: float) -> float:
         return math.inf
     if p == shape:
         return 1.0
-    return _tail_constant_numeric(lambda t: math.log(2.0) + t ** shape, p, t_max=1e6)
+    # the sup of t / (ln 2 + t^shape)^(1/p) is where p (ln 2 + t^shape) = shape t^shape
+    peak = p * math.log(2.0) / (shape - p)  # t^shape there
+    return peak ** (1.0 / shape) / (shape * math.log(2.0) / (shape - p)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ import inspect
 import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import cubecond
+from cubecond import poly
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(cubecond.__path__))
 
@@ -116,10 +118,12 @@ def test_streams_and_exact_gamma_take_what_numpy_and_poly_produce():
     assert _named(package / "condition.py", {"new_sparse", "partial_derivative"}) == []
 
 
-def test_hot_paths_sum_the_coordinates_by_columns():
-    # numpy reduces over an axis of length n = 2 or 3 several times slower than it adds
-    # whole columns, so these sum the coordinates through poly._sum_last
+def test_hot_paths_sum_the_coordinates_in_place():
+    # the kernel returns its sums column-major, on which numpy sums the coordinates of a
+    # row as a left fold by whole columns; so the hot paths reduce with numpy's own axis
+    # sums and copy no array into another layout
     hot = {"_clause_codes", "kappa_batch", "_kappa_rows", "_kappa_sums", "_gradient_cone"}
+    copies = {"asfortranarray", "ascontiguousarray"}
     seen, found = set(), []
     for path in sorted(pathlib.Path(cubecond.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -129,8 +133,17 @@ def test_hot_paths_sum_the_coordinates_by_columns():
                     f"{path.name}:{call.lineno}:{node.name}"
                     for call in ast.walk(node)
                     if isinstance(call, ast.Call)
-                    and getattr(call.func, "attr", getattr(call.func, "id", None)) == "sum"
-                    and (call.args or any(kw.arg == "axis" for kw in call.keywords))
+                    and (getattr(call.func, "attr", getattr(call.func, "id", None)) in copies
+                         or any(kw.arg == "order" for kw in call.keywords))
                 ]
     assert seen == hot
     assert found == []
+    f = poly.new_sparse(2, [((0, 0), 1.0), ((2, 1), -2.0), ((0, 3), 0.5)])
+    terms, rows = f._batch[:2]
+    X = np.array([[0.5, -0.25], [0.0, 1.0], [-1.0, 0.75]])
+    for owner in (0, np.zeros(len(X), dtype=np.int64), None):
+        C = rows if owner is not None else rows.repeat(len(X), axis=1)  # None: point j, column j
+        sums = poly._kernel_sums(terms, C, terms.ends, X, owner)
+        assert sums.shape == (len(X), f.n + 1) and sums.flags.f_contiguous
+        for x, row in zip(X, sums):  # the bits of a one-point call
+            assert row.tobytes() == np.append(*poly.value_and_gradient_batch(f, x)).tobytes()

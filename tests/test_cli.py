@@ -271,6 +271,14 @@ def test_isolate_oracle_rejects_non_finite_eps(tmp_path, capsys, eps, flags):
     assert run.err.splitlines() == [f"error: eps must be positive and finite, got {eps}"]
 
 
+def test_isolate_reports_no_eps_bound_past_its_hypothesis(capsys):
+    # eps = 0.5 is past 1 / (e d kappa_upper), where the eps-separation bound is not proved
+    code, out = run(capsys, ["isolate", str(ROOT / "demos" / "data" / "quad.json"), "--eps", "0.5"])
+    assert code == 0 and run.err == ""
+    assert out["bounds"]["eps_separation_lower"] is None
+    assert out["bounds"]["separation_lower"] > 0.0
+
+
 def test_isolate_oracle_failure_exit_code(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise OracleFailedError("oracle failed: root iteration did not converge")
@@ -301,6 +309,13 @@ def test_sample_stdout_on_the_demo_model_keeps_its_bytes(capsys, seed, digest):
     model = str(ROOT / "demos" / "data" / "gaussian_d5.json")
     assert main(["sample", model, "--seed", str(seed)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
+def test_sample_refuses_a_non_integer_env_seed(capsys, monkeypatch):
+    monkeypatch.setenv("CUBECOND_SEED", "abc")
+    code, out = run(capsys, ["sample", str(ROOT / "demos" / "data" / "gaussian_d5.json")])
+    assert (code, out) == (1, None)
+    assert run.err.splitlines() == ["error: CUBECOND_SEED must be an integer, got 'abc'"]
 
 
 def test_sample_refuses_a_uniform_model_whose_range_overflows(tmp_path, capsys):

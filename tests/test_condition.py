@@ -499,6 +499,8 @@ def test_gamma_exact_examples():
     assert gamma_exact_univariate(new_sparse(1, [((1,), 1.0), ((2,), 0.0)]), 0.3) == 0.0
     with pytest.raises(ValueError):
         gamma_exact_univariate(new_sparse(1, [((2,), 1.0)]), 0.0)  # f'(0) = 0
+    with pytest.raises(ValueError, match="univariate polynomials only$"):
+        gamma_exact_univariate(new_sparse(2, [((1, 0), 1.0)]), 0.3)
 
 
 def test_gamma_exact_is_scale_invariant_where_the_taylor_coefficients_overflow():

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import tracemalloc
 
@@ -87,6 +88,7 @@ D65_MODEL = {"n": 1, "support": [[0], [1], [65]], "dist": {"kind": "gaussian"}}
         ({"trials": 0}, "experiment config: field 'trials' must be an integer >= 1, got 0"),
         ({"workers": 1.5}, "'workers'"),
         ({"workers": 0}, "experiment config: field 'workers' must be an integer >= 1, got 0"),
+        ({"experiment": "bogus"}, "experiment config: unknown experiment kind 'bogus'"),
     ],
 )
 def test_config_loader_names_offending_field(fields, needle):
@@ -382,7 +384,7 @@ def test_csv_bytes_match_golden(tmp_path, golden):
     rep = exps.run_experiment(exps.ExperimentConfig(**GOLDEN_CONFIGS[golden]))
     out = tmp_path / "report.csv"
     exps.emit_csv(rep, out)
-    assert out.read_bytes() == open(os.path.join(GOLDEN, f"{golden}.csv"), "rb").read()
+    assert out.read_bytes() == pathlib.Path(GOLDEN, f"{golden}.csv").read_bytes()
     # the flag is not in the CSV: only the two runs with too many excluded trials carry
     # it, and a flagged run does not pass even when its checks hold
     flagged = golden in ("pv_flagged_seed5", "descartes_incomplete_seed6")
@@ -409,7 +411,7 @@ def test_tail_csv_bytes_match_golden_at_two_workers(tmp_path, golden):
     rep = exps.run_experiment(exps.ExperimentConfig(**GOLDEN_CONFIGS[golden], workers=2))
     out = tmp_path / "report.csv"
     exps.emit_csv(rep, out)
-    assert out.read_bytes() == open(os.path.join(GOLDEN, f"{golden}.csv"), "rb").read()
+    assert out.read_bytes() == pathlib.Path(GOLDEN, f"{golden}.csv").read_bytes()
 
 
 MULTI_WORKER_CONFIGS = {
@@ -493,7 +495,7 @@ def test_pv_csv_bytes_match_golden_at_two_workers(tmp_path, golden):
     rep = exps.run_experiment(exps.ExperimentConfig(**GOLDEN_CONFIGS[golden], workers=2))
     out = tmp_path / "report.csv"
     exps.emit_csv(rep, out)
-    assert out.read_bytes() == open(os.path.join(GOLDEN, f"{golden}.csv"), "rb").read()
+    assert out.read_bytes() == pathlib.Path(GOLDEN, f"{golden}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("size", [3, 7, 11])
@@ -503,7 +505,7 @@ def test_pv_csv_bytes_do_not_depend_on_the_chunk_size(monkeypatch, tmp_path, siz
     for golden in (name for name in GOLDEN_CONFIGS if name.startswith("pv")):
         out = tmp_path / f"{golden}.csv"
         exps.emit_csv(exps.run_experiment(exps.ExperimentConfig(**GOLDEN_CONFIGS[golden])), out)
-        assert out.read_bytes() == open(os.path.join(GOLDEN, f"{golden}.csv"), "rb").read()
+        assert out.read_bytes() == pathlib.Path(GOLDEN, f"{golden}.csv").read_bytes()
 
 
 WALK_MODELS = {
@@ -632,7 +634,7 @@ def test_svg_bytes_match_golden(tmp_path):
     report = pv_subdivide(circle, 8)
     out = tmp_path / "boxes.svg"
     exps.emit_svg(report, out)
-    golden = open(os.path.join(GOLDEN, "circle_pv.svg"), "rb").read()
+    golden = pathlib.Path(GOLDEN, "circle_pv.svg").read_bytes()
     assert out.read_bytes() == golden
     with pytest.raises(ValueError):
         exps.emit_svg(pv_subdivide(new_sparse(1, [((1,), 1.0)]), 5), tmp_path / "bad.svg")

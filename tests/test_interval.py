@@ -6,6 +6,7 @@ import pytest
 
 from cubecond.interval import (
     BoxN,
+    Interval,
     _clause_codes,
     _exclusion_radii,
     interval_f,
@@ -39,6 +40,11 @@ def random_box(rng, n):
 def test_box_width_must_be_positive_and_finite(width):
     with pytest.raises(ValueError, match=f"box width must be positive and finite, got {width}$"):
         BoxN((0.0,), width)
+
+
+def test_interval_must_not_be_empty():
+    with pytest.raises(ValueError, match=r"empty interval \[1.0, 0.0\]$"):
+        Interval(1.0, 0.0)
 
 
 def test_interval_f_examples():

@@ -70,6 +70,8 @@ def test_new_sparse_zero_polynomial_degree_clamp():
 
 
 def test_new_sparse_rejects_bad_exponents():
+    with pytest.raises(ValueError, match="n must be >= 1, got 0$"):
+        new_sparse(0, [])
     with pytest.raises(ValueError):
         new_sparse(2, [((0,), 1.0)])
     with pytest.raises(ValueError):
@@ -449,24 +451,35 @@ SUM_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 1.0, -3.5, 1e3
 
 
 @pytest.mark.parametrize("width", range(13))
-def test_sum_last_has_the_bits_of_numpy_sum(width):
-    # below 8 entries a left fold of columns onto +0, from 8 numpy's pairwise sum: a fold
-    # from the right, a fold from the first column (a row of -0 would sum to -0) or a
-    # fold at 8 entries and more fails here.  Which NaN a sum of NaNs of both signs
-    # returns is left open by IEEE 754, and numpy's one-element loop picks another one
-    # than its vector loop, so every NaN compares as one bit pattern
+def test_column_major_sums_fold_left_onto_zero(width):
+    # the kernel sums are column-major, and the hot paths sum their coordinates with
+    # numpy's own axis sum: on that layout it folds the columns left to right onto +0,
+    # at every width.  A fold from the right, a fold from the first column (a row of -0
+    # would sum to -0) or a row-major array's pairwise sum from 8 entries on fails here.
+    # Which NaN a sum of NaNs of both signs returns is left open by IEEE 754, so every
+    # NaN compares as one bit pattern
     def bits(x):
         return np.where(np.isnan(x), math.nan, x).view(np.int64)
+
+    def fold(A):
+        out = np.zeros(A.shape[:-1])
+        for j in range(A.shape[-1]):
+            out += A[..., j]
+        return out
 
     rng = np.random.default_rng(width)
     with np.errstate(all="ignore"):
         for count in (0, 1, 2, 7, 4097):
-            for shape in ((count, width), (count, 3, width)):
-                wide = rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 60, shape)
-                special = rng.choice(SUM_ENTRIES, shape)
-                strided = np.concatenate([special, wide], axis=-1)[..., 1:width + 1]
-                for A in (wide, special, strided):
-                    assert np.array_equal(bits(poly._sum_last(A)), bits(A.sum(axis=-1)))
+            wide = rng.standard_normal((3 * count, width)) * 2.0 ** rng.integers(-60, 60, (3 * count, width))
+            special = rng.choice(SUM_ENTRIES, (3 * count, width))
+            strided = np.asfortranarray(np.concatenate([special, wide], axis=1))[:, 1:width + 1]
+            for A in (np.asfortranarray(wide), np.asfortranarray(special), strided):
+                assert np.array_equal(bits(A.sum(axis=1)), bits(fold(A)))
+                # pv's (M, s, n) view of column-major gradients, coordinate axis outermost
+                boxes = A.T.reshape(width, count, 3).transpose(1, 2, 0)
+                assert np.array_equal(bits(boxes.sum(axis=-1)), bits(fold(boxes)))
+            if width >= 8 and count == 4097:  # a row-major sum is pairwise there
+                assert not np.array_equal(bits(wide.sum(axis=1)), bits(fold(wide)))
 
 
 def test_horner_matches_polyval_bit_for_bit():
@@ -537,6 +550,7 @@ def test_json_round_trip(tmp_path):
         ({"n": 1, "terms": [{"alpha": [1], "c": 1.0}], "extra": 1}, "unknown field 'extra'"),
         ({"n": 1, "terms": [{"alpha": [1], "c": 1.0, "typo": 3}]},
          "terms[0]: unknown field 'typo'"),
+        (io.StringIO('[{"n": 1, "terms": []}]'), "polynomial file: top-level value must be an object"),
     ],
 )
 def test_loader_names_offending_field(payload, needle):

@@ -321,6 +321,20 @@ def test_weibull_constants_and_sampling():
         models.WeibullSymmetric(p=0.5)
 
 
+@pytest.mark.parametrize("shape, p", [(1.2, 1.1), (1.5, 1.0), (2.0, 1.0), (3.0, 2.5), (10.0, 1.0)])
+def test_weibull_tail_constant_is_the_sup_below_the_shape(shape, p):
+    # t / (ln 2 + t^shape)^(1/p) peaks at t*^shape = p ln 2 / (shape - p); a dense search
+    # around t* finds the sup to within a few ulps, and the 4096-point log grid of the
+    # numeric constant falls short of it
+    peak = (p * math.log(2.0) / (shape - p)) ** (1.0 / shape)
+    t = peak * (1.0 + np.linspace(-1e-3, 1e-3, 200001))
+    dense = float(np.max(t / (math.log(2.0) + t ** shape) ** (1.0 / p)))
+    constant = models.WeibullSymmetric(shape).tail_constant(p)
+    assert abs(constant - dense) <= 4 * math.ulp(dense)
+    grid = models._tail_constant_numeric(lambda t: math.log(2.0) + t ** shape, p, t_max=1e6)
+    assert constant >= grid
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "dist, field",
@@ -356,9 +370,20 @@ def test_distributions_reject_non_finite_parameters(dist, field, value):
          r"uniform needs finite lo < hi and hi - lo, got lo=-1e\+308, hi=1e\+308"),
         (lambda: models.smoothed_model(new_sparse(1, [((0,), 1.0)]), math.nan, gaussian_model()),
          "sigma must be positive and finite, got nan"),
+        (lambda: models.RandomModel(n=0, support=((),), dist=GAUSS), "n must be >= 1, got 0"),
+        (lambda: models.RandomModel(n=1, support=SUP_D5, dist=GAUSS, offsets=(0.0, 0.0)),
+         "offsets must align with the support"),
+        (lambda: models.smoothed_model(new_sparse(1, [((0,), 1.0)]), 1.0,
+                                       models.RandomModel(n=1, support=SUP_D5, dist=GAUSS, scale=2.0)),
+         "base model must be unshifted and unscaled"),
+        (lambda: models.smoothed_model(new_sparse(2, [((0, 0), 1.0)]), 1.0, gaussian_model()),
+         "dimension mismatch between f0 and the base model"),
+        (lambda: models.smoothed_model(new_sparse(1, [((0,), 0.0)]), 1.0, gaussian_model()),
+         "f0 must be nonzero"),
     ],
     ids=["scale-inf", "scale-nan", "offsets-nan", "p-inf", "support-2.5", "uniform-wide",
-         "sigma-nan"],
+         "sigma-nan", "n-0", "offsets-short", "smoothed-scaled-base", "smoothed-dimension",
+         "smoothed-zero-f0"],
 )
 def test_models_refuse_non_finite_or_non_integer_fields(build, message):
     # such a model's constants read inf or nan, its degree is not an integer, or its

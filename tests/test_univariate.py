@@ -259,6 +259,24 @@ def test_eps_separation_bound_rejects_eps_outside_zero_to_inf(eps):
     assert not isinstance(info.value, HypothesisViolatedError)
 
 
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        (lambda: tree_size_bound(QUAD, 0.5), "kappa_upper must be >= 1"),
+        (lambda: separation_lower_bound(QUAD, 0.5), "kappa_upper must be >= 1"),
+        (lambda: eps_separation_lower_bound(QUAD, 0.5, 1e-3), "kappa_upper must be >= 1"),
+        (lambda: js_condition_bound(0, 2, 1.0, 2.0), "all arguments must be positive"),
+        (lambda: js_condition_bound(3, 2, 0.0, 2.0), "all arguments must be positive"),
+        (lambda: js_condition_bound(3, 2, 1.0, 0.5), "kappa must be >= 1"),
+    ],
+    ids=["tree_size", "separation", "eps_separation", "js-support", "js-norm", "js-kappa"],
+)
+def test_bound_formulas_refuse_arguments_outside_their_range(bound, message):
+    # every condition number on the cube is at least 1, and |M|, d and norm1(f) are positive
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bound()
+
+
 def test_separation_oracle_quadratic():
     est = separation_oracle(QUAD, 0.01)
     assert est.delta == pytest.approx(math.sqrt(2.0), rel=1e-9)
