@@ -470,8 +470,9 @@ def test_column_major_sums_fold_left_onto_zero(width):
     rng = np.random.default_rng(width)
     with np.errstate(all="ignore"):
         for count in (0, 1, 2, 7, 4097):
-            wide = rng.standard_normal((3 * count, width)) * 2.0 ** rng.integers(-60, 60, (3 * count, width))
-            special = rng.choice(SUM_ENTRIES, (3 * count, width))
+            shape = (3 * count, width)
+            wide = rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 60, shape)
+            special = rng.choice(SUM_ENTRIES, shape)
             strided = np.asfortranarray(np.concatenate([special, wide], axis=1))[:, 1:width + 1]
             for A in (np.asfortranarray(wide), np.asfortranarray(special), strided):
                 assert np.array_equal(bits(A.sum(axis=1)), bits(fold(A)))

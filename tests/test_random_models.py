@@ -373,8 +373,9 @@ def test_distributions_reject_non_finite_parameters(dist, field, value):
         (lambda: models.RandomModel(n=0, support=((),), dist=GAUSS), "n must be >= 1, got 0"),
         (lambda: models.RandomModel(n=1, support=SUP_D5, dist=GAUSS, offsets=(0.0, 0.0)),
          "offsets must align with the support"),
-        (lambda: models.smoothed_model(new_sparse(1, [((0,), 1.0)]), 1.0,
-                                       models.RandomModel(n=1, support=SUP_D5, dist=GAUSS, scale=2.0)),
+        (lambda: models.smoothed_model(
+            new_sparse(1, [((0,), 1.0)]), 1.0,
+            models.RandomModel(n=1, support=SUP_D5, dist=GAUSS, scale=2.0)),
          "base model must be unshifted and unscaled"),
         (lambda: models.smoothed_model(new_sparse(2, [((0, 0), 1.0)]), 1.0, gaussian_model()),
          "dimension mismatch between f0 and the base model"),
