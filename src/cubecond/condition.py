@@ -26,6 +26,7 @@ from .poly import (
     _as_points,
     _batch,
     _derivative,
+    _fold_last,
     _horner,
     _kernel,
     _kernel_sums,
@@ -125,10 +126,10 @@ def _kappa_rows(support, C: np.ndarray, x) -> np.ndarray:
 
 
 def _kappa_sums(nf, sums: np.ndarray, degrees) -> np.ndarray:
-    """kappa from the column-major kernel sums (N, n + 1) of f and its partials, given
-    norm1 and degree; ``sums`` is overwritten with its magnitudes."""
+    """kappa from the kernel sums (N, n + 1) of f and its partials, given norm1 and
+    degree; ``sums`` is overwritten with its magnitudes."""
     magnitudes = np.abs(sums, out=sums)
-    return _kappas(nf, np.maximum(magnitudes[:, 0], magnitudes[:, 1:].sum(axis=1) / degrees))
+    return _kappas(nf, np.maximum(magnitudes[:, 0], _fold_last(magnitudes[:, 1:]) / degrees))
 
 
 def _kappas(nf, denom: np.ndarray) -> np.ndarray:
@@ -279,7 +280,7 @@ def gamma_bound(f: SparsePolynomial, x) -> float:
     nf = _check_nonzero(norm1(f))
     value, grad = value_and_gradient_batch(f, _finite_points(f, x))
     fx = abs(float(value[0]))
-    gx = float(np.abs(grad[0]).sum())
+    gx = float(_fold_last(np.abs(grad))[0])  # kappa's gradient norm
     if not fx < gx / f.degree:
         raise EstimateInapplicableError(
             "derivative estimate needs kappa(f,x) * |f(x)| / norm1(f) < 1"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import SparsePolynomial, evaluate, gradient, norm1
+from .poly import SparsePolynomial, _fold_last, evaluate, gradient, norm1
 
 __all__ = [
     "Interval",
@@ -96,20 +96,20 @@ def interval_grad_norm(f: SparsePolynomial, box: BoxN) -> Interval:
     sqrt(2n) * d^2 * norm1(f) * w/2.  The lower end is clamped at 0 since a
     norm is nonnegative.
     """
-    center = float(np.abs(gradient(f, box.midpoint)).sum())
+    center = float(_fold_last(np.abs(gradient(f, box.midpoint))))  # the walk's sum
     radius = _exclusion_radii(f.degree, norm1(f), f.n, box.width / 2)[1]
     return Interval(max(0.0, center - radius), center + radius)
 
 
 def _clause_codes(sums: np.ndarray, value_radii, grad_radii) -> np.ndarray:
-    """The exclusion clause of each box, one code per row of the column-major kernel
-    sums (N, n + 1) of f and its partial derivatives at the box midpoints, given
+    """The exclusion clause of each box, one code per row of the kernel sums
+    (N, n + 1) of f and its partial derivatives at the box midpoints, given
     ``_exclusion_radii`` of each box (or of all): 1 ("value") when |f(m)| exceeds the
     value radius, 2 ("gradient") when norm1(d_m f) exceeds the gradient radius, 0 when
     neither strict inequality holds; ``sums`` is overwritten with its magnitudes.  This
     is the one place the exclusion comparison is made."""
     magnitudes = np.abs(sums, out=sums)
-    grads_pass = magnitudes[:, 1:].sum(axis=1) > grad_radii
+    grads_pass = _fold_last(magnitudes[:, 1:]) > grad_radii
     return np.where(magnitudes[:, 0] > value_radii, 1, 2 * grads_pass)
 
 

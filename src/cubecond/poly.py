@@ -254,10 +254,10 @@ def _kernel_sums(terms: _KernelTerms, coefficients, ends, X: np.ndarray, owner) 
     is None; an integer ``owner`` names the column of every point, whose entries
     are then taken as floats.
 
-    The sums are column-major, each block one contiguous column, so numpy reduces
-    across the blocks of a row as a left fold onto +0.  A point's result is the
-    same bits whatever N, the chunk or the other points are; a one-point call with
-    an integer ``owner`` runs on Python floats.
+    The sums are column-major, each block one contiguous column, as ``_fold_last``
+    reads them.  A point's result is the same bits whatever N, the chunk or the
+    other points are; a one-point call with an integer ``owner`` runs on Python
+    floats.
     """
     per_point = owner is None or isinstance(owner, np.ndarray)
     if not per_point:  # one column for every point
@@ -276,6 +276,17 @@ def _kernel_sums(terms: _KernelTerms, coefficients, ends, X: np.ndarray, owner) 
             for j, total in enumerate(_block_sums(terms, rows, ends, X[chunk].T)):
                 out[j, chunk] = total
     return out.T
+
+
+def _fold_last(A: np.ndarray) -> np.ndarray:
+    """The sums over the last axis of a float64 array, each a left fold onto +0 whatever
+    the shape, layout or width of A: the one order in which kappa, the exclusion clause,
+    its gradient enclosure and the gradient cone sum the coordinates.  It adds whole slices A[..., j], which
+    are contiguous columns of the kernel sums."""
+    out = np.zeros(A.shape[:-1])
+    for j in range(A.shape[-1]):
+        out += A[..., j]
+    return out
 
 
 def _monomial_matrix(f: SparsePolynomial, x) -> np.ndarray:
@@ -328,14 +339,9 @@ def partial_derivative(f: SparsePolynomial, var: int) -> SparsePolynomial:
     """Formal partial derivative with respect to variable index ``var`` (0-based)."""
     if not 0 <= var < f.n:
         raise ValueError(f"variable index {var} out of range for n={f.n}")
-    terms = []
-    for alpha, c in zip(f.exponents, f.coefficients):
-        if alpha[var] == 0:
-            continue
-        beta = alpha.copy()
-        beta[var] -= 1
-        terms.append((tuple(int(b) for b in beta), float(c) * int(alpha[var])))
-    return new_sparse(f.n, terms)
+    unit = np.eye(f.n, dtype=np.int64)[var]
+    return new_sparse(f.n, [(alpha - unit, float(c) * int(alpha[var]))
+                            for alpha, c in zip(f.exponents, f.coefficients) if alpha[var]])
 
 
 def derivative_norm_bound(f: SparsePolynomial, k: int) -> float:
@@ -357,14 +363,9 @@ def to_dense(f: SparsePolynomial) -> np.ndarray:
     """
     if f.n != 1:
         raise ValueError("dense conversion requires a univariate polynomial")
-    nz = f.coefficients != 0.0
-    if not nz.any():
-        return np.zeros(1)
-    deg = int(f.exponents[nz, 0].max())
-    dense = np.zeros(deg + 1)
-    for alpha, c in zip(f.exponents[:, 0], f.coefficients):
-        if c != 0.0:
-            dense[int(alpha)] += c
+    nz = f.coefficients != 0.0  # the exponents are distinct, so each lands on its own entry
+    dense = np.zeros(int(f.exponents[nz, 0].max(initial=0)) + 1)
+    dense[f.exponents[nz, 0]] = f.coefficients[nz]
     return dense
 
 

@@ -23,6 +23,7 @@ from .poly import (
     _CHUNK_POINTS,
     SparsePolynomial,
     _batch,
+    _fold_last,
     _is_int,
     _kernel_sums,
     evaluate_batch,
@@ -217,9 +218,8 @@ def verify_output_boxes(
         if mixed_boxes >= chunk or start + chunk >= report.final_count:
             if mixed_boxes:
                 buffered = np.concatenate(mixed)
-                grads = gradient_batch(f, buffered.reshape(-1, f.n)).T  # (n, M s), C-ordered
-                # the (M, s, n) boxes as a view, whose coordinate axis is outermost in memory
-                if not _gradients_agree(grads.reshape(f.n, *buffered.shape[:2]).transpose(1, 2, 0)):
+                grads = gradient_batch(f, buffered.reshape(-1, f.n)).reshape(buffered.shape)
+                if not _gradients_agree(grads):
                     return False
             mixed, mixed_boxes = [], 0
     return True
@@ -240,8 +240,8 @@ def _gradient_cone(grads: np.ndarray) -> np.ndarray:
     zero, tiny and huge gradients fail a comparison and go to the Gram check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        dots = (grads * grads[:, :1]).sum(axis=-1)
-        squares = (grads * grads).sum(axis=-1)
+        dots = _fold_last(grads * grads[:, :1])
+        squares = _fold_last(grads * grads)
         inside = (dots > 0.0) & (dots * dots >= 0.5625 * squares * squares[:, :1])
     in_range = (squares >= 2.0 ** -500) & (squares <= 2.0 ** 500)
     return (inside & in_range).all(axis=1)

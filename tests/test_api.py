@@ -119,11 +119,16 @@ def test_streams_and_exact_gamma_take_what_numpy_and_poly_produce():
 
 
 def test_hot_paths_sum_the_coordinates_in_place():
-    # the kernel returns its sums column-major, on which numpy sums the coordinates of a
-    # row as a left fold by whole columns; so the hot paths reduce with numpy's own axis
-    # sums and copy no array into another layout
+    # the hot paths sum the coordinates through poly._fold_last, one left fold whatever
+    # the row count, not numpy's axis sum, whose order depends on the shape; the kernel
+    # returns its sums column-major, whose columns the fold reads whole, so no hot path
+    # copies an array into another layout
     hot = {"_clause_codes", "kappa_batch", "_kappa_rows", "_kappa_sums", "_gradient_cone"}
     copies = {"asfortranarray", "ascontiguousarray"}
+
+    def name(call):
+        return getattr(call.func, "attr", getattr(call.func, "id", None))
+
     seen, found = set(), []
     for path in sorted(pathlib.Path(cubecond.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -133,8 +138,10 @@ def test_hot_paths_sum_the_coordinates_in_place():
                     f"{path.name}:{call.lineno}:{node.name}"
                     for call in ast.walk(node)
                     if isinstance(call, ast.Call)
-                    and (getattr(call.func, "attr", getattr(call.func, "id", None)) in copies
-                         or any(kw.arg == "order" for kw in call.keywords))
+                    and (name(call) in copies
+                         or any(kw.arg == "order" for kw in call.keywords)
+                         or name(call) == "sum"
+                         and (call.args or any(kw.arg == "axis" for kw in call.keywords)))
                 ]
     assert seen == hot
     assert found == []

@@ -80,6 +80,8 @@ SUP_D5 = ((0,), (1,), (5,))
 CUBIC2 = tuple((i, j) for i in range(4) for j in range(4 - i))  # m = 10
 SPARSE3 = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 0), (0, 2, 2), (1, 1, 1),
            (3, 0, 0), (0, 0, 4), (1, 0, 2))  # m = 10
+SPARSE8 = tuple(tuple(int(k == i) for k in range(8)) for i in range(-1, 8)) + tuple(
+    tuple(2 * (k == i) + (k == (i + 1) % 8) for k in range(8)) for i in range(8))  # m = 17
 # model and x0 of each case; the supports with m >= 9 take numpy's pairwise sum in norm1
 BATCHED_KAPPA_CASES = {
     "gaussian-n1-origin": (models.RandomModel(1, SUP_D5, models.Gaussian()), (0.0,)),
@@ -100,6 +102,10 @@ BATCHED_KAPPA_CASES = {
         models.RandomModel(3, SPARSE3, models.Uniform()), (0.3, -0.6, 0.9)
     ),
     "gaussian-n3-m10-corner": (models.RandomModel(3, SPARSE3, models.Gaussian()), (1.0, -1.0, 1.0)),
+    # eight partials: a gradient norm that numpy's axis sum would take pairwise on one row
+    "gaussian-n8-m17-interior": (
+        models.RandomModel(8, SPARSE8, models.Gaussian()), tuple(np.linspace(-0.9, 0.8, 8))
+    ),
 }
 
 
@@ -111,6 +117,25 @@ def test_batched_kappa_has_the_bits_of_local_condition(case):
     batch = _kappa_rows(model.support, models.sample_batch(model, seeds), x0)
     one = np.array([local_condition(models.sample(model, seed), x0) for seed in seeds])
     assert np.array_equal(batch.view(np.int64), one.view(np.int64))
+
+
+def test_kappa_at_n8_has_the_same_bits_at_every_row_count():
+    # one row and one polynomial (Python floats, a (1, n + 1) array) against two rows
+    # and many polynomials (column-major sums): the gradient norm is one fold either way
+    model = models.RandomModel(8, SPARSE8, models.Gaussian())
+    rng = np.random.default_rng(8)
+    C = models.sample_batch(model, [(41, i) for i in range(60)])
+    for x, y in rng.uniform(-1.0, 1.0, (20, 2, 8)):
+        many = _kappa_rows(SPARSE8, C, x)
+        for t in range(len(C)):
+            f = new_sparse(8, zip(SPARSE8, C[t]))
+            one = _kappa_rows(SPARSE8, C[t:t + 1], x)[0]
+            row = np.array([local_condition(f, x), kappa_batch(f, [x, y])[0], one])
+            assert row.tobytes() == np.full(3, many[t]).tobytes()
+            try:  # where it applies, the gradient term is kappa's denominator
+                assert gamma_bound(f, x) == math.sqrt(8) * (f.degree - 1) * many[t] / 2
+            except EstimateInapplicableError:
+                pass
 
 
 def test_batched_kappa_on_rows_with_exact_zeros():

@@ -445,6 +445,23 @@ def test_multi_worker_runs_match_single_worker(kind):
         _same_reports(one, other)
 
 
+def test_tail_csv_bytes_at_n8_are_the_same_at_one_and_two_workers(tmp_path):
+    # 15 trials are one chunk at one worker and one trial a chunk at two, so each kappa
+    # comes from a (15, 9) array of sums at one and a (1, 9) one at two
+    n = 8
+    support = tuple(tuple(int(k == i) for k in range(n)) for i in range(-1, n)) + tuple(
+        tuple(2 * (k == i) + (k == (i + 1) % n) for k in range(n)) for i in range(n))
+    model = models.RandomModel(n=n, support=support, dist=GAUSS)
+    x0 = tuple(np.linspace(-0.9, 0.8, n).tolist())
+    csvs = []
+    for workers in (1, 2):
+        cfg = exps.ExperimentConfig(kind="tail", model=model, trials=15, seed=2, x0=x0,
+                                    workers=workers)
+        exps.emit_csv(exps.run_experiment(cfg), tmp_path / f"{workers}.csv")
+        csvs.append((tmp_path / f"{workers}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 class _SerialPool:
     """Stands in for ProcessPoolExecutor: records its process count and maps in this process."""
 

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -154,6 +156,34 @@ def test_predicate_codes_match_enclosures():
         assert codes == [CODES[reference_clause(f, box)] for box in boxes]
         seen.update(codes)
     assert seen == {0, 1, 2}
+
+
+def test_predicate_codes_match_enclosures_at_n8_on_a_gradient_tie():
+    # at n = 8 numpy sums one row pairwise; the walk and the enclosure both fold.  Each
+    # box is centred at a zero of f and its gradient radius is the smaller of the two
+    # sums, so the clause passes by one sum and fails by the other
+    n, rng, ties = 8, np.random.default_rng(18), 0
+    support = [tuple(int(k == i) for k in range(n)) for i in range(-1, n)] + [
+        tuple(2 * (k == i) + (k == (i + 1) % n) for k in range(n)) for i in range(n)]
+    for _ in range(100):
+        c, m = rng.standard_normal(len(support)), rng.uniform(-0.5, 0.5, n)
+        c[0] -= evaluate_batch(new_sparse(n, zip(support, c)), m)[0]  # f(m) about 0
+        f = new_sparse(n, zip(support, c))
+        grads = np.abs(gradient_batch(f, m)[0]).tolist()
+        fold = functools.reduce(operator.add, grads, 0.0)
+        sums = sorted({float(np.sum(grads)), fold})
+        scale = math.sqrt(2 * n) * f.degree ** 2 * norm1(f)
+        half = sums[0] / scale
+        half = next((h for h in (half, np.nextafter(half, 0.0), np.nextafter(half, 1.0))
+                     if _exclusion_radii(f.degree, norm1(f), n, h)[1] == sums[0]), None)
+        if len(sums) < 2 or half is None:
+            continue
+        box = BoxN(tuple(m), 2 * half)
+        ties += 1
+        code = 2 if fold > sums[0] else 0  # the gradient clause by the fold
+        codes = codes_of(f, [box, box])  # two rows: a column-major sum folds them
+        assert codes.tolist() == [code, code] and CODES[reference_clause(f, box)] == code
+    assert ties >= 10
 
 
 def test_predicate_implies_exclusion_semantics():

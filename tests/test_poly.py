@@ -1,6 +1,8 @@
+import functools
 import io
 import json
 import math
+import operator
 import re
 import tracemalloc
 from fractions import Fraction
@@ -451,36 +453,33 @@ SUM_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 1.0, -3.5, 1e3
 
 
 @pytest.mark.parametrize("width", range(13))
-def test_column_major_sums_fold_left_onto_zero(width):
-    # the kernel sums are column-major, and the hot paths sum their coordinates with
-    # numpy's own axis sum: on that layout it folds the columns left to right onto +0,
-    # at every width.  A fold from the right, a fold from the first column (a row of -0
-    # would sum to -0) or a row-major array's pairwise sum from 8 entries on fails here.
-    # Which NaN a sum of NaNs of both signs returns is left open by IEEE 754, so every
-    # NaN compares as one bit pattern
+def test_fold_last_folds_left_onto_zero(width):
+    # kappa, the exclusion clause and the gradient cone sum the coordinates through
+    # poly._fold_last: a left fold of the columns onto +0 at every width, row count and
+    # layout.  A fold from the right, a fold from the first column (a row of -0 would
+    # sum to -0) or numpy's pairwise sum from 8 entries on, which numpy's axis sum
+    # takes on one row or on a row-major array, fails here.  Which NaN a sum of NaNs of
+    # both signs returns is left open by IEEE 754, so every NaN compares as one bit
+    # pattern
     def bits(x):
         return np.where(np.isnan(x), math.nan, x).view(np.int64)
 
-    def fold(A):
-        out = np.zeros(A.shape[:-1])
-        for j in range(A.shape[-1]):
-            out += A[..., j]
-        return out
+    def fold(A):  # row by row on Python floats
+        rows = A.reshape(math.prod(A.shape[:-1]), width).tolist()
+        return np.array([functools.reduce(operator.add, row, 0.0) for row in rows]).reshape(
+            A.shape[:-1])
 
     rng = np.random.default_rng(width)
     with np.errstate(all="ignore"):
         for count in (0, 1, 2, 7, 4097):
-            shape = (3 * count, width)
-            wide = rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 60, shape)
-            special = rng.choice(SUM_ENTRIES, shape)
-            strided = np.asfortranarray(np.concatenate([special, wide], axis=1))[:, 1:width + 1]
-            for A in (np.asfortranarray(wide), np.asfortranarray(special), strided):
-                assert np.array_equal(bits(A.sum(axis=1)), bits(fold(A)))
-                # pv's (M, s, n) view of column-major gradients, coordinate axis outermost
-                boxes = A.T.reshape(width, count, 3).transpose(1, 2, 0)
-                assert np.array_equal(bits(boxes.sum(axis=-1)), bits(fold(boxes)))
-            if width >= 8 and count == 4097:  # a row-major sum is pairwise there
-                assert not np.array_equal(bits(wide.sum(axis=1)), bits(fold(wide)))
+            for shape in ((count, width), (count, 3, width)):
+                wide = rng.standard_normal(shape) * 2.0 ** rng.integers(-60, 60, shape)
+                special = rng.choice(SUM_ENTRIES, shape)
+                strided = np.concatenate([special, wide], axis=-1)[..., 1:width + 1]
+                for A in (wide, special, strided):
+                    expected = bits(fold(A))
+                    for layout in (A, np.asfortranarray(A)):  # the kernel's sums are the latter
+                        assert np.array_equal(bits(poly._fold_last(layout)), expected)
 
 
 def test_horner_matches_polyval_bit_for_bit():
