@@ -489,6 +489,24 @@ def test_amortization_streams_the_bits_of_one_draw(f):
         assert repr(amortization_bound(f, n_samples, n_samples)) == repr(one_shot), n_samples
 
 
+def test_block_size_changes_neither_the_walk_nor_the_estimate(monkeypatch):
+    # a point's kernel sums and the order of the draws do not depend on the block; pv binds
+    # the block size at import, so both names are patched
+    def run():
+        report = pv_subdivide(DOUBLED_CIRCLE, 7)
+        return report, repr(amortization_bound(DOUBLED_CIRCLE, 10 ** 4, 5))
+
+    default, estimate = run()
+    assert max(default.per_depth_counts) > poly._CHUNK_POINTS  # a level spans two blocks or more
+    for module in (poly, pv):
+        monkeypatch.setattr(module, "_CHUNK_POINTS", 64)
+    blocked, blocked_estimate = run()
+    for field in ("final_midpoints", "final_widths", "final_codes"):
+        assert getattr(blocked, field).tobytes() == getattr(default, field).tobytes(), field
+    assert blocked.per_depth_counts == default.per_depth_counts
+    assert blocked_estimate == estimate
+
+
 def test_amortization_diverges_for_singular_input():
     # the integrand is non-integrable at the singular zero; the seeded
     # estimate is far above any well-conditioned value at this sample size

@@ -324,15 +324,33 @@ def test_weibull_constants_and_sampling():
 @pytest.mark.parametrize("shape, p", [(1.2, 1.1), (1.5, 1.0), (2.0, 1.0), (3.0, 2.5), (10.0, 1.0)])
 def test_weibull_tail_constant_is_the_sup_below_the_shape(shape, p):
     # t / (ln 2 + t^shape)^(1/p) peaks at t*^shape = p ln 2 / (shape - p); a dense search
-    # around t* finds the sup to within a few ulps, and the 4096-point log grid of the
-    # numeric constant falls short of it
+    # around t* finds the sup to within a few ulps, and a 4096-point log grid falls short
+    # of it; the refined numeric constant finds it too
     peak = (p * math.log(2.0) / (shape - p)) ** (1.0 / shape)
     t = peak * (1.0 + np.linspace(-1e-3, 1e-3, 200001))
     dense = float(np.max(t / (math.log(2.0) + t ** shape) ** (1.0 / p)))
     constant = models.WeibullSymmetric(shape).tail_constant(p)
     assert abs(constant - dense) <= 4 * math.ulp(dense)
-    grid = models._tail_constant_numeric(lambda t: math.log(2.0) + t ** shape, p, t_max=1e6)
-    assert constant >= grid
+    t = np.geomspace(1e-4, 1e6, 4096)
+    assert constant >= np.max(t / (math.log(2.0) + t ** shape) ** (1.0 / p))
+    numeric = models._tail_constant_numeric(lambda t: math.log(2.0) + t ** shape, p, t_max=1e6)
+    assert abs(numeric - dense) <= 4 * math.ulp(dense)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 1.9])
+def test_gaussian_tail_constant_is_the_sup_below_two(p):
+    # below p = 2 the sup of t / (-log P(X > t))^(1/p) lies inside the 4096-point log grid,
+    # which falls short of it by up to 1.6e-6 relative; a dense search between the grid
+    # neighbours of its argmax finds it to within a few ulps
+    t = np.geomspace(1e-4, 1e5, 4096)
+    g = t / _scipy_log_survival(t) ** (1.0 / p)
+    k = int(np.argmax(g))
+    assert 0 < k < len(t) - 1
+    t = np.linspace(t[k - 1], t[k + 1], 200001)
+    dense = float(np.max(t / _scipy_log_survival(t) ** (1.0 / p)))
+    constant = models._gaussian_tail_constant.__wrapped__(p)
+    assert abs(constant - dense) <= 4 * math.ulp(dense)
+    assert constant > g[k]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
