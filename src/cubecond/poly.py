@@ -200,10 +200,10 @@ def _as_points(f: SparsePolynomial, points) -> np.ndarray:
     return X
 
 
-# points per pass of the kernel, which bounds its memory.  A pass has a fixed cost of
-# 40-70 us, which larger passes pay less often; at 2 ** 13 its float64 temporaries are
-# 64 KB, under glibc's default 128 KB mmap threshold, while larger ones would be mapped
-# and faulted in afresh on every pass
+# points per pass of the kernel, which bounds its memory.  Each pass has a fixed cost of
+# tens of microseconds, which larger passes pay less often; at 2 ** 13 its float64
+# temporaries are 64 KB, under glibc's default 128 KB mmap threshold.  Larger passes
+# fault more pages in, and 2 ** 15 runs twice as slow (BENCH_39.json)
 _CHUNK_POINTS = 2 ** 13
 
 

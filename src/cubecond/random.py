@@ -11,8 +11,9 @@ drive all bounds:
         of the coefficients at 0, e_1, ..., e_n
 
 Subgaussian/tail constants with no convenient closed form are computed
-numerically as sup_t t / ln(2 / P(|x| > t))^(1/p) over a wide log grid of t
-(the definition is algorithmic) and cached per distribution.
+numerically as sup_t t / ln(2 / P(|x| > t))^(1/p) over a wide log grid of t,
+refined around an interior argmax (the definition is algorithmic), and cached
+per distribution.
 """
 
 from __future__ import annotations
